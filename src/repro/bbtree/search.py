@@ -318,7 +318,7 @@ def similar_enough(points, query, *, alpha: float = 0.05) -> bool:
     if pooled.shape[0] < 8:
         return False
     projected = project_to_principal_axis(pooled)
-    if np.isclose(projected.std(), 0.0):
+    if abs(projected.std()) <= 1e-8:
         # A degenerate (constant) projection means all points coincide
         # with the query direction-wise — trivially similar.
         return True

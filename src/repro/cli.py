@@ -85,6 +85,7 @@ from repro.core import (
     IM_ENGINES,
     InflexConfig,
     InflexIndex,
+    ServingConfig,
     auto_size_index,
     load_index,
     save_index,
@@ -571,10 +572,28 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serving_config(args: argparse.Namespace) -> ServingConfig:
+    """The :class:`ServingConfig` a parsed ``serve`` command line asks for."""
+    return ServingConfig(
+        host=args.host,
+        port=args.port,
+        max_batch_size=args.max_batch_size,
+        max_batch_wait_us=args.max_batch_wait_us,
+        max_inflight=args.max_inflight,
+        max_queue_depth=args.max_queue_depth,
+        deadline_ms=args.deadline_ms,
+        cache_entries=args.cache_entries,
+        cache_ttl_s=args.cache_ttl,
+        slow_ms=args.slow_ms,
+        flight_records=args.flight_records,
+        slo_latency_ms=args.slo_latency_ms,
+        slo_target=args.slo_target,
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.core import ServingConfig
     from repro.serving import serve
 
     data_dir = Path(args.data)
@@ -604,21 +623,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             num_sets=args.stream_sets,
             decay_rate=args.decay_rate,
         )
-    config = ServingConfig(
-        host=args.host,
-        port=args.port,
-        max_batch_size=args.max_batch_size,
-        max_batch_wait_us=args.max_batch_wait_us,
-        max_inflight=args.max_inflight,
-        max_queue_depth=args.max_queue_depth,
-        deadline_ms=args.deadline_ms,
-        cache_entries=args.cache_entries,
-        cache_ttl_s=args.cache_ttl,
-        slow_ms=args.slow_ms,
-        flight_records=args.flight_records,
-        slo_latency_ms=args.slo_latency_ms,
-        slo_target=args.slo_target,
-    )
+    config = _serving_config(args)
     campaign = None
     if args.campaign_sets is not None:
         from repro.core import CampaignConfig
@@ -1264,55 +1269,58 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the concurrent HTTP query service over a built index",
     )
+    # Flag defaults come from ServingConfig, the one place they live.
+    serving = ServingConfig()
     serve.add_argument("--data", required=True, help="dataset directory")
     serve.add_argument("--index", required=True, help="index .npz path")
-    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--host", default=serving.host)
     serve.add_argument(
         "--port",
         type=int,
-        default=8171,
+        default=serving.port,
         help="listen port (0 binds an ephemeral port and prints it)",
     )
     serve.add_argument(
         "--max-batch-size",
         type=int,
-        default=32,
+        default=serving.max_batch_size,
         help="max requests folded into one query_batch call",
     )
     serve.add_argument(
         "--max-batch-wait-us",
         type=int,
-        default=2000,
-        help="micro-batching window in microseconds",
+        default=serving.max_batch_wait_us,
+        help="micro-batching window in microseconds (0: dispatch as "
+        "soon as the executor is free)",
     )
     serve.add_argument(
         "--max-inflight",
         type=int,
-        default=256,
+        default=serving.max_inflight,
         help="admission budget: concurrent admitted requests",
     )
     serve.add_argument(
         "--max-queue-depth",
         type=int,
-        default=512,
+        default=serving.max_queue_depth,
         help="batch-queue bound before shedding with 429",
     )
     serve.add_argument(
         "--deadline-ms",
         type=float,
-        default=250.0,
+        default=serving.deadline_ms,
         help="default per-request deadline (degraded answer on expiry)",
     )
     serve.add_argument(
         "--cache-entries",
         type=int,
-        default=4096,
+        default=serving.cache_entries,
         help="result-cache LRU capacity",
     )
     serve.add_argument(
         "--cache-ttl",
         type=float,
-        default=None,
+        default=serving.cache_ttl_s,
         help="result-cache entry TTL in seconds (default: no expiry)",
     )
     serve.add_argument(
@@ -1323,14 +1331,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--slow-ms",
         type=float,
-        default=100.0,
+        default=serving.slow_ms,
         help="slow-query threshold: requests over this latency are "
         "captured with their full span tree on /debug/slow",
     )
     serve.add_argument(
         "--flight-records",
         type=int,
-        default=1024,
+        default=serving.flight_records,
         help="flight-recorder ring capacity (per-request records "
         "on /debug/requests)",
     )
@@ -1343,14 +1351,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--slo-latency-ms",
         type=float,
-        default=250.0,
+        default=serving.slo_latency_ms,
         help="SLO latency threshold: requests over this count "
         "against the latency objective",
     )
     serve.add_argument(
         "--slo-target",
         type=float,
-        default=0.99,
+        default=serving.slo_target,
         help="latency-objective target fraction in (0, 1)",
     )
     serve.add_argument(

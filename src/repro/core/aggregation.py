@@ -3,6 +3,8 @@
 Thin orchestration over :mod:`repro.ranking`: pick the aggregator
 (Borda / Copeland / MC4), apply importance weights, optionally refine
 with Local Kemenization, and cut the result to the requested ``k``.
+Copeland, MC4 and Local Kemenization all read one weighted
+pairwise-preference matrix, built once per aggregation.
 """
 
 from __future__ import annotations
@@ -11,15 +13,13 @@ import numpy as np
 
 from repro.im.seed_list import SeedList
 from repro.ranking.borda import borda_aggregation
-from repro.ranking.copeland import copeland_aggregation
-from repro.ranking.kemeny import local_kemenization
-from repro.ranking.mc4 import mc4_aggregation
+from repro.ranking.copeland import copeland_order, pairwise_preference_matrix
+from repro.ranking.kemeny import kemenize
+from repro.ranking.mc4 import mc4_order
 
-_AGGREGATORS = {
-    "borda": borda_aggregation,
-    "copeland": copeland_aggregation,
-    "mc4": mc4_aggregation,
-}
+# Aggregators reading the pairwise-preference matrix.
+_MATRIX_AGGREGATORS = {"copeland": copeland_order, "mc4": mc4_order}
+_AGGREGATORS = ("borda", *_MATRIX_AGGREGATORS)
 
 
 def aggregate_seed_lists(
@@ -67,9 +67,16 @@ def aggregate_seed_lists(
     if len(lists) == 1:
         ranked = list(lists[0])
     else:
-        ranked = _AGGREGATORS[aggregator](lists, None, weights=weights)
+        if aggregator != "borda" or apply_local_kemenization:
+            matrix, universe = pairwise_preference_matrix(
+                lists, weights=weights
+            )
+        if aggregator == "borda":
+            ranked = borda_aggregation(lists, None, weights=weights)
+        else:
+            ranked = _MATRIX_AGGREGATORS[aggregator](matrix, universe)
         if apply_local_kemenization:
-            ranked = local_kemenization(ranked, lists, weights=weights)
+            ranked = kemenize(ranked, matrix, universe)
     return SeedList(
         tuple(ranked[:k]), (), algorithm=f"aggregation:{aggregator}"
     )

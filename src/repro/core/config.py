@@ -274,9 +274,15 @@ class ServingConfig:
     max_batch_wait_us:
         Batching window in microseconds: once the first request of a
         batch arrives, the batcher waits at most this long for more
-        before dispatching.  0 disables the wait (every request
-        dispatches immediately, possibly still coalescing whatever is
-        already queued).
+        before dispatching.  0 (the default) disables the wait: every
+        request dispatches as soon as the executor is free, still
+        coalescing whatever queued while it was busy.  A window only
+        pays off when grouping amortizes compute, and it does not
+        here: a ``query_batch`` costs about as much per query as a
+        lone ``query`` (``batch_ms_per_query`` ≈ ``query_ms`` in the
+        repo benchmark), so with fewer concurrent clients than
+        ``max_batch_size`` a window never fills and each dispatch would
+        wait it out with the CPU idle.
 
     Admission control
     -----------------
@@ -340,7 +346,7 @@ class ServingConfig:
     host: str = "127.0.0.1"
     port: int = 8171
     max_batch_size: int = 32
-    max_batch_wait_us: int = 2000
+    max_batch_wait_us: int = 0
     max_inflight: int = 256
     max_queue_depth: int = 512
     retry_after_s: float = 0.05

@@ -438,11 +438,12 @@ class RRIndex:
             )
         stale = np.diff(self._inv_indptr).astype(np.int64)
         covered = np.zeros(self._num_sets, dtype=bool)
-        heap = [
-            (-int(count), int(node))
-            for node, count in enumerate(stale)
-            if count > 0 and node not in excluded
-        ]
+        candidates = np.flatnonzero(stale > 0)
+        if excluded:
+            candidates = candidates[~np.isin(candidates, list(excluded))]
+        heap = list(
+            zip((-stale[candidates]).tolist(), candidates.tolist())
+        )
         heapq.heapify(heap)
         seeds: list[int] = []
         gains: list[float] = []

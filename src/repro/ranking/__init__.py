@@ -9,11 +9,16 @@ from repro.ranking.kendall import (
 from repro.ranking.borda import borda_aggregation, borda_scores
 from repro.ranking.copeland import (
     copeland_aggregation,
+    copeland_order,
     copeland_scores,
     pairwise_preference_matrix,
 )
-from repro.ranking.kemeny import brute_force_kemeny, local_kemenization
-from repro.ranking.mc4 import mc4_aggregation
+from repro.ranking.kemeny import (
+    brute_force_kemeny,
+    kemenize,
+    local_kemenization,
+)
+from repro.ranking.mc4 import mc4_aggregation, mc4_order
 from repro.ranking.rbo import overlap_at_k, rank_biased_overlap
 from repro.ranking.weights import (
     DEFAULT_SELECTION_THRESHOLD,
@@ -29,11 +34,14 @@ __all__ = [
     "borda_aggregation",
     "borda_scores",
     "copeland_aggregation",
+    "copeland_order",
     "copeland_scores",
     "pairwise_preference_matrix",
     "brute_force_kemeny",
+    "kemenize",
     "local_kemenization",
     "mc4_aggregation",
+    "mc4_order",
     "overlap_at_k",
     "rank_biased_overlap",
     "DEFAULT_SELECTION_THRESHOLD",

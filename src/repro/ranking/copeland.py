@@ -7,9 +7,15 @@ the paper: each list contributes its importance weight to ``P[v, v']``
 whenever it ranks ``v`` ahead of ``v'``; a node present in a list is
 ranked ahead of every node absent from it (the implicit top-``ell``
 semantics); lists containing neither node abstain.
+
+:func:`pairwise_preference_matrix` is the one builder of that matrix:
+Copeland, MC4 and Local Kemenization all read it, so an aggregation
+that chains them (``repro.core.aggregation``) builds it once.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -17,33 +23,46 @@ from repro.ranking.borda import _prepare_lists, _prepare_weights
 
 
 def pairwise_preference_matrix(
-    rankings, *, weights=None
+    rankings, *, weights=None, extra_nodes=()
 ) -> tuple[np.ndarray, list[int]]:
     """Weighted pairwise-preference matrix over the union of the lists.
 
     Returns ``(P, universe)`` where ``universe`` is the sorted union and
     ``P[a, b]`` is the total weight of lists preferring
-    ``universe[a]`` over ``universe[b]``.
+    ``universe[a]`` over ``universe[b]``.  ``extra_nodes`` joins the
+    universe as nodes no list ranks (every list abstains between two of
+    them and prefers any node it ranks over them).
     """
     lists = _prepare_lists(rankings)
     w = _prepare_weights(weights, len(lists))
-    universe = sorted({node for ranking in lists for node in ranking})
-    index = {node: i for i, node in enumerate(universe)}
-    u = len(universe)
-    matrix = np.zeros((u, u))
-    sentinel = u + 1
-    for weight, ranking in zip(w, lists):
-        ranks = np.full(u, sentinel, dtype=np.float64)
-        for position, node in enumerate(ranking):
-            ranks[index[node]] = position
-        present = ranks < sentinel
-        # v preferred over v' when rank(v) < rank(v'), with absent nodes
-        # at the sentinel; absent-vs-absent pairs tie and contribute
-        # nothing.
-        prefer = ranks[:, np.newaxis] < ranks[np.newaxis, :]
-        prefer &= present[:, np.newaxis] | present[np.newaxis, :]
-        matrix += weight * prefer
-    return matrix, universe
+    lengths = [len(ranking) for ranking in lists]
+    flat = np.fromiter(
+        chain.from_iterable(lists), dtype=np.int64, count=sum(lengths)
+    )
+    universe = np.unique(
+        np.concatenate([flat, np.asarray(extra_nodes, dtype=np.int64)])
+    )
+    # One (lists x union) rank array.  Absent nodes sit at a sentinel
+    # behind every position, so "rank(v) < rank(v')" is exactly the
+    # present-beats-absent rule and absent-vs-absent pairs tie.
+    ranks = np.full((len(lists), universe.size), max(lengths))
+    starts = np.cumsum(lengths) - lengths
+    ranks[
+        np.repeat(np.arange(len(lists)), lengths),
+        np.searchsorted(universe, flat),
+    ] = np.arange(flat.size) - np.repeat(starts, lengths)
+    matrix = np.zeros((universe.size, universe.size))
+    # Accumulate list by list, in input order: Copeland's exact
+    # P == P.T tie test depends on the summation order.
+    for weight, rank in zip(w, ranks):
+        matrix += weight * (rank[:, np.newaxis] < rank[np.newaxis, :])
+    return matrix, universe.tolist()
+
+
+def _copeland_score_array(matrix: np.ndarray) -> np.ndarray:
+    wins = (matrix > matrix.T).sum(axis=1).astype(np.float64)
+    ties = ((matrix == matrix.T).sum(axis=1) - 1).astype(np.float64)
+    return wins + 0.5 * ties
 
 
 def copeland_scores(rankings, *, weights=None) -> dict[int, float]:
@@ -55,10 +74,18 @@ def copeland_scores(rankings, *, weights=None) -> dict[int, float]:
     list reversal).
     """
     matrix, universe = pairwise_preference_matrix(rankings, weights=weights)
-    wins = (matrix > matrix.T).sum(axis=1).astype(np.float64)
-    ties = ((matrix == matrix.T).sum(axis=1) - 1).astype(np.float64)
-    scores = wins + 0.5 * ties
+    scores = _copeland_score_array(matrix)
     return {node: float(scores[i]) for i, node in enumerate(universe)}
+
+
+def copeland_order(matrix: np.ndarray, universe: list[int]) -> list[int]:
+    """Full Copeland order from a :func:`pairwise_preference_matrix`.
+
+    Descending score; ties break toward the lower node id (``universe``
+    is sorted, so a stable sort keeps tied nodes in id order).
+    """
+    order = np.argsort(-_copeland_score_array(matrix), kind="stable")
+    return [universe[i] for i in order.tolist()]
 
 
 def copeland_aggregation(
@@ -69,8 +96,9 @@ def copeland_aggregation(
     Ties break toward the lower node id.  ``k`` of ``None`` returns the
     full aggregated order over the union.
     """
-    scores = copeland_scores(rankings, weights=weights)
-    ordered = sorted(scores, key=lambda node: (-scores[node], node))
+    ordered = copeland_order(
+        *pairwise_preference_matrix(rankings, weights=weights)
+    )
     if k is None:
         return ordered
     if k < 0:

@@ -18,7 +18,8 @@ from itertools import permutations
 
 import numpy as np
 
-from repro.ranking.borda import _prepare_lists, _prepare_weights
+from repro.ranking.borda import _prepare_lists
+from repro.ranking.copeland import pairwise_preference_matrix
 from repro.ranking.kendall import mean_kendall_tau_top
 
 
@@ -37,37 +38,36 @@ def local_kemenization(
     ordering = [int(v) for v in initial]
     if len(set(ordering)) != len(ordering):
         raise ValueError(f"initial aggregation contains duplicates: {ordering}")
-    lists = _prepare_lists(rankings)
-    w = _prepare_weights(weights, len(lists))
-    # Cache index positions per list for O(1) preference lookups.
-    positions = [
-        {node: pos for pos, node in enumerate(ranking)} for ranking in lists
-    ]
+    matrix, universe = pairwise_preference_matrix(
+        rankings, weights=weights, extra_nodes=ordering
+    )
+    return kemenize(ordering, matrix, universe)
 
-    def prefers(first: int, second: int) -> float:
-        total = 0.0
-        for weight, pos in zip(w, positions):
-            rank_first = pos.get(first)
-            rank_second = pos.get(second)
-            if rank_first is None and rank_second is None:
-                continue
-            if rank_second is None or (
-                rank_first is not None and rank_first < rank_second
-            ):
-                total += weight
-        return total
 
-    for start in range(1, len(ordering)):
+def kemenize(ordering, matrix: np.ndarray, universe: list[int]) -> list[int]:
+    """Local Kemenization of ``ordering`` on a precomputed matrix.
+
+    ``(matrix, universe)`` is a
+    :func:`~repro.ranking.copeland.pairwise_preference_matrix` whose
+    universe covers ``ordering``; an element moves above its
+    predecessor iff ``P[below, above] > P[above, below]``.
+    """
+    position = {node: i for i, node in enumerate(universe)}
+    order = [position[node] for node in ordering]
+    # One vectorized comparison; the pass then makes about one lookup
+    # per element, far fewer than a Python copy of the matrix costs.
+    beats = matrix > matrix.T
+    for start in range(1, len(order)):
         i = start
         while i > 0:
-            above = ordering[i - 1]
-            below = ordering[i]
-            if prefers(below, above) > prefers(above, below):
-                ordering[i - 1], ordering[i] = below, above
+            above = order[i - 1]
+            below = order[i]
+            if beats[below, above]:
+                order[i - 1], order[i] = below, above
                 i -= 1
             else:
                 break
-    return ordering
+    return [universe[i] for i in order]
 
 
 def brute_force_kemeny(

@@ -42,12 +42,36 @@ def mc4_aggregation(
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    matrix, universe = pairwise_preference_matrix(rankings, weights=weights)
+    ranked = mc4_order(
+        *pairwise_preference_matrix(rankings, weights=weights),
+        damping=damping,
+        max_iter=max_iter,
+        tol=tol,
+    )
+    if k is None:
+        return ranked
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return ranked[:k]
+
+
+def mc4_order(
+    matrix: np.ndarray,
+    universe: list[int],
+    *,
+    damping: float = 0.05,
+    max_iter: int = 200,
+    tol: float = 1e-12,
+) -> list[int]:
+    """Full MC4 order from a precomputed pairwise-preference matrix.
+
+    ``(matrix, universe)`` is a
+    :func:`~repro.ranking.copeland.pairwise_preference_matrix`; the
+    chain parameters are those of :func:`mc4_aggregation`.
+    """
     u = len(universe)
-    if u == 0:
-        return []
-    if u == 1:
-        return universe[: k if k is not None else 1]
+    if u <= 1:
+        return list(universe)
     # Transition: from v, propose v' uniformly among the other u-1
     # items; accept when the majority prefers v'.
     beats = (matrix.T > matrix).astype(np.float64)  # beats[v, v'] = v' wins
@@ -65,9 +89,4 @@ def mc4_aggregation(
     order = sorted(
         range(u), key=lambda i: (-distribution[i], universe[i])
     )
-    ranked = [universe[i] for i in order]
-    if k is None:
-        return ranked
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return ranked[:k]
+    return [universe[i] for i in order]

@@ -6,9 +6,17 @@ first item arrives — at most ``max_batch_size`` items or
 ``max_wait_s`` seconds, whichever closes first — then hands the batch
 to an executor callable that runs
 :meth:`~repro.core.index.InflexIndex.query_batch` off the event loop.
-Under load the window fills instantly (pure throughput); when idle a
-lone request waits at most the window (bounded latency cost, default
-2 ms).
+The collector only pulls the next batch once the previous dispatch
+finished, so everything queued while the executor was busy leaves
+together even with no window at all.
+
+The default window is 0: a lone request dispatches at once, and a
+burst still coalesces behind a busy executor.  A positive window only
+pays off when grouping amortizes compute, and ``query_batch`` costs
+about as much per query as a lone ``query`` (``batch_ms_per_query`` ≈
+``query_ms`` in the repo benchmark), so below ``max_batch_size``
+concurrent clients a window never fills and every dispatch would wait
+it out with the CPU idle.
 
 Items in one window may carry different ``(k, strategy)`` pairs;
 ``query_batch`` takes one of each, so the collector partitions the
@@ -104,7 +112,7 @@ class MicroBatcher:
         execute,
         *,
         max_batch_size: int = 32,
-        max_wait_s: float = 0.002,
+        max_wait_s: float = 0.0,
         max_queue_depth: int = 512,
     ) -> None:
         if max_batch_size < 1:

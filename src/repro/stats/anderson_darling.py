@@ -157,7 +157,7 @@ def project_to_principal_axis(points) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     centered = pts - pts.mean(axis=0, keepdims=True)
-    if np.allclose(centered, 0.0):
+    if (np.abs(centered) <= 1e-8).all():
         return np.zeros(pts.shape[0])
     # SVD of an (n, d) matrix with small d is cheap and stable.
     _, _, vt = np.linalg.svd(centered, full_matrices=False)

@@ -1,0 +1,225 @@
+"""Differential properties of the matrix-based rank aggregation.
+
+``aggregate_seed_lists`` builds one weighted pairwise-preference matrix
+and runs Copeland and Local Kemenization on it.  These tests check it
+against a reference written straight from the definitions: a per-pair
+scan of every input list (the preference weight of ``a`` over ``b``),
+Copeland scores as a dict, and the Dwork et al. bubble-up pass on top.
+Inputs cover overlapping lists over a small node range, disjoint lists,
+single lists, and weights that are absent, equal, small integers (which
+force exact Copeland ties), tenths (whose sums tie or not depending on
+the order they are added in) or random floats.
+"""
+
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from repro.core.aggregation import aggregate_seed_lists
+from repro.im import SeedList
+from repro.ranking import borda_scores, brute_force_kemeny, copeland_scores
+
+
+def _prefers(first, second, lists, weights):
+    """Total weight of the lists ranking ``first`` ahead of ``second``.
+
+    A node a list ranks beats every node it omits; lists ranking
+    neither node abstain.
+    """
+    total = 0.0
+    for weight, ranking in zip(weights, lists):
+        position = {node: i for i, node in enumerate(ranking)}
+        rank_first = position.get(first)
+        rank_second = position.get(second)
+        if rank_first is None and rank_second is None:
+            continue
+        if rank_second is None or (
+            rank_first is not None and rank_first < rank_second
+        ):
+            total += weight
+    return total
+
+
+def _reference_preferences(lists, weights):
+    unit = [1.0] * len(lists) if weights is None else list(weights)
+    union = sorted({node for ranking in lists for node in ranking})
+    return union, {
+        (a, b): _prefers(a, b, lists, unit)
+        for a in union
+        for b in union
+        if a != b
+    }
+
+
+def _reference_copeland_scores(union, prefer):
+    scores = {}
+    for a in union:
+        score = 0.0
+        for b in union:
+            if b == a:
+                continue
+            if prefer[a, b] > prefer[b, a]:
+                score += 1.0
+            elif prefer[a, b] == prefer[b, a]:
+                score += 0.5
+        scores[a] = score
+    return scores
+
+
+def _reference_kemenize(order, prefer):
+    order = list(order)
+    for start in range(1, len(order)):
+        i = start
+        while i > 0 and prefer[order[i], order[i - 1]] > prefer[
+            order[i - 1], order[i]
+        ]:
+            order[i - 1], order[i] = order[i], order[i - 1]
+            i -= 1
+    return order
+
+
+def _by_score(scores):
+    return sorted(scores, key=lambda node: (-scores[node], node))
+
+
+def _aggregate(lists, weights, aggregator):
+    return list(
+        aggregate_seed_lists(
+            [SeedList(tuple(ranking)) for ranking in lists],
+            max(len(ranking) for ranking in lists) * len(lists),
+            aggregator=aggregator,
+            weights=weights,
+        ).nodes
+    )
+
+
+# ----------------------------------------------------------------------
+# Input strategies
+# ----------------------------------------------------------------------
+def _ranking(nodes, max_size):
+    return st.lists(
+        st.integers(0, nodes - 1), min_size=1, max_size=max_size, unique=True
+    )
+
+
+overlapping_lists = st.lists(_ranking(8, 6), min_size=1, max_size=6)
+
+
+@st.composite
+def disjoint_lists(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    lists, start = [], 0
+    for size in sizes:
+        lists.append(list(range(start, start + size))[::-1])
+        start += size
+    return lists
+
+
+single_lists = _ranking(10, 8).map(lambda ranking: [ranking])
+
+any_lists = st.one_of(overlapping_lists, disjoint_lists(), single_lists)
+
+
+@st.composite
+def lists_and_weights(draw, lists_strategy=any_lists):
+    lists = draw(lists_strategy)
+    count = len(lists)
+    weights = draw(
+        st.one_of(
+            st.none(),
+            st.floats(0.1, 5.0).map(lambda w: [w] * count),
+            st.lists(
+                st.integers(0, 3), min_size=count, max_size=count
+            ).filter(lambda ws: sum(ws) > 0).map(
+                lambda ws: [float(w) for w in ws]
+            ),
+            st.lists(
+                st.integers(1, 9).map(lambda i: i / 10),
+                min_size=count,
+                max_size=count,
+            ),
+            st.lists(
+                st.floats(0.0, 1.0), min_size=count, max_size=count
+            ).filter(lambda ws: sum(ws) > 0),
+        )
+    )
+    return lists, weights
+
+
+# ----------------------------------------------------------------------
+# Properties
+# ----------------------------------------------------------------------
+class TestAggregationMatchesDefinitions:
+    @given(lists_and_weights())
+    @settings(max_examples=300, deadline=None)
+    def test_copeland_scores_match_reference(self, case):
+        lists, weights = case
+        union, prefer = _reference_preferences(lists, weights)
+        assert copeland_scores(lists, weights=weights) == (
+            _reference_copeland_scores(union, prefer)
+        )
+
+    @given(lists_and_weights())
+    @example(([[1, 0], [1, 0], [1, 0], [0, 1]], [0.1, 0.2, 0.3, 0.6]))
+    @settings(max_examples=300, deadline=None)
+    def test_copeland_then_kemenization_matches_reference(self, case):
+        # The example: 0.1 + 0.2 + 0.3 exceeds 0.6 when summed in list
+        # order but equals it when summed in reverse, so node 1 beats
+        # node 0 only under the list-order accumulation.
+        lists, weights = case
+        union, prefer = _reference_preferences(lists, weights)
+        expected = _reference_kemenize(
+            _by_score(_reference_copeland_scores(union, prefer)), prefer
+        )
+        assert _aggregate(lists, weights, "copeland") == expected
+
+    @given(lists_and_weights())
+    @settings(max_examples=150, deadline=None)
+    def test_borda_then_kemenization_matches_reference(self, case):
+        lists, weights = case
+        _, prefer = _reference_preferences(lists, weights)
+        expected = _reference_kemenize(
+            _by_score(borda_scores(lists, weights=weights)), prefer
+        )
+        assert _aggregate(lists, weights, "borda") == expected
+
+    @pytest.mark.parametrize("aggregator", ["copeland", "borda", "mc4"])
+    @given(case=lists_and_weights())
+    @settings(max_examples=100, deadline=None)
+    def test_no_adjacent_swap_lowers_disagreement(self, aggregator, case):
+        lists, weights = case
+        _, prefer = _reference_preferences(lists, weights)
+        result = _aggregate(lists, weights, aggregator)
+        for above, below in zip(result, result[1:]):
+            # Swapping the pair changes the weighted pairwise
+            # disagreement by prefer[above, below] - prefer[below, above].
+            assert prefer[below, above] <= prefer[above, below]
+
+
+@st.composite
+def condorcet_permutations(draw):
+    """Full rankings of one union of at most six nodes, weighted so the
+    weighted majority relation is a strict total order."""
+    size = draw(st.integers(2, 6))
+    lists = draw(
+        st.lists(st.permutations(range(size)), min_size=2, max_size=5)
+    )
+    lists, weights = draw(lists_and_weights(st.just(lists)))
+    union, prefer = _reference_preferences(lists, weights)
+    wins = [
+        sum(prefer[a, b] > prefer[b, a] for b in union if b != a)
+        for a in union
+    ]
+    assume(sorted(wins) == list(range(size)))
+    return lists, weights
+
+
+class TestKemenyOracle:
+    @given(condorcet_permutations())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_on_condorcet_inputs(self, case):
+        # With a strict, transitive weighted majority over full rankings
+        # the Kemeny optimum is unique: the majority order itself.
+        lists, weights = case
+        assert _aggregate(lists, weights, "copeland") == brute_force_kemeny(
+            lists, weights=weights
+        )

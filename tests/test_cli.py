@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _serving_config, build_parser, main
+from repro.core import ServingConfig
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +270,9 @@ class TestParser:
             build_parser().parse_args(
                 ["query", "--data", "x", "--index", "y"]
             )
+
+    def test_serve_defaults_come_from_serving_config(self):
+        args = build_parser().parse_args(
+            ["serve", "--data", "x", "--index", "y"]
+        )
+        assert _serving_config(args) == ServingConfig()

@@ -373,6 +373,82 @@ class TestMicroBatcher:
 
         asyncio.run(scenario())
 
+    def test_lone_submit_dispatches_without_a_window(self):
+        async def scenario():
+            entered = asyncio.Event()
+
+            async def execute(items):
+                entered.set()
+                return [item.k for item in items]
+
+            batcher = MicroBatcher(
+                execute, max_wait_s=ServingConfig().max_batch_wait_s
+            )
+            batcher.start()
+            item = _item(asyncio.get_running_loop())
+            batcher.submit(item)
+            # A handful of bare event-loop turns, no timer: enough for
+            # the collector to wake and dispatch, far too few for any
+            # window to elapse.
+            for _ in range(5):
+                await asyncio.sleep(0)
+            dispatched = entered.is_set()
+            await item.future
+            await batcher.drain()
+            return dispatched
+
+        assert asyncio.run(scenario())
+
+    def test_items_queued_behind_a_busy_executor_leave_together(self):
+        async def scenario():
+            calls: list[list[tuple]] = []
+            entered = asyncio.Event()
+            release = asyncio.Event()
+
+            async def execute(items):
+                calls.append(
+                    [(item.k, item.strategy, item.gamma) for item in items]
+                )
+                entered.set()
+                await release.wait()
+                return [item.k for item in items]
+
+            batcher = MicroBatcher(execute, max_wait_s=0.0)
+            batcher.start()
+            loop = asyncio.get_running_loop()
+            first = _item(loop, gamma=0)
+            batcher.submit(first)
+            await entered.wait()
+            burst = [
+                _item(
+                    loop,
+                    k=1 + i % 2,
+                    strategy=("inflex", "sketch")[i // 4],
+                    gamma=i + 1,
+                )
+                for i in range(8)
+            ]
+            for item in burst:
+                batcher.submit(item)
+            release.set()
+            await asyncio.gather(*(i.future for i in [first, *burst]))
+            stats = batcher.stats.to_dict()
+            await batcher.drain()
+            return calls, stats
+
+        calls, stats = asyncio.run(scenario())
+        assert calls[0] == [(5, "inflex", 0)]
+        # The whole burst went out in the next window, one call per
+        # (k, strategy) group, each group in submit order.
+        assert calls[1:] == [
+            [(1, "inflex", 1), (1, "inflex", 3)],
+            [(2, "inflex", 2), (2, "inflex", 4)],
+            [(1, "sketch", 5), (1, "sketch", 7)],
+            [(2, "sketch", 6), (2, "sketch", 8)],
+        ]
+        assert stats["batches_total"] == 5
+        assert stats["items_total"] == 9
+
 
 # ----------------------------------------------------------------------
 # Singleflight
@@ -518,6 +594,64 @@ class TestQueryServerEndToEnd:
         assert stats["batcher"]["batches_total"] < (
             stats["batcher"]["items_total"]
         )
+
+    def test_burst_behind_slow_executor_batches(self, small_index):
+        config = ServingConfig(port=0)
+        burst_size = 8
+
+        async def scenario(server):
+            entered = asyncio.Event()
+            release = asyncio.Event()
+            all_queued = asyncio.Event()
+            submitted = 0
+            execute = server.batcher._execute
+            submit = server.batcher.submit
+
+            async def slow_execute(items):
+                entered.set()
+                await release.wait()
+                return await execute(items)
+
+            def counting_submit(item):
+                nonlocal submitted
+                submit(item)
+                submitted += 1
+                if submitted == 1 + burst_size:
+                    all_queued.set()
+
+            server.batcher._execute = slow_execute
+            server.batcher.submit = counting_submit
+            rng = np.random.default_rng(31)
+            gammas = rng.dirichlet(np.full(4, 0.8), size=1 + burst_size)
+            tasks = [
+                asyncio.ensure_future(
+                    _post_query("127.0.0.1", server.port, gammas[0])
+                )
+            ]
+            await entered.wait()
+            tasks += [
+                asyncio.ensure_future(
+                    _post_query("127.0.0.1", server.port, row)
+                )
+                for row in gammas[1:]
+            ]
+            await all_queued.wait()
+            release.set()
+            responses = await asyncio.gather(*tasks)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(encode_request("GET", "/stats"))
+            await writer.drain()
+            _, _, payload = await read_response(reader)
+            writer.close()
+            return responses, json.loads(payload)
+
+        responses, stats = _run_with_server(small_index, config, scenario)
+        assert all(status == 200 for status, _, _ in responses)
+        assert stats["batcher"]["items_total"] == 1 + burst_size
+        assert stats["batcher"]["batches_total"] == 2
+        assert stats["batcher"]["mean_batch_size"] > 1
 
     def test_identical_answers_from_cache(self, small_index):
         config = ServingConfig(port=0)
