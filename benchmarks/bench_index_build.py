@@ -26,11 +26,23 @@ outstanding follow-up from the imm-default flip: the full h=1000,
 100k-Dirichlet-sample laptop build (Dirichlet MLE -> cloud sampling ->
 Bregman K-means++ -> 1000 IMM seed lists -> bb-tree), end to end on
 one core, merged into the same JSON under ``paper_scale``.
+
+``test_paper_scale_clustering_stage`` times the clustering stage of
+that build alone: K-means++ seeding and a fixed number of Lloyd
+iterations over the same 100k-sample cloud with h=1000.  It uses only
+``kmeanspp_seeding`` and ``bregman_kmeans``, so the same file runs on
+older commits; a ``baseline`` recorded that way is kept under
+``paper_scale.clustering_stage`` and the speedup is computed against it.
+Run it alone with
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_index_build.py \
+        -k clustering_stage -q
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -339,6 +351,9 @@ def test_paper_scale_imm_build():
     report = (
         json.loads(OUT_PATH.read_text()) if OUT_PATH.exists() else {}
     )
+    if "clustering_stage" in report.get("paper_scale", {}):
+        # Owned by test_paper_scale_clustering_stage.
+        section["clustering_stage"] = report["paper_scale"]["clustering_stage"]
     report["paper_scale"] = section
     OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -355,4 +370,88 @@ def test_paper_scale_imm_build():
             f"  per seed list: "
             f"{section['timings_seconds']['per_seed_list'] * 1000:.0f} ms"
         ),
+    )
+
+
+#: Lloyd iterations timed by the clustering-stage benchmark (each is an
+#: assignment pass plus a centroid update; the run closes with one more
+#: assignment pass, which the per-iteration figure includes).
+CLUSTERING_LLOYD_ITERATIONS = 2
+
+
+def test_paper_scale_clustering_stage():
+    """Seeding and a fixed number of Lloyd iterations at h=1000, n=100k."""
+    from repro.clustering import bregman_kmeans, kmeanspp_seeding
+    from repro.divergence import KLDivergence
+    from repro.rng import resolve_rng
+    from repro.simplex.dirichlet import fit_dirichlet_mle
+    from repro.simplex.vectors import smooth
+
+    # The cloud test_paper_scale_imm_build clusters, and the generator
+    # state its clustering starts from.
+    catalog = np.random.default_rng(409).dirichlet(
+        np.full(PAPER_NUM_TOPICS, 0.7), size=PAPER_NUM_ITEMS
+    )
+    rng = resolve_rng(419)
+    samples = fit_dirichlet_mle(smooth(catalog)).sample(
+        PAPER_DIRICHLET_SAMPLES, seed=rng
+    )
+    state = rng.bit_generator.state
+    divergence = KLDivergence()
+
+    start = time.perf_counter()
+    kmeanspp_seeding(samples, PAPER_H, divergence, seed=rng)
+    seeding_seconds = time.perf_counter() - start
+
+    rng.bit_generator.state = state
+    start = time.perf_counter()
+    result = bregman_kmeans(
+        samples,
+        PAPER_H,
+        divergence,
+        seed=rng,
+        max_iter=CLUSTERING_LLOYD_ITERATIONS,
+    )
+    kmeans_seconds = time.perf_counter() - start
+    assert result.iterations == CLUSTERING_LLOYD_ITERATIONS
+
+    lloyd_seconds = kmeans_seconds - seeding_seconds
+    per_iteration = lloyd_seconds / CLUSTERING_LLOYD_ITERATIONS
+    section = {
+        "config": {
+            "num_index_points": PAPER_H,
+            "num_dirichlet_samples": PAPER_DIRICHLET_SAMPLES,
+            "num_topics": PAPER_NUM_TOPICS,
+            "lloyd_iterations": CLUSTERING_LLOYD_ITERATIONS,
+            "divergence": divergence.name,
+        },
+        "cpus": len(os.sched_getaffinity(0)),
+        "seeding_seconds": round(seeding_seconds, 2),
+        "lloyd_seconds": round(lloyd_seconds, 2),
+        "lloyd_seconds_per_iteration": round(per_iteration, 3),
+    }
+    report = json.loads(OUT_PATH.read_text()) if OUT_PATH.exists() else {}
+    paper = report.setdefault("paper_scale", {})
+    baseline = paper.get("clustering_stage", {}).get("baseline")
+    lines = [
+        f"h={PAPER_H}, {PAPER_DIRICHLET_SAMPLES:,} Dirichlet samples, "
+        f"{CLUSTERING_LLOYD_ITERATIONS} Lloyd iterations, "
+        f"{section['cpus']} CPUs",
+        f"  seeding:             {seeding_seconds:8.2f} s",
+        f"  Lloyd per iteration: {per_iteration:8.3f} s",
+    ]
+    if baseline is not None:
+        section["baseline"] = baseline
+        speedup = (
+            baseline["lloyd_seconds_per_iteration"] / per_iteration
+        )
+        section["lloyd_speedup_vs_baseline"] = round(speedup, 1)
+        lines.append(
+            f"  vs baseline ({baseline['commit']}): {speedup:8.1f} x"
+        )
+    paper["clustering_stage"] = section
+    OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    register_report(
+        "paper-scale clustering stage (BENCH_index_build.json)",
+        "\n".join(lines),
     )

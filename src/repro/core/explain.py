@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.index import InflexIndex
 from repro.core.query import TimAnswer
-from repro.experiments.reporting import format_table
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,9 @@ class AnswerExplanation:
         raise KeyError(f"node {node} is not in the answer")
 
     def render(self) -> str:
+        # Deferred: importing it loads the whole experiments package.
+        from repro.experiments.reporting import format_table
+
         rows = [
             [
                 e.final_rank + 1,

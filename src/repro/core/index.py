@@ -86,7 +86,45 @@ class InflexIndex:
         dirichlet: Dirichlet | None = None,
         tree: BBTree | None = None,
     ) -> None:
-        points = as_distribution_matrix(index_points)
+        self._assemble(
+            graph,
+            smooth(as_distribution_matrix(index_points)),
+            seed_lists,
+            config,
+            dirichlet,
+            tree,
+        )
+
+    @classmethod
+    def _restore(
+        cls, graph: TopicGraph, index_points, seed_lists, config
+    ) -> "InflexIndex":
+        """An index over saved points, which were smoothed at build time.
+
+        Smoothing is not idempotent in floating point: a second pass
+        moves a point by about an ulp.  Loading through here keeps the
+        saved ``index_points`` exactly.
+        """
+        index = cls.__new__(cls)
+        index._assemble(
+            graph,
+            np.array(as_distribution_matrix(index_points)),
+            seed_lists,
+            config,
+            None,
+            None,
+        )
+        return index
+
+    def _assemble(
+        self,
+        graph: TopicGraph,
+        points: np.ndarray,
+        seed_lists: list[SeedList],
+        config: InflexConfig,
+        dirichlet: Dirichlet | None,
+        tree: BBTree | None,
+    ) -> None:
         if points.shape[1] != graph.num_topics:
             raise ValueError(
                 f"index points have {points.shape[1]} topics, graph has "
@@ -100,7 +138,7 @@ class InflexIndex:
         if points.shape[0] == 0:
             raise EmptyIndexError("cannot build an index with no points")
         self._graph = graph
-        self._points = smooth(points)
+        self._points = points
         self._seed_lists = list(seed_lists)
         self._config = config
         self._dirichlet = dirichlet

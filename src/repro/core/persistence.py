@@ -252,7 +252,7 @@ def load_index(path, graph: TopicGraph, *, fault_plan=None) -> InflexIndex:
                 algorithm=algorithms[row],
             )
         )
-    return InflexIndex(graph, index_points, seed_lists, config)
+    return InflexIndex._restore(graph, index_points, seed_lists, config)
 
 
 def _verify_integrity(raw: dict, source: Path) -> None:

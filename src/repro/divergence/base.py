@@ -58,22 +58,71 @@ class BregmanDivergence(ABC):
         # Numerical round-off can produce tiny negatives for p == q.
         return max(float(value), 0.0)
 
-    def divergence_to_point(self, points, q) -> np.ndarray:
+    def prepare(self, points) -> np.ndarray:
+        """Rows as a float64 matrix clamped into the domain of ``f``.
+
+        Idempotent, so a cloud prepared once can be passed to every
+        method below without changing a result.
+        """
+        return self._prepare(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+
+    def divergence_to_point(
+        self, points, q, *, point_generator=None
+    ) -> np.ndarray:
         """Return ``d_f(points[i], q)`` for every row — vectorized.
 
         This is the hot call of the bb-tree leaf scan: the stored index
         points are the first argument and the query the second, matching
-        the right-sided KL of the paper.
+        the right-sided KL of the paper.  ``point_generator`` may carry
+        ``generator(prepare(points))`` when the same points meet many
+        ``q``; the result is bit-identical either way.
         """
         pts = self._prepare(np.atleast_2d(np.asarray(points, dtype=np.float64)))
         q_arr = self._prepare(np.asarray(q, dtype=np.float64))
         grad_q = self.gradient(q_arr[np.newaxis, :])[0]
+        if point_generator is None:
+            point_generator = self.generator(pts)
         values = (
-            self.generator(pts)
+            point_generator
             - self.generator(q_arr[np.newaxis, :])[0]
             - (pts - q_arr[np.newaxis, :]) @ grad_q
         )
         return np.maximum(values, 0.0)
+
+    def divergence_matrix(
+        self, points, centroids, *, point_generator=None
+    ) -> np.ndarray:
+        """Matrix ``D[i, j] = d_f(points[i], centroids[j])`` by one matmul.
+
+        Eq. 3 expands to
+
+            d_f(x, c) = f(x) - <x, grad f(c)> + (<c, grad f(c)> - f(c)),
+
+        a dot product of ``[x, f(x), 1]`` with
+        ``[-grad f(c), 1, <c, grad f(c)> - f(c)]``, so the whole matrix
+        is one ``(n, d + 2) @ (d + 2, k)`` product.  Entries are clamped
+        at zero and agree with :meth:`divergence_to_point` to rounding,
+        not bit for bit (the terms are summed in another order).
+        ``point_generator`` is as in :meth:`divergence_to_point`.
+        """
+        pts = self.prepare(points)
+        cents = self.prepare(centroids)
+        if point_generator is None:
+            point_generator = self.generator(pts)
+        n, d = pts.shape
+        rows = np.empty((n, d + 2))
+        rows[:, :d] = pts
+        rows[:, d] = point_generator
+        rows[:, d + 1] = 1.0
+        grads = self.gradient(cents)
+        columns = np.empty((cents.shape[0], d + 2))
+        np.negative(grads, out=columns[:, :d])
+        columns[:, d] = 1.0
+        columns[:, d + 1] = np.einsum("ij,ij->i", cents, grads) - (
+            self.generator(cents)
+        )
+        matrix = rows @ columns.T
+        return np.maximum(matrix, 0.0, out=matrix)
 
     def divergence_from_point(self, p, points) -> np.ndarray:
         """Return ``d_f(p, points[i])`` for every row — vectorized."""

@@ -144,7 +144,9 @@ def attach_index(spec) -> InflexIndex:
     config = spec["config"]
     if not isinstance(config, InflexConfig):  # pragma: no cover - defensive
         config = InflexConfig(**dict(config))
-    index = InflexIndex(graph, arrays["index_points"], seed_lists, config)
+    index = InflexIndex._restore(
+        graph, arrays["index_points"], seed_lists, config
+    )
     if spec.get("sketches") is not None:
         from repro.sketches.shared import attach_sketches
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,10 @@ def paired_t_test(a, b) -> PairedTTestResult:
         statistic = 0.0 if mean == 0.0 else np.inf * np.sign(mean)
         p_value = 1.0 if mean == 0.0 else 0.0
         return PairedTTestResult(float(statistic), p_value, float(mean), n - 1)
+    # Deferred: scipy.stats costs a build or a server start most of a
+    # second to import, and only the experiments call this function.
+    from scipy.stats import t as student_t
+
     statistic = mean / (std / np.sqrt(n))
     p_value = 2.0 * student_t.sf(abs(statistic), df=n - 1)
     return PairedTTestResult(

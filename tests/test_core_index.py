@@ -277,6 +277,19 @@ class TestPersistence:
             == small_index.query(gamma, 5).seeds.nodes
         )
 
+    def test_round_trip_keeps_points_exactly(
+        self, small_index, small_dataset, tmp_path
+    ):
+        # Saved points were smoothed at build time; loading must not
+        # smooth them again (that moves them by about an ulp).
+        path = tmp_path / "index.npz"
+        save_index(small_index, path)
+        loaded = load_index(path, small_dataset.graph)
+        assert np.array_equal(loaded.index_points, small_index.index_points)
+        save_index(loaded, tmp_path / "again.npz")
+        again = load_index(tmp_path / "again.npz", small_dataset.graph)
+        assert np.array_equal(again.index_points, small_index.index_points)
+
     def test_config_preserved(self, small_index, small_dataset, tmp_path):
         path = tmp_path / "index.npz"
         save_index(small_index, path)

@@ -51,6 +51,31 @@ class TestCommonProperties:
         singles = [div.divergence(p, q) for p in points]
         assert np.allclose(batch, singles, atol=1e-9)
 
+    def test_divergence_matrix_matches_columns(self, div):
+        rng = np.random.default_rng(4)
+        points = rng.uniform(0.05, 1.5, size=(7, 2))
+        centroids = np.vstack([points[2], rng.uniform(0.05, 1.5, (3, 2))])
+        matrix = div.divergence_matrix(points, centroids)
+        columns = np.column_stack(
+            [div.divergence_to_point(points, c) for c in centroids]
+        )
+        assert matrix.shape == (7, 4)
+        assert np.all(matrix >= 0.0)
+        assert np.allclose(matrix, columns, rtol=1e-12, atol=1e-12)
+        generator = div.generator(div.prepare(points))
+        assert np.array_equal(
+            div.divergence_matrix(
+                points, centroids, point_generator=generator
+            ),
+            matrix,
+        )
+        assert np.array_equal(
+            div.divergence_to_point(
+                points, centroids[1], point_generator=generator
+            ),
+            columns[:, 1],
+        )
+
     def test_divergence_from_point_matches_scalar(self, div):
         rng = np.random.default_rng(3)
         points = rng.uniform(0.05, 1.5, size=(5, 2))

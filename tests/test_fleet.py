@@ -228,6 +228,9 @@ class TestSharedIndex:
             assert attach_kind(spec) == "shm"
             attached = attach_index(spec)
             assert attached.num_index_points == small_index.num_index_points
+            assert np.array_equal(
+                attached.index_points, small_index.index_points
+            )
             assert attached.graph.num_nodes == small_index.graph.num_nodes
             for gamma in small_workload.items[:4]:
                 original = small_index.query(gamma, 5)

@@ -1,0 +1,82 @@
+"""Import-time guard for the build and serve entry points.
+
+``scipy.stats`` costs most of a second and tens of MB to import, and
+``repro.experiments`` pulls in every figure and table; the CLI and the
+server need neither until an experiment, a t-test or an explanation
+asks.  Each check runs in a fresh interpreter, since this test session
+has long since imported both.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+DEFERRED = ("scipy.stats", "repro.experiments")
+
+
+def run_fresh(code: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_cli_and_serving_imports_defer_heavy_modules():
+    report = run_fresh(
+        "import json, sys\n"
+        "import repro.cli, repro.serving\n"
+        f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))\n"
+    )
+    assert report == []
+
+
+def test_deferred_imports_work_on_first_call():
+    report = run_fresh(
+        """
+import json, sys
+import numpy as np
+import repro.cli, repro.serving
+from repro.core import InflexConfig, InflexIndex, explain_answer
+from repro.graph import TopicGraph
+from repro.im import SeedList
+from repro.stats import paired_t_test
+
+test = paired_t_test([1.0, 2.0, 3.5, 4.0], [1.0, 1.5, 3.0, 3.0])
+graph = TopicGraph.from_arcs(
+    4, np.array([(0, 1), (1, 2), (2, 3)]), np.full((3, 2), 0.5)
+)
+index = InflexIndex(
+    graph,
+    np.array([[0.9, 0.1], [0.1, 0.9]]),
+    [SeedList((0, 1, 2)), SeedList((2, 3, 0))],
+    InflexConfig(seed_list_length=3),
+)
+answer = index.query(np.array([0.6, 0.4]), 2, strategy="exact-knn")
+text = explain_answer(index, answer).render()
+print(json.dumps({
+    "p_value": test.p_value,
+    "rendered": text,
+    "loaded": [
+        m for m in ("scipy.stats", "repro.experiments") if m in sys.modules
+    ],
+}))
+"""
+    )
+    assert 0.0 < report["p_value"] < 1.0
+    assert report["rendered"].startswith("Answer provenance")
+    assert report["loaded"] == list(DEFERRED)
