@@ -18,6 +18,7 @@ bit-identical state (asserted on a sampled point).
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import time
 from pathlib import Path
@@ -104,9 +105,7 @@ def test_streaming_incremental_speedup(benchmark):
             rebuild_times.append(time.perf_counter() - start)
         # Differential spot-check: the cheap path and the expensive
         # path agree bit-for-bit, so the timing comparison is fair.
-        for inc, ref in zip(
-            maintainer.rr_collections[0].sets, rebuilt.rr_collections[0].sets
-        ):
+        for inc, ref in zip(maintainer.pools()[0], rebuilt.pools()[0]):
             assert np.array_equal(inc, ref)
         apply_s = statistics.median(apply_times)
         rebuild_s = statistics.median(rebuild_times)
@@ -122,6 +121,7 @@ def test_streaming_incremental_speedup(benchmark):
         )
 
     payload = {
+        "cpu_count": os.cpu_count(),
         "graph": {
             "num_nodes": NUM_NODES,
             "num_topics": NUM_TOPICS,

@@ -971,16 +971,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="ris",
         choices=IM_ENGINES,
         help="seed-extraction engine: imm (martingale RIS with a "
-        "(1-1/e-eps) guarantee), ris (legacy sampling), or the "
-        "CELF-family engines (the *-mc ones use the parallel "
-        "Monte-Carlo spread oracle)",
+        "(1-1/e-eps) guarantee), ris (fixed-budget sampling), celf++ "
+        "on live-edge snapshots, or celf++-mc on the parallel "
+        "Monte-Carlo spread oracle",
     )
     build.add_argument("--ris-sets", type=int, default=6000)
     build.add_argument(
         "--num-simulations",
         type=int,
         default=200,
-        help="Monte-Carlo cascades per spread evaluation (*-mc engines)",
+        help="Monte-Carlo cascades per spread evaluation (celf++-mc)",
     )
     build.add_argument(
         "--epsilon",

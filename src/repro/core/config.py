@@ -17,15 +17,7 @@ from repro.workers import (
 )
 
 #: Influence-maximization engines available for seed-list precomputation.
-IM_ENGINES = (
-    "imm",
-    "ris",
-    "celf++",
-    "celf",
-    "greedy",
-    "celf++-mc",
-    "greedy-mc",
-)
+IM_ENGINES = ("imm", "ris", "celf++", "celf++-mc")
 
 #: Rank-aggregation methods available at query time.
 AGGREGATORS = ("copeland", "borda", "mc4")
@@ -50,19 +42,18 @@ class InflexConfig:
     im_engine:
         Seed-extraction algorithm: ``"imm"`` (default; martingale RIS
         with a ``(1 - 1/e - eps)`` guarantee — the paper-scale build
-        engine), ``"ris"`` (the legacy fixed-budget sampling engine),
-        the paper's ``"celf++"`` (and ``"celf"``/``"greedy"`` for
-        reference) driven by live-edge snapshots, or
-        ``"celf++-mc"``/``"greedy-mc"`` driven by fresh-randomness
-        Monte-Carlo simulation (the paper's original formulation; the
-        engines that benefit from ``simulation_workers``).
+        engine), ``"ris"`` (the fixed-budget sampling engine), the
+        paper's ``"celf++"`` driven by live-edge snapshots, or
+        ``"celf++-mc"`` driven by fresh-randomness Monte-Carlo
+        simulation (the paper's original formulation; the engine that
+        benefits from ``simulation_workers``).
     ris_num_sets:
         RR sets per index point for the RIS engine (at least 2).
     num_snapshots:
-        Live-edge snapshots for the CELF-family engines.
+        Live-edge snapshots for the ``celf++`` engine.
     num_simulations:
-        Monte-Carlo cascades per spread evaluation for the ``*-mc``
-        engines.
+        Monte-Carlo cascades per spread evaluation for the
+        ``celf++-mc`` engine.
     imm_epsilon:
         IMM's approximation slack in ``(0, 1)``: seed lists are
         ``(1 - 1/e - imm_epsilon)``-approximate and the RR budget
@@ -79,7 +70,7 @@ class InflexConfig:
         independent; results are bit-identical to a sequential build.
     simulation_workers:
         Simulation pool width used *within* one spread estimate by the
-        ``*-mc`` engines (int, ``"auto"``, or ``None`` to follow the
+        ``celf++-mc`` engine (int, ``"auto"``, or ``None`` to follow the
         ``REPRO_SIM_WORKERS`` environment default).  Also bit-identical
         for any width.  When both pools are enabled the allocation is
         resolved so their product stays within the CPU budget — see

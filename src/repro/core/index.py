@@ -97,13 +97,21 @@ class InflexIndex:
 
     @classmethod
     def _restore(
-        cls, graph: TopicGraph, index_points, seed_lists, config
+        cls,
+        graph: TopicGraph,
+        index_points,
+        seed_lists,
+        config,
+        *,
+        dirichlet: Dirichlet | None = None,
+        tree: BBTree | None = None,
     ) -> "InflexIndex":
-        """An index over saved points, which were smoothed at build time.
+        """An index over points that were already smoothed.
 
         Smoothing is not idempotent in floating point: a second pass
-        moves a point by about an ulp.  Loading through here keeps the
-        saved ``index_points`` exactly.
+        moves a point by about an ulp.  Loading, streaming swaps and
+        index maintenance go through here, so points smoothed once (at
+        build time, or when first supplied) are kept exactly.
         """
         index = cls.__new__(cls)
         index._assemble(
@@ -111,8 +119,8 @@ class InflexIndex:
             np.array(as_distribution_matrix(index_points)),
             seed_lists,
             config,
-            None,
-            None,
+            dirichlet,
+            tree,
         )
         return index
 
@@ -564,15 +572,9 @@ class InflexIndex:
             composed = bank.compose_index(gamma)
         _obs.record_sketch_compose(compose_span.duration)
         with tracer.span("sketch.select") as select_span:
-            nodes, gains = composed.greedy_select(
-                min(k, composed.num_nodes)
+            seeds = composed.seed_list(
+                min(k, composed.num_nodes), algorithm=algorithm
             )
-        scale = composed.num_nodes / composed.num_sets
-        seeds = SeedList(
-            tuple(nodes),
-            tuple(float(g) * scale for g in gains),
-            algorithm=algorithm,
-        )
         timing = QueryTiming(
             search=compose_span.duration, selection=select_span.duration
         )
@@ -746,7 +748,7 @@ class InflexIndex:
                 sim_workers=config.effective_simulation_workers,
                 seed=config.seed,
             )
-        updated = InflexIndex(
+        updated = InflexIndex._restore(
             self._graph,
             np.vstack([self._points, point]),
             self._seed_lists + [seed_list],
@@ -794,7 +796,7 @@ class InflexIndex:
             raise ValueError(
                 f"{len(seed_lists)} seed lists for {num_new} new points"
             )
-        updated = InflexIndex(
+        updated = InflexIndex._restore(
             self._graph,
             np.vstack([self._points, points]),
             self._seed_lists + list(seed_lists),
@@ -821,7 +823,7 @@ class InflexIndex:
         keep = [
             i for i in range(self.num_index_points) if i != index_point_id
         ]
-        updated = InflexIndex(
+        updated = InflexIndex._restore(
             self._graph,
             self._points[keep],
             [self._seed_lists[i] for i in keep],

@@ -13,11 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from repro.graph.topic_graph import TopicGraph
-from repro.im.celf import celf_seed_selection
 from repro.im.celfpp import celfpp_seed_selection
-from repro.im.greedy import greedy_seed_selection
-from repro.im.imm import RRSampler, imm_seed_selection
-from repro.im.ris import ris_influence_maximization
+from repro.im.imm import RRSampler, imm_seed_selection, walk_rr_index
 from repro.im.seed_list import SeedList
 from repro.propagation.parallel import ParallelMonteCarloSpread
 from repro.propagation.snapshots import SnapshotSpread
@@ -53,11 +50,11 @@ def offline_seed_list(
         Seed budget.
     engine:
         ``"imm"`` (martingale RIS with a ``(1 - 1/e - eps)`` guarantee;
-        the paper-scale build engine), ``"ris"`` (legacy sequential
-        reverse influence sampling), ``"celf++"`` (the paper's choice),
-        ``"celf"`` or ``"greedy"`` on live-edge snapshots for exact
-        greedy invariants, or ``"celf++-mc"``/``"greedy-mc"`` on
-        fresh-randomness Monte-Carlo estimation.
+        the paper-scale build engine), ``"ris"`` (fixed-budget reverse
+        influence sampling: ``ris_num_sets`` sets walked one at a time
+        from one generator), ``"celf++"`` (the paper's choice) on
+        live-edge snapshots, or ``"celf++-mc"`` on fresh-randomness
+        Monte-Carlo estimation.
     ris_num_sets / num_snapshots / num_simulations:
         Sampling budgets of the respective engines (``ris_num_sets``
         must be at least 2 for the ``ris`` engine).
@@ -68,7 +65,7 @@ def offline_seed_list(
     sim_workers:
         Inner pool width for the engines that parallelize within one
         extraction — RR-set sampling for ``imm``, Monte-Carlo
-        simulation for the ``*-mc`` engines (int, ``"auto"`` or
+        simulation for ``celf++-mc`` (int, ``"auto"`` or
         ``None`` for the ``REPRO_SIM_WORKERS`` default); the seed
         lists are bit-identical for any width.
     seed:
@@ -84,9 +81,8 @@ def offline_seed_list(
             raise ValueError(
                 f"ris_num_sets must be >= 2, got {ris_num_sets}"
             )
-        return ris_influence_maximization(
-            graph, gamma, k, num_sets=ris_num_sets, seed=rng
-        )
+        index = walk_rr_index(graph, gamma, ris_num_sets, rng, block=1)
+        return index.seed_list(k, algorithm="ris")
     if engine == "imm":
         return imm_seed_selection(
             graph,
@@ -98,7 +94,7 @@ def offline_seed_list(
             seed=rng,
             sampler=imm_sampler,
         )
-    if engine in ("celf++-mc", "greedy-mc"):
+    if engine == "celf++-mc":
         with ParallelMonteCarloSpread(
             graph,
             gamma,
@@ -106,21 +102,15 @@ def offline_seed_list(
             seed=rng,
             workers=sim_workers,
         ) as estimator:
-            if engine == "celf++-mc":
-                return celfpp_seed_selection(estimator, graph.num_nodes, k)
-            return greedy_seed_selection(estimator, graph.num_nodes, k)
-    estimator = SnapshotSpread(
-        graph, gamma, num_snapshots=num_snapshots, seed=rng
-    )
+            return celfpp_seed_selection(estimator, graph.num_nodes, k)
     if engine == "celf++":
+        estimator = SnapshotSpread(
+            graph, gamma, num_snapshots=num_snapshots, seed=rng
+        )
         return celfpp_seed_selection(estimator, graph.num_nodes, k)
-    if engine == "celf":
-        return celf_seed_selection(estimator, graph.num_nodes, k)
-    if engine == "greedy":
-        return greedy_seed_selection(estimator, graph.num_nodes, k)
     raise ValueError(
-        f"unknown engine {engine!r}; expected 'imm', 'ris', 'celf++', "
-        "'celf', 'greedy', 'celf++-mc' or 'greedy-mc'"
+        f"unknown engine {engine!r}; expected 'imm', 'ris', 'celf++' "
+        "or 'celf++-mc'"
     )
 
 
@@ -205,7 +195,7 @@ def offline_seed_lists_batch(
     workers:
         Index-point pool width (int or ``"auto"``).
     sim_workers:
-        Within-estimate simulation pool width for the ``*-mc`` engines.
+        Within-estimate simulation pool width for ``celf++-mc``.
         The two levels are composed by
         :func:`repro.workers.resolve_worker_allocation`, which clamps
         the inner width so ``workers * sim_workers`` stays within the

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.topic_graph import TopicGraph
-from repro.im.ris import RRSetCollection, ris_seed_selection
+from repro.im.imm import RRIndex, walk_rr_index
 from repro.im.seed_list import SeedList
 from repro.propagation.cascade import simulate_cascade
 from repro.propagation.spread import SpreadEstimate
@@ -74,42 +74,21 @@ def sample_segment_rr_sets(
     num_sets: int,
     *,
     seed=None,
-) -> RRSetCollection:
+) -> RRIndex:
     """RR sets rooted uniformly at *segment members*.
 
-    The returned collection's ``spread_estimate`` then estimates the
-    segment-restricted spread (``num_nodes`` is set to the segment size
-    so the coverage scaling is correct).
+    Roots are drawn from the segment, then walked by the shared reverse
+    BFS in blocks of the sampler's size for this graph.  The
+    segment-restricted spread of ``S`` is estimated by
+    ``|segment| * covered_count(S) / num_sets``; the index's own
+    ``num_nodes`` stays the graph's, since any node may be a seed.
     """
     if num_sets < 1:
         raise ValueError(f"num_sets must be >= 1, got {num_sets}")
     members = _validate_segment(segment, graph.num_nodes)
     rng = resolve_rng(seed)
-    probs = graph.item_probabilities(gamma)
-    in_indptr, in_tails, in_arc_ids = graph.reverse_view
-    sets: list[np.ndarray] = []
-    for _ in range(num_sets):
-        root = int(rng.choice(members))
-        visited = {root}
-        frontier = [root]
-        while frontier:
-            next_frontier: list[int] = []
-            for node in frontier:
-                lo = in_indptr[node]
-                hi = in_indptr[node + 1]
-                if hi == lo:
-                    continue
-                tails = in_tails[lo:hi]
-                arc_probs = probs[in_arc_ids[lo:hi]]
-                coins = rng.random(hi - lo) < arc_probs
-                for tail in tails[coins]:
-                    tail = int(tail)
-                    if tail not in visited:
-                        visited.add(tail)
-                        next_frontier.append(tail)
-            frontier = next_frontier
-        sets.append(np.fromiter(visited, dtype=np.int64, count=len(visited)))
-    return RRSetCollection(tuple(sets), int(members.size))
+    roots = rng.choice(members, size=num_sets)
+    return walk_rr_index(graph, gamma, num_sets, rng, roots=roots)
 
 
 def segment_influence_maximization(
@@ -127,12 +106,10 @@ def segment_influence_maximization(
     influential outsider whose cascades reach the segment is a valid —
     often the best — choice.
     """
-    collection = sample_segment_rr_sets(
+    index = sample_segment_rr_sets(
         graph, gamma, segment, num_sets, seed=seed
     )
-    result = ris_seed_selection(
-        collection, k, universe_size=graph.num_nodes
-    )
-    return SeedList(
-        result.nodes, result.marginal_gains, algorithm="segment-ris"
+    population = _validate_segment(segment, graph.num_nodes).size
+    return index.seed_list(
+        k, algorithm="segment-ris", population=population
     )

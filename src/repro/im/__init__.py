@@ -4,20 +4,14 @@ from repro.im.seed_list import SeedList
 from repro.im.greedy import greedy_seed_selection
 from repro.im.celf import celf_seed_selection
 from repro.im.celfpp import celfpp_seed_selection
-from repro.im.ris import (
-    RRSetCollection,
-    adaptive_ris_influence_maximization,
-    ris_influence_maximization,
-    ris_seed_selection,
-    sample_rr_set,
-    sample_rr_sets,
-)
 from repro.im.imm import (
     RRIndex,
     RRSampler,
     imm_budgets,
     imm_seed_selection,
+    sample_rr_block,
     sample_rr_index,
+    walk_rr_index,
 )
 from repro.im.heuristics import (
     degree_seeds,
@@ -32,17 +26,13 @@ __all__ = [
     "greedy_seed_selection",
     "celf_seed_selection",
     "celfpp_seed_selection",
-    "RRSetCollection",
-    "adaptive_ris_influence_maximization",
-    "ris_influence_maximization",
-    "ris_seed_selection",
-    "sample_rr_set",
-    "sample_rr_sets",
     "RRIndex",
     "RRSampler",
     "imm_budgets",
     "imm_seed_selection",
+    "sample_rr_block",
     "sample_rr_index",
+    "walk_rr_index",
     "degree_discount_seeds",
     "degree_seeds",
     "pagerank_seeds",

@@ -22,7 +22,11 @@ implementation:
 * **Vectorized sampling.**  RR sets are generated in blocks walked in
   lock-step: one batched reverse-BFS expands the frontiers of hundreds
   of sets per numpy call (gather all in-arcs, flip all coins, dedupe
-  ``(set, node)`` pairs) instead of one Python loop per set.
+  flat ``set * n + node`` keys) instead of one Python loop per set.
+  :func:`sample_rr_block` is the package's only IC reverse walk: the
+  ``ris`` engine, segment targeting and the streaming maintainer drive
+  it too (see :func:`walk_rr_index`), and every consumer ranks its
+  sets with the one greedy of :class:`RRIndex`.
 * **Parallel dispatch.**  Blocks fan out over the persistent process
   pools and shared-memory CSR payloads of
   :mod:`repro.propagation.parallel`; the reverse CSR and the full
@@ -86,71 +90,76 @@ def _block_size(num_nodes: int) -> int:
     return int(min(1024, max(16, (1 << 22) // max(1, num_nodes))))
 
 
-def _sample_block(
+def sample_rr_block(
     in_indptr: np.ndarray,
     in_tails: np.ndarray,
     in_probs: np.ndarray,
     num_nodes: int,
     count: int,
     rng: np.random.Generator,
+    roots: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk ``count`` RR sets in one lock-step batched reverse BFS.
 
-    All sets of the block advance together: each wave gathers the
-    in-arc slices of every frontier ``(set, node)`` pair in one ragged
+    The one IC reverse walk of the package.  All sets of the block
+    advance together over flat ``set * num_nodes + node`` keys: each
+    wave gathers the in-arc slices of every frontier key in one ragged
     pass, flips every live-edge coin at once, and deduplicates newly
-    reached pairs.  Randomness consumption is a pure function of the
-    in-adjacency view and the generator state, so a block replays
-    bit-identically anywhere (parent process, any worker).
+    reached keys with one ``np.unique``.  Randomness consumption is a
+    pure function of the in-adjacency view and the generator state, so
+    a block replays bit-identically anywhere (parent process, any
+    worker); at ``count=1`` it walks exactly one set per generator, as
+    the streaming maintainer's per-set streams need.
+
+    ``roots`` optionally fixes the ``count`` roots (segment targeting
+    draws them from the segment); by default they are the generator's
+    first draw, uniform over the nodes.
 
     Returns ``(values, indptr, roots)``: sorted ``uint32`` member
     arrays concatenated in set order with an ``int64`` CSR pointer, and
     the ``uint32`` root of each set.  Every set contains its root.
     """
-    roots = rng.integers(0, num_nodes, size=count).astype(np.int64)
-    visited = np.zeros((count, num_nodes), dtype=bool)
-    set_ids = np.arange(count, dtype=np.int64)
-    visited[set_ids, roots] = True
-    frontier_sets = set_ids
-    frontier_nodes = roots
-    pair_sets = [frontier_sets]
-    pair_nodes = [frontier_nodes]
-    while frontier_nodes.size:
-        starts = in_indptr[frontier_nodes]
-        arc_counts = in_indptr[frontier_nodes + 1] - starts
-        total = int(arc_counts.sum())
+    if roots is None:
+        roots = rng.integers(0, num_nodes, size=count)
+    roots = np.asarray(roots, dtype=np.int64)
+    visited = np.zeros(count * num_nodes, dtype=bool)
+    bases = np.arange(count, dtype=np.int64) * num_nodes
+    frontier = bases + roots
+    visited[frontier] = True
+    waves = [frontier]
+    nodes = roots
+    while True:
+        starts = in_indptr[nodes]
+        arc_counts = in_indptr[nodes + 1] - starts
+        ends = np.cumsum(arc_counts)
+        total = int(ends[-1]) if ends.size else 0
         if total == 0:
             break
-        offsets = np.repeat(starts, arc_counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(arc_counts) - arc_counts, arc_counts
+        # Arc j of the wave sits at ``starts[i] + (j - first arc of i)``.
+        arc_pos = np.arange(total, dtype=np.int64) + np.repeat(
+            starts - ends + arc_counts, arc_counts
         )
-        arc_pos = offsets + within
-        arc_sets = np.repeat(frontier_sets, arc_counts)
         success = rng.random(total) < in_probs[arc_pos]
-        parents = in_tails[arc_pos[success]]
-        parent_sets = arc_sets[success]
-        fresh = ~visited[parent_sets, parents]
-        parents = parents[fresh]
-        parent_sets = parent_sets[fresh]
-        if parents.size == 0:
+        # A reached parent keeps its set's key base ``set * num_nodes``.
+        reached = (
+            np.repeat(bases, arc_counts)[success]
+            + in_tails[arc_pos[success]]
+        )
+        reached = reached[~visited[reached]]
+        if reached.size == 0:
             break
-        # Dedupe (set, node) pairs reached twice within the same wave.
-        keys = np.unique(parent_sets * num_nodes + parents)
-        parent_sets = keys // num_nodes
-        parents = keys % num_nodes
-        visited[parent_sets, parents] = True
-        pair_sets.append(parent_sets)
-        pair_nodes.append(parents)
-        frontier_sets = parent_sets
-        frontier_nodes = parents
-    all_sets = np.concatenate(pair_sets)
-    all_nodes = np.concatenate(pair_nodes)
-    order = np.lexsort((all_nodes, all_sets))
-    values = all_nodes[order].astype(np.uint32)
-    sizes = np.bincount(all_sets, minlength=count)
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
+        frontier = np.unique(reached)
+        visited[frontier] = True
+        waves.append(frontier)
+        nodes = frontier % num_nodes
+        bases = frontier - nodes
+    # Root keys are set-major, hence sorted: a block that never left
+    # its roots needs no sort.
+    keys = waves[0] if len(waves) == 1 else np.sort(np.concatenate(waves))
+    indptr = np.searchsorted(
+        keys, np.arange(count + 1, dtype=np.int64) * num_nodes
+    )
+    values = (keys % num_nodes).astype(np.uint32)
     return values, indptr, roots.astype(np.uint32)
 
 
@@ -194,7 +203,7 @@ def _sample_blocks_task(task):
             )
         )
         out.append(
-            _sample_block(
+            sample_rr_block(
                 in_indptr, in_tails, in_probs, num_nodes, count, rng
             )
         )
@@ -418,12 +427,11 @@ class RRIndex:
     ) -> tuple[list[int], list[float]]:
         """Lazy-greedy max coverage: ``k`` seeds with coverage gains.
 
-        Gains are in *covered-set* units (the caller scales by
-        ``n / num_sets`` for spread units); ties break toward lower
-        node ids, and when every set is covered before ``k`` seeds the
-        list is padded with the lowest-id unused nodes at zero gain —
-        the same contract as :func:`repro.im.ris.ris_seed_selection`,
-        which makes the selection invariant under set permutation.
+        Gains are in *covered-set* units (:meth:`seed_list` scales
+        them to spread units); ties break toward lower node ids, and
+        when every set is covered before ``k`` seeds the list is padded
+        with the lowest-id unused nodes at zero gain.  The selection is
+        therefore invariant under set permutation.
         ``exclude`` removes nodes from candidacy entirely (selection
         and padding) — the campaign planner's independent-allocation
         path uses it to keep per-item seed sets disjoint.
@@ -472,6 +480,26 @@ class RRIndex:
                     if len(seeds) == k:
                         break
         return seeds, gains
+
+    def seed_list(
+        self, k: int, *, algorithm: str, population: int | None = None
+    ) -> SeedList:
+        """:meth:`greedy_select` as a ranked :class:`SeedList` in spread
+        units: each coverage gain times ``population / num_sets``.
+
+        ``population`` is the number of nodes the roots were drawn from
+        (default: every node); segment targeting passes the segment
+        size, while any graph node stays a candidate seed.
+        """
+        nodes, gains = self.greedy_select(k)
+        if population is None:
+            population = self._num_nodes
+        scale = population / max(self._num_sets, 1)
+        return SeedList(
+            tuple(nodes),
+            tuple(gain * scale for gain in gains),
+            algorithm=algorithm,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -581,7 +609,7 @@ ParallelMonteCarloSpread`.
         """Sample ``num_sets`` RR sets for item ``gamma``.
 
         Returns the raw ``(values, indptr, roots)`` triple (see
-        :func:`_sample_block`); wrap with :class:`RRIndex` or use
+        :func:`sample_rr_block`); wrap with :class:`RRIndex` or use
         :meth:`sample_index`.  ``request`` namespaces the random
         streams so successive calls (IMM's doubling phases) draw
         disjoint randomness from one root ``seed``; results are
@@ -604,7 +632,7 @@ ParallelMonteCarloSpread`.
         if self._workers == 1:
             in_probs = self._prob_matrix @ dist
             parts = [
-                _sample_block(
+                sample_rr_block(
                     self._in_indptr,
                     self._in_tails,
                     in_probs,
@@ -686,7 +714,7 @@ ParallelMonteCarloSpread`.
             if in_probs is None:
                 in_probs = self._prob_matrix @ dist
             results[i] = [
-                _sample_block(
+                sample_rr_block(
                     self._in_indptr,
                     self._in_tails,
                     in_probs,
@@ -727,6 +755,46 @@ ParallelMonteCarloSpread`.
             f"RRSampler(num_nodes={self._num_nodes}, "
             f"workers={self._workers}, block={self._block})"
         )
+
+
+def walk_rr_index(
+    graph: TopicGraph,
+    gamma,
+    num_sets: int,
+    rng: np.random.Generator,
+    *,
+    block: int | None = None,
+    roots=None,
+) -> RRIndex:
+    """Walk ``num_sets`` RR sets from one generator, ``block`` at a time.
+
+    The sequential counterpart of :class:`RRSampler` for callers that
+    own a single generator: the ``ris`` engine walks one set per call
+    (``block=1``); segment targeting passes ``roots`` drawn from the
+    segment and walks blocks of the default :func:`_block_size`.
+    """
+    if num_sets < 1:
+        raise ValueError(f"num_sets must be >= 1, got {num_sets}")
+    in_indptr, in_tails, in_arc_ids = graph.reverse_view
+    in_probs = graph.item_probabilities(gamma)[in_arc_ids]
+    n = graph.num_nodes
+    if block is None:
+        block = _block_size(n)
+    parts = []
+    for lo in range(0, num_sets, block):
+        count = min(block, num_sets - lo)
+        parts.append(
+            sample_rr_block(
+                in_indptr,
+                in_tails,
+                in_probs,
+                n,
+                count,
+                rng,
+                None if roots is None else roots[lo : lo + count],
+            )
+        )
+    return RRIndex(*_merge_blocks(parts, num_sets), n)
 
 
 def sample_rr_index(
@@ -940,14 +1008,9 @@ def imm_seed_selection(
             phase="select",
             sets=index.num_sets,
         ):
-            nodes, gains = index.greedy_select(k)
-        scale = n / index.num_sets
+            seed_list = index.seed_list(k, algorithm="imm")
         _obs.record_imm_build(index.num_sets)
-        return SeedList(
-            tuple(nodes),
-            tuple(gain * scale for gain in gains),
-            algorithm="imm",
-        )
+        return seed_list
     finally:
         if own_sampler:
             sampler.close()

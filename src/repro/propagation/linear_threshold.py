@@ -18,7 +18,10 @@ diffusion models:
   keeps at most *one* incoming arc, chosen with probability
   ``b_{u,v}`` (none with the residual).  Reverse-reachable sets are
   therefore *random walks* backwards, which
-  :func:`sample_lt_rr_sets` implements.
+  :func:`sample_lt_rr_sets` implements.  It keeps its own one-in-arc
+  walk (the IC reverse BFS of :mod:`repro.im.imm` flips every in-arc)
+  but packs the sets into the shared :class:`~repro.im.imm.RRIndex`,
+  so LT seed lists come from the same greedy as every IC engine.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.topic_graph import TopicGraph
-from repro.im.ris import RRSetCollection, ris_seed_selection
+from repro.im.imm import RRIndex
 from repro.im.seed_list import SeedList
 from repro.propagation.spread import SpreadEstimate
 from repro.rng import resolve_rng
@@ -142,7 +145,7 @@ def estimate_lt_spread(
 
 def sample_lt_rr_sets(
     graph: TopicGraph, gamma, num_sets: int, *, seed=None
-) -> RRSetCollection:
+) -> RRIndex:
     """LT reverse-reachable sets: backward random walks.
 
     Each step from node ``v`` picks at most one in-neighbor, arc
@@ -155,9 +158,11 @@ def sample_lt_rr_sets(
     weights = graph.item_probabilities(gamma)
     in_indptr, in_tails, in_arc_ids = graph.reverse_view
     n = graph.num_nodes
+    roots = np.empty(num_sets, dtype=np.uint32)
     sets: list[np.ndarray] = []
-    for _ in range(num_sets):
+    for i in range(num_sets):
         node = int(rng.integers(n))
+        roots[i] = node
         visited = {node}
         while True:
             lo, hi = in_indptr[node], in_indptr[node + 1]
@@ -174,8 +179,10 @@ def sample_lt_rr_sets(
                 break
             visited.add(parent)
             node = parent
-        sets.append(np.fromiter(visited, dtype=np.int64, count=len(visited)))
-    return RRSetCollection(tuple(sets), n)
+        sets.append(np.array(sorted(visited), dtype=np.uint32))
+    indptr = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum([members.size for members in sets], out=indptr[1:])
+    return RRIndex(np.concatenate(sets), indptr, roots, n)
 
 
 def lt_influence_maximization(
@@ -197,6 +204,5 @@ def lt_influence_maximization(
             "graph weights violate the LT constraint sum_u b_{u,v} <= 1; "
             "run normalize_lt_weights first"
         )
-    collection = sample_lt_rr_sets(graph, gamma, num_sets, seed=seed)
-    result = ris_seed_selection(collection, k)
-    return SeedList(result.nodes, result.marginal_gains, algorithm="lt-ris")
+    index = sample_lt_rr_sets(graph, gamma, num_sets, seed=seed)
+    return index.seed_list(k, algorithm="lt-ris")

@@ -208,46 +208,24 @@ class SketchBank:
                         request=z,
                     )
                 )
-        return cls._from_pools(pools, graph.num_nodes, config)
+        return cls.from_pools(pools, graph.num_nodes, config)
 
     @classmethod
-    def from_collections(
-        cls, collections, num_nodes: int, config: SketchConfig
+    def from_pools(
+        cls, pools, num_nodes: int, config: SketchConfig
     ) -> "SketchBank":
-        """Build a bank from ``Z`` sequences of raw RR-set arrays.
+        """Pack per-pool ``(values, indptr, roots)`` triples.
 
-        The streaming maintainer keeps per-topic RR sets as BFS-order
-        arrays (root first, members unsorted); this packs them into the
-        bank layout.  Every pool must hold the same number of sets.
+        Each triple is one pool in :func:`repro.im.imm.sample_rr_block`
+        layout (sorted members in set order, CSR pointer, roots), as
+        :meth:`build` samples them and the streaming maintainer keeps
+        them.  Every pool must hold the same number of sets.
         """
-        pools = []
-        for sets in collections:
-            if not sets:
-                raise ValueError("each pool must hold at least one RR set")
-            roots = np.fromiter(
-                (int(arr[0]) for arr in sets), np.uint32, count=len(sets)
-            )
-            members = [
-                np.sort(np.asarray(arr, dtype=np.uint32)) for arr in sets
-            ]
-            indptr = np.zeros(len(sets) + 1, dtype=np.int64)
-            np.cumsum([m.size for m in members], out=indptr[1:])
-            values = (
-                np.concatenate(members)
-                if members
-                else np.empty(0, dtype=np.uint32)
-            )
-            pools.append((values, indptr, roots))
-        counts = {len(pool[2]) for pool in pools}
-        if len(counts) != 1:
+        counts = {len(roots) for _, _, roots in pools}
+        if len(counts) > 1:
             raise ValueError(
                 f"pools must be equally sized, got sizes {sorted(counts)}"
             )
-        return cls._from_pools(pools, num_nodes, config)
-
-    @classmethod
-    def _from_pools(cls, pools, num_nodes: int, config: SketchConfig):
-        """Pack per-pool ``(values, indptr, roots)`` triples."""
         pool_offsets = np.zeros(len(pools) + 1, dtype=np.int64)
         np.cumsum([values.size for values, _, _ in pools],
                   out=pool_offsets[1:])

@@ -22,6 +22,7 @@ of time-decaying social streams).  All validation errors raise
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -409,7 +410,14 @@ class EdgeState:
             arcs = np.empty((0, 2), dtype=np.int64)
             probs = np.empty((0, self.num_topics), dtype=np.float64)
             return TopicGraph.from_arcs(self.num_nodes, arcs, probs)
-        items = sorted(self.edges.items())
-        arcs = np.asarray([arc for arc, _ in items], dtype=np.int64)
-        probs = np.vstack([p for _, p in items])
+        # Dict order is fine: ``from_arcs`` lexsorts the (unique) arcs.
+        m = len(self.edges)
+        arcs = np.fromiter(
+            itertools.chain.from_iterable(self.edges),
+            dtype=np.int64,
+            count=2 * m,
+        ).reshape(m, 2)
+        probs = np.concatenate(list(self.edges.values())).reshape(
+            m, self.num_topics
+        )
         return TopicGraph.from_arcs(self.num_nodes, arcs, probs)

@@ -116,8 +116,8 @@ class StreamingEngine:
         from repro.sketches import SketchBank
 
         maintainer = self._sketch_maintainer
-        return SketchBank.from_collections(
-            [collection.sets for collection in maintainer.rr_collections],
+        return SketchBank.from_pools(
+            maintainer.pools(),
             maintainer.graph.num_nodes,
             self._sketch_config,
         )
@@ -127,11 +127,12 @@ class StreamingEngine:
 
         The point cloud and bb-tree are structural invariants of the
         stream (deltas change the graph, not the simplex geometry), so
-        both are shared with the original index; only the seed lists —
-        and the graph reference — are new.
+        both are shared with the original index, points unchanged (not
+        smoothed again); only the seed lists — and the graph reference —
+        are new.
         """
         template = self._template
-        index = InflexIndex(
+        index = InflexIndex._restore(
             self._maintainer.graph,
             template.index_points,
             list(self._maintainer.seed_lists),

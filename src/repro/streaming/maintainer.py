@@ -6,6 +6,12 @@ When the graph changes, rebuilding every sketch from scratch wastes
 almost all of the work: an RR set walked on the old graph is still a
 valid sample on the new one unless the change is *visible* to its walk.
 
+**State.**  Per point the maintainer keeps each set's sorted member
+array and root, and one :class:`~repro.im.imm.RRIndex` packed from
+them.  The index serves both greedy seed selection and invalidation:
+its inverted node-to-set CSR (:meth:`~repro.im.imm.RRIndex.node_sets`)
+lists the sets a changed head invalidates.
+
 **Invalidation lemma.**  An RR set must be resampled iff the head of a
 changed arc is among its members.  The reverse walk examines exactly
 the in-arc slices of nodes it visits; for a node whose in-arcs did not
@@ -17,7 +23,8 @@ generator identically and yields the same member set bit for bit.  The
 root draw is also unchanged because the node count is fixed.
 
 **Differential guarantee.**  Every set ``sid`` of point ``pid`` is
-always sampled from the dedicated stream
+always walked alone (``count=1``) by the shared reverse BFS
+:func:`repro.im.imm.sample_rr_block` from the dedicated stream
 ``SeedSequence(entropy=seed, spawn_key=(pid, sid))``, freshly
 constructed on each (re)sample.  Combined with the lemma, the
 maintainer's state after any delta sequence is *bit-identical* to a
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StreamError
-from repro.im.ris import RRSetCollection, ris_seed_selection, sample_rr_set
+from repro.im.imm import RRIndex, sample_rr_block
 from repro.im.seed_list import SeedList
 from repro.obs import instruments as _obs
 from repro.resilience.faults import InjectedFaultError, maybe_inject
@@ -183,15 +190,24 @@ class IncrementalSketchMaintainer:
         self._batches_applied = 0
         self._total_resampled = 0
         self._total_retained = 0
-        self._sets: list[list[np.ndarray]] = []
-        self._membership: list[dict[int, set[int]]] = []
+        self._members: list[list[np.ndarray]] = []
+        self._roots: list[np.ndarray] = []
+        self._indexes: list[RRIndex] = []
         self._seed_lists: list[SeedList] = []
         all_sids = range(self._num_sets)
         for pid in range(points.shape[0]):
-            sets = self._sample_sets(graph, pid, all_sids, [None] * num_sets)
-            self._sets.append(sets)
-            self._membership.append(self._build_membership(sets))
-            self._seed_lists.append(self._select_seeds(sets))
+            members, roots = self._sample_sets(
+                graph,
+                pid,
+                all_sids,
+                [None] * self._num_sets,
+                np.empty(self._num_sets, dtype=np.uint32),
+            )
+            index = self._pack(members, roots)
+            self._members.append(members)
+            self._roots.append(roots)
+            self._indexes.append(index)
+            self._seed_lists.append(self._select_seeds(index))
 
     # ------------------------------------------------------------------
     # Accessors
@@ -216,13 +232,14 @@ class IncrementalSketchMaintainer:
         """Current per-point seed lists (greedy over the live sketches)."""
         return tuple(self._seed_lists)
 
-    @property
-    def rr_collections(self) -> tuple[RRSetCollection, ...]:
-        """Current per-point sketches as :class:`RRSetCollection`\\ s."""
-        n = self._graph.num_nodes
-        return tuple(
-            RRSetCollection(tuple(sets), n) for sets in self._sets
-        )
+    def pools(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per-point sketches as packed ``(values, indptr, roots)``
+        triples: sorted ``uint32`` members in set order, the ``int64``
+        CSR pointer, and each set's ``uint32`` root."""
+        return [
+            (np.concatenate(members), self._indptr(members), roots)
+            for members, roots in zip(self._members, self._roots)
+        ]
 
     @property
     def time(self) -> float:
@@ -272,30 +289,39 @@ class IncrementalSketchMaintainer:
         in_indptr, in_tails, in_arc_ids = graph.reverse_view
         return in_indptr, in_tails, probs[in_arc_ids]
 
-    def _sample_sets(self, graph, pid, sids, base) -> list[np.ndarray]:
-        """Resample ``sids`` of point ``pid`` over ``graph`` into a copy
-        of ``base`` (the retained sets)."""
+    def _sample_sets(self, graph, pid, sids, members, roots):
+        """Resample ``sids`` of point ``pid`` over ``graph`` into copies
+        of ``members`` / ``roots`` (the retained sets)."""
         in_indptr, in_tails, in_probs = self._in_view(graph, pid)
-        visited = np.zeros(graph.num_nodes, dtype=bool)
-        sets = list(base)
+        n = graph.num_nodes
+        members = list(members)
+        roots = roots.copy()
         for sid in sids:
-            sets[sid] = sample_rr_set(
-                in_indptr, in_tails, in_probs, visited, self._rng_for(pid, sid)
+            values, _, root = sample_rr_block(
+                in_indptr, in_tails, in_probs, n, 1, self._rng_for(pid, sid)
             )
-        return sets
+            members[sid] = values
+            roots[sid] = root[0]
+        return members, roots
 
     @staticmethod
-    def _build_membership(sets) -> dict[int, set[int]]:
-        """Node → {set ids containing it}: the invalidation index."""
-        membership: dict[int, set[int]] = {}
-        for sid, rr in enumerate(sets):
-            for node in rr.tolist():
-                membership.setdefault(node, set()).add(sid)
-        return membership
+    def _indptr(members) -> np.ndarray:
+        indptr = np.zeros(len(members) + 1, dtype=np.int64)
+        np.cumsum([m.size for m in members], out=indptr[1:])
+        return indptr
 
-    def _select_seeds(self, sets) -> SeedList:
-        collection = RRSetCollection(tuple(sets), self._graph.num_nodes)
-        return ris_seed_selection(collection, self._seed_list_length)
+    def _pack(self, members, roots) -> RRIndex:
+        """One point's sets as an :class:`RRIndex` (inverted CSR only)."""
+        return RRIndex(
+            np.concatenate(members),
+            self._indptr(members),
+            roots,
+            self._graph.num_nodes,
+            storage="csr",
+        )
+
+    def _select_seeds(self, index: RRIndex) -> SeedList:
+        return index.seed_list(self._seed_list_length, algorithm="ris")
 
     # ------------------------------------------------------------------
     # Batch application
@@ -360,11 +386,11 @@ class IncrementalSketchMaintainer:
                 # coin flips change: the whole sketch is stale.
                 invalid = list(range(self._num_sets))
             else:
-                hit: set[int] = set()
-                membership = self._membership[pid]
-                for head in touched:
-                    hit.update(membership.get(head, ()))
-                invalid = sorted(hit)
+                index = self._indexes[pid]
+                hit = [index.node_sets(head) for head in touched]
+                invalid = (
+                    np.unique(np.concatenate(hit)).tolist() if hit else []
+                )
             if not invalid:
                 continue
             # Fire fault hooks serially before any parallel work so an
@@ -380,10 +406,14 @@ class IncrementalSketchMaintainer:
             invalid_by_point[pid] = invalid
 
         def refresh(pid: int):
-            sets = self._sample_sets(
-                new_graph, pid, invalid_by_point[pid], self._sets[pid]
+            members, roots = self._sample_sets(
+                new_graph,
+                pid,
+                invalid_by_point[pid],
+                self._members[pid],
+                self._roots[pid],
             )
-            return pid, sets, self._build_membership(sets)
+            return pid, members, roots, self._pack(members, roots)
 
         affected = list(invalid_by_point)
         if len(affected) > 1 and self._workers > 1:
@@ -397,20 +427,18 @@ class IncrementalSketchMaintainer:
         # num_nodes (fixed), so run it after sampling, still pre-commit.
         new_seed_lists = {}
         changed = []
-        for pid, sets, _membership in staged:
-            seed_list = ris_seed_selection(
-                RRSetCollection(tuple(sets), new_graph.num_nodes),
-                self._seed_list_length,
-            )
+        for pid, _, _, index in staged:
+            seed_list = self._select_seeds(index)
             new_seed_lists[pid] = seed_list
             if seed_list.nodes != self._seed_lists[pid].nodes:
                 changed.append(pid)
         # ---- commit point: everything below is infallible ----
         self._state = new_state
         self._graph = new_graph
-        for pid, sets, membership in staged:
-            self._sets[pid] = sets
-            self._membership[pid] = membership
+        for pid, members, roots, index in staged:
+            self._members[pid] = members
+            self._roots[pid] = roots
+            self._indexes[pid] = index
             self._seed_lists[pid] = new_seed_lists[pid]
         resampled = sum(len(v) for v in invalid_by_point.values())
         retained = self.num_points * self._num_sets - resampled

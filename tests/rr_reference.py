@@ -1,0 +1,193 @@
+"""The RR-set machinery as first written: the oracle for the one walker.
+
+Kept in behaviour, as ``kmeans_reference.py`` keeps the column-by-column
+k-means: :func:`sample_rr_set` walks one reverse-reachable set at a
+time over a reusable visited buffer (root first, then each wave's new
+members in ascending order), :func:`ris_seed_selection` is the
+dictionary-based lazy greedy that scales gains to spread units,
+:func:`sample_block_lexsort` is the two-array ``(set, node)`` block
+walker ordered by ``np.lexsort``, and :func:`sample_lt_rr_sets` is the
+backward random walk of the LT model returning unsorted member arrays.
+``repro.im.imm`` must reproduce each of them bit for bit (members,
+roots, generator state, seed-list nodes and gains).
+"""
+
+from __future__ import annotations
+
+import heapq
+
+import numpy as np
+
+from repro.im.seed_list import SeedList
+
+
+def sample_rr_set(in_indptr, in_tails, in_probs, visited, rng) -> np.ndarray:
+    """One RR set in BFS order (root first); restores ``visited``."""
+    n = visited.shape[0]
+    root = int(rng.integers(n))
+    visited[root] = True
+    members = [root]
+    frontier = np.asarray([root], dtype=np.int64)
+    while frontier.size:
+        starts = in_indptr[frontier]
+        counts = in_indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        offsets = np.repeat(starts, counts)
+        within = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        arc_pos = offsets + within
+        success = rng.random(total) < in_probs[arc_pos]
+        parents = in_tails[arc_pos[success]]
+        parents = parents[~visited[parents]]
+        if parents.size == 0:
+            break
+        frontier = np.unique(parents)
+        visited[frontier] = True
+        members.extend(int(v) for v in frontier)
+    result = np.asarray(members, dtype=np.int64)
+    visited[result] = False
+    return result
+
+
+def sample_rr_sets(graph, gamma, num_sets: int, rng) -> list[np.ndarray]:
+    """``num_sets`` sets walked one at a time from one generator."""
+    probs = graph.item_probabilities(gamma)
+    in_indptr, in_tails, in_arc_ids = graph.reverse_view
+    in_probs = probs[in_arc_ids]
+    visited = np.zeros(graph.num_nodes, dtype=bool)
+    return [
+        sample_rr_set(in_indptr, in_tails, in_probs, visited, rng)
+        for _ in range(num_sets)
+    ]
+
+
+def ris_seed_selection(
+    sets, num_nodes: int, k: int, *, universe_size: int | None = None
+) -> SeedList:
+    """Dictionary lazy greedy; gains scaled by ``num_nodes / len(sets)``.
+
+    ``num_nodes`` is the scaling population (the segment size for
+    segment-rooted sets); ``universe_size`` the candidate universe used
+    for padding (defaults to ``num_nodes``).
+    """
+    if universe_size is None:
+        universe_size = num_nodes
+    if not 0 <= k <= universe_size:
+        raise ValueError(f"k={k} outside [0, {universe_size}]")
+    scale = num_nodes / max(len(sets), 1)
+    membership: dict[int, list[int]] = {}
+    for set_id, rr in enumerate(sets):
+        for node in np.asarray(rr).tolist():
+            membership.setdefault(node, []).append(set_id)
+    coverage_count = {node: len(ids) for node, ids in membership.items()}
+    covered = np.zeros(len(sets), dtype=bool)
+    seeds: list[int] = []
+    gains: list[float] = []
+    heap = [(-count, node) for node, count in coverage_count.items()]
+    heapq.heapify(heap)
+    stale: dict[int, int] = dict(coverage_count)
+    while len(seeds) < k and heap:
+        neg_count, node = heapq.heappop(heap)
+        count = -neg_count
+        if count != stale[node]:
+            continue
+        fresh = sum(1 for sid in membership[node] if not covered[sid])
+        if fresh != count:
+            stale[node] = fresh
+            heapq.heappush(heap, (-fresh, node))
+            continue
+        seeds.append(node)
+        gains.append(fresh * scale)
+        stale[node] = -1
+        for sid in membership[node]:
+            covered[sid] = True
+    if len(seeds) < k:
+        used = set(seeds)
+        for node in range(universe_size):
+            if node not in used:
+                seeds.append(node)
+                gains.append(0.0)
+                if len(seeds) == k:
+                    break
+    return SeedList(tuple(seeds), tuple(gains), algorithm="ris")
+
+
+def sample_block_lexsort(
+    in_indptr, in_tails, in_probs, num_nodes: int, count: int, rng
+):
+    """The block walker over a ``(count, num_nodes)`` visited matrix."""
+    roots = rng.integers(0, num_nodes, size=count).astype(np.int64)
+    visited = np.zeros((count, num_nodes), dtype=bool)
+    set_ids = np.arange(count, dtype=np.int64)
+    visited[set_ids, roots] = True
+    frontier_sets = set_ids
+    frontier_nodes = roots
+    pair_sets = [frontier_sets]
+    pair_nodes = [frontier_nodes]
+    while frontier_nodes.size:
+        starts = in_indptr[frontier_nodes]
+        arc_counts = in_indptr[frontier_nodes + 1] - starts
+        total = int(arc_counts.sum())
+        if total == 0:
+            break
+        offsets = np.repeat(starts, arc_counts)
+        within = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(arc_counts) - arc_counts, arc_counts
+        )
+        arc_pos = offsets + within
+        arc_sets = np.repeat(frontier_sets, arc_counts)
+        success = rng.random(total) < in_probs[arc_pos]
+        parents = in_tails[arc_pos[success]]
+        parent_sets = arc_sets[success]
+        fresh = ~visited[parent_sets, parents]
+        parents = parents[fresh]
+        parent_sets = parent_sets[fresh]
+        if parents.size == 0:
+            break
+        keys = np.unique(parent_sets * num_nodes + parents)
+        parent_sets = keys // num_nodes
+        parents = keys % num_nodes
+        visited[parent_sets, parents] = True
+        pair_sets.append(parent_sets)
+        pair_nodes.append(parents)
+        frontier_sets = parent_sets
+        frontier_nodes = parents
+    all_sets = np.concatenate(pair_sets)
+    all_nodes = np.concatenate(pair_nodes)
+    order = np.lexsort((all_nodes, all_sets))
+    values = all_nodes[order].astype(np.uint32)
+    sizes = np.bincount(all_sets, minlength=count)
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return values, indptr, roots.astype(np.uint32)
+
+
+def sample_lt_rr_sets(graph, gamma, num_sets: int, rng) -> list[np.ndarray]:
+    """LT reverse random walks, members in visiting-set order."""
+    weights = graph.item_probabilities(gamma)
+    in_indptr, in_tails, in_arc_ids = graph.reverse_view
+    n = graph.num_nodes
+    sets: list[np.ndarray] = []
+    for _ in range(num_sets):
+        node = int(rng.integers(n))
+        visited = {node}
+        while True:
+            lo, hi = in_indptr[node], in_indptr[node + 1]
+            if hi == lo:
+                break
+            arc_weights = weights[in_arc_ids[lo:hi]]
+            draw = rng.random()
+            cumulative = np.cumsum(arc_weights)
+            position = int(np.searchsorted(cumulative, draw))
+            if position >= arc_weights.size:
+                break
+            parent = int(in_tails[lo + position])
+            if parent in visited:
+                break
+            visited.add(parent)
+            node = parent
+        sets.append(np.fromiter(visited, dtype=np.int64, count=len(visited)))
+    return sets

@@ -8,7 +8,9 @@ no configuration path rots.
 import numpy as np
 import pytest
 
-from repro.core import InflexConfig, InflexIndex, PAPER_CONFIG
+from repro.core import IM_ENGINES, InflexConfig, InflexIndex, PAPER_CONFIG
+from repro.im import celf_seed_selection
+from repro.propagation import SnapshotSpread
 
 
 @pytest.fixture(scope="module")
@@ -72,23 +74,41 @@ class TestWeightingVariants:
         assert len(answer.seeds) == 5
 
     def test_celf_engine_build(self, artifacts):
+        """CELF is a library oracle, not an engine: an index over CELF
+        seed lists, computed on live-edge snapshots, still answers."""
         graph, catalog = artifacts
         config = InflexConfig(
             num_index_points=4,
             num_dirichlet_samples=200,
             seed_list_length=3,
-            im_engine="celf",
+            ris_num_sets=200,
             num_snapshots=25,
             knn=3,
             seed=92,
         )
-        index = InflexIndex.build(graph, catalog, config)
+        built = InflexIndex.build(graph, catalog, config)
+        seed_lists = [
+            celf_seed_selection(
+                SnapshotSpread(graph, point, num_snapshots=25, seed=92),
+                graph.num_nodes,
+                3,
+            )
+            for point in built.index_points
+        ]
+        index = InflexIndex(graph, built.index_points, seed_lists, config)
         assert all(
             seed_list.algorithm == "celf"
             for seed_list in index.seed_lists
         )
         answer = index.query(catalog[4], 3)
         assert len(answer.seeds) == 3
+
+
+    @pytest.mark.parametrize("engine", ["celf", "greedy", "greedy-mc"])
+    def test_removed_engines_rejected(self, engine):
+        assert IM_ENGINES == ("imm", "ris", "celf++", "celf++-mc")
+        with pytest.raises(ValueError, match="im_engine"):
+            InflexConfig(im_engine=engine)
 
 
 class TestPaperConfig:

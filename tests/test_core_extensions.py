@@ -100,15 +100,16 @@ class TestSegmentQueries:
 
     def test_rr_sets_rooted_in_segment(self, small_dataset, segment):
         gamma = small_dataset.item_topics[2]
-        collection = sample_segment_rr_sets(
+        index = sample_segment_rr_sets(
             small_dataset.graph, gamma, segment, 30, seed=8
         )
-        assert collection.num_nodes == len(set(segment.tolist()))
-        # Every RR set contains its root, which is a segment member;
-        # at least one member per set must be in the segment.
+        assert index.num_sets == 30
+        assert index.num_nodes == small_dataset.graph.num_nodes
+        # Every RR set contains its root, which is a segment member.
         members = set(int(v) for v in segment)
-        for rr in collection.sets:
-            assert members & set(rr.tolist())
+        for set_id, root in enumerate(index.roots.tolist()):
+            assert root in members
+            assert index.contains(set_id, root)
 
     def test_validation(self, small_dataset):
         gamma = small_dataset.item_topics[0]

@@ -16,7 +16,8 @@ from repro.core import (
     save_index,
 )
 from repro.errors import QueryError
-from repro.im import SeedList
+from repro.im import SeedList, celf_seed_selection, greedy_seed_selection
+from repro.propagation import SnapshotSpread
 from repro.simplex import sample_uniform_simplex
 
 
@@ -119,10 +120,19 @@ class TestOfflineSeedLists:
     def test_celf_variants_identical(self, small_dataset):
         graph = small_dataset.graph
         gamma = small_dataset.item_topics[1]
-        kwargs = {"num_snapshots": 80, "seed": 3}
-        a = offline_seed_list(graph, gamma, 3, engine="celf", **kwargs)
-        b = offline_seed_list(graph, gamma, 3, engine="celf++", **kwargs)
-        c = offline_seed_list(graph, gamma, 3, engine="greedy", **kwargs)
+        b = offline_seed_list(
+            graph, gamma, 3, engine="celf++", num_snapshots=80, seed=3
+        )
+        a = celf_seed_selection(
+            SnapshotSpread(graph, gamma, num_snapshots=80, seed=3),
+            graph.num_nodes,
+            3,
+        )
+        c = greedy_seed_selection(
+            SnapshotSpread(graph, gamma, num_snapshots=80, seed=3),
+            graph.num_nodes,
+            3,
+        )
         assert a.nodes == b.nodes == c.nodes
 
     def test_unknown_engine(self, small_dataset):
@@ -133,6 +143,14 @@ class TestOfflineSeedLists:
                 2,
                 engine="bogus",
             )
+        for removed in ("celf", "greedy", "greedy-mc"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                offline_seed_list(
+                    small_dataset.graph,
+                    small_dataset.item_topics[0],
+                    2,
+                    engine=removed,
+                )
 
     def test_offline_ic_uses_uniform(self, small_dataset):
         result = offline_ic_seed_list(

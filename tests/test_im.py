@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.offline import offline_seed_list
 from repro.im import (
     SeedList,
     celf_seed_selection,
@@ -11,9 +12,7 @@ from repro.im import (
     greedy_seed_selection,
     pagerank_seeds,
     random_seeds,
-    ris_influence_maximization,
-    ris_seed_selection,
-    sample_rr_sets,
+    walk_rr_index,
     weighted_degree_seeds,
 )
 from repro.propagation import SnapshotSpread, estimate_spread
@@ -109,17 +108,21 @@ class TestRIS:
         gamma = np.full(
             small_graph.num_topics, 1.0 / small_graph.num_topics
         )
-        collection = sample_rr_sets(small_graph, gamma, 50, seed=22)
-        assert collection.num_sets == 50
-        for rr in collection.sets:
-            assert rr.size >= 1
+        index = walk_rr_index(
+            small_graph, gamma, 50, np.random.default_rng(22), block=1
+        )
+        assert index.num_sets == 50
+        for set_id in range(index.num_sets):
+            assert index.contains(set_id, int(index.roots[set_id]))
 
     def test_spread_estimate_unbiased_vs_mc(self, small_graph):
         gamma = np.zeros(small_graph.num_topics)
         gamma[0] = 1.0
-        collection = sample_rr_sets(small_graph, gamma, 6000, seed=23)
+        index = walk_rr_index(
+            small_graph, gamma, 6000, np.random.default_rng(23), block=1
+        )
         seeds = [0, 1, 2]
-        ris_est = collection.spread_estimate(seeds)
+        ris_est = index.spread_estimate(seeds)
         mc_est = estimate_spread(
             small_graph, gamma, seeds, num_simulations=3000, seed=24
         ).mean
@@ -128,8 +131,8 @@ class TestRIS:
     def test_selection_beats_random(self, small_graph):
         gamma = np.zeros(small_graph.num_topics)
         gamma[0] = 1.0
-        result = ris_influence_maximization(
-            small_graph, gamma, 5, num_sets=3000, seed=25
+        result = offline_seed_list(
+            small_graph, gamma, 5, engine="ris", ris_num_sets=3000, seed=25
         )
         random = random_seeds(small_graph.num_nodes, 5, seed=26)
         s_ris = estimate_spread(
@@ -144,16 +147,18 @@ class TestRIS:
         gamma = np.full(
             small_graph.num_topics, 1.0 / small_graph.num_topics
         )
-        result = ris_influence_maximization(
-            small_graph, gamma, 8, num_sets=2000, seed=28
+        result = offline_seed_list(
+            small_graph, gamma, 8, engine="ris", ris_num_sets=2000, seed=28
         )
         gains = result.marginal_gains
         assert all(a >= b - 1e-9 for a, b in zip(gains, gains[1:]))
 
     def test_pads_when_rr_sets_exhausted(self, tiny_graph):
         gamma = np.array([1.0, 0.0])
-        collection = sample_rr_sets(tiny_graph, gamma, 5, seed=29)
-        result = ris_seed_selection(collection, tiny_graph.num_nodes)
+        index = walk_rr_index(
+            tiny_graph, gamma, 5, np.random.default_rng(29), block=1
+        )
+        result = index.seed_list(tiny_graph.num_nodes, algorithm="ris")
         assert len(result) == tiny_graph.num_nodes
         assert len(set(result.nodes)) == tiny_graph.num_nodes
 
@@ -162,20 +167,22 @@ class TestRIS:
             small_graph.num_topics, 1.0 / small_graph.num_topics
         )
         with pytest.raises(ValueError):
-            sample_rr_sets(small_graph, gamma, 0)
-        collection = sample_rr_sets(small_graph, gamma, 10, seed=30)
+            walk_rr_index(small_graph, gamma, 0, np.random.default_rng(30))
+        index = walk_rr_index(
+            small_graph, gamma, 10, np.random.default_rng(30), block=1
+        )
         with pytest.raises(ValueError):
-            ris_seed_selection(collection, -1)
+            index.seed_list(-1, algorithm="ris")
 
     def test_deterministic(self, small_graph):
         gamma = np.full(
             small_graph.num_topics, 1.0 / small_graph.num_topics
         )
-        a = ris_influence_maximization(
-            small_graph, gamma, 5, num_sets=500, seed=31
+        a = offline_seed_list(
+            small_graph, gamma, 5, engine="ris", ris_num_sets=500, seed=31
         )
-        b = ris_influence_maximization(
-            small_graph, gamma, 5, num_sets=500, seed=31
+        b = offline_seed_list(
+            small_graph, gamma, 5, engine="ris", ris_num_sets=500, seed=31
         )
         assert a.nodes == b.nodes
 

@@ -1,17 +1,16 @@
-"""Tests for index maintenance, adaptive RIS, and range search."""
+"""Tests for index maintenance and range search."""
 
 import numpy as np
 import pytest
 
 from repro.bbtree import range_search
 from repro.errors import EmptyIndexError
-from repro.im import (
-    SeedList,
-    adaptive_ris_influence_maximization,
-    ris_influence_maximization,
+from repro.im import SeedList
+from repro.simplex import (
+    kl_divergence_matrix,
+    sample_uniform_simplex,
+    smooth,
 )
-from repro.ranking import kendall_tau_top
-from repro.simplex import kl_divergence_matrix, sample_uniform_simplex
 
 
 class TestIndexMaintenance:
@@ -54,6 +53,26 @@ class TestIndexMaintenance:
         assert answer.epsilon_match
         assert answer.seeds.nodes == seeds.nodes
 
+    def test_existing_points_come_back_exactly(self, small_index):
+        """Maintenance smooths only the new points, once; the existing
+        (already smoothed) points are kept bit for bit."""
+        gammas = sample_uniform_simplex(
+            3, small_index.graph.num_topics, seed=5
+        )
+        seeds = SeedList(tuple(range(4)))
+        points = small_index.index_points
+        grown = small_index.with_added_point(gammas[0], seeds)
+        assert np.array_equal(grown.index_points[:-1], points)
+        assert np.array_equal(grown.index_points[-1], smooth(gammas[0]))
+        batch = small_index.with_added_points(gammas, [seeds] * 3)
+        assert np.array_equal(batch.index_points[:-3], points)
+        assert np.array_equal(batch.index_points[-3:], smooth(gammas))
+        shrunk = small_index.without_point(2)
+        assert np.array_equal(
+            shrunk.index_points, np.delete(points, 2, axis=0)
+        )
+        assert shrunk.dirichlet is small_index.dirichlet
+
     def test_remove_point(self, small_index):
         shrunk = small_index.without_point(0)
         assert shrunk.num_index_points == small_index.num_index_points - 1
@@ -72,48 +91,6 @@ class TestIndexMaintenance:
         with pytest.raises(EmptyIndexError):
             for _ in range(small_index.num_index_points):
                 shrunk = shrunk.without_point(0)
-
-
-class TestAdaptiveRIS:
-    def test_stable_result_close_to_big_budget(self, small_graph):
-        gamma = np.zeros(small_graph.num_topics)
-        gamma[0] = 1.0
-        adaptive = adaptive_ris_influence_maximization(
-            small_graph, gamma, 5, initial_sets=500, max_sets=16000, seed=5
-        )
-        reference = ris_influence_maximization(
-            small_graph, gamma, 5, num_sets=16000, seed=6
-        )
-        assert kendall_tau_top(adaptive, reference) < 0.35
-
-    def test_respects_max_sets(self, small_graph):
-        gamma = np.full(small_graph.num_topics, 1.0 / small_graph.num_topics)
-        result = adaptive_ris_influence_maximization(
-            small_graph,
-            gamma,
-            3,
-            initial_sets=100,
-            max_sets=200,
-            stability_threshold=1e-9,  # never satisfied: hits the cap
-            seed=7,
-        )
-        assert len(result) == 3
-        assert result.algorithm == "ris-adaptive"
-
-    def test_validation(self, small_graph):
-        gamma = np.full(small_graph.num_topics, 1.0 / small_graph.num_topics)
-        with pytest.raises(ValueError):
-            adaptive_ris_influence_maximization(
-                small_graph, gamma, 2, initial_sets=1
-            )
-        with pytest.raises(ValueError):
-            adaptive_ris_influence_maximization(
-                small_graph, gamma, 2, initial_sets=100, max_sets=50
-            )
-        with pytest.raises(ValueError):
-            adaptive_ris_influence_maximization(
-                small_graph, gamma, 2, stability_threshold=0.0
-            )
 
 
 class TestRangeSearch:

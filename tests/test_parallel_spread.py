@@ -384,17 +384,22 @@ class TestOfflineMcEngines:
     def test_greedy_mc_engine_parallel_matches_sequential(
         self, tiny_graph
     ):
-        from repro.core.offline import offline_seed_list
-
         gamma = [0.6, 0.4]
-        sequential = offline_seed_list(
-            tiny_graph, gamma, 2, engine="greedy-mc",
-            num_simulations=30, sim_workers=1, seed=23,
-        )
-        pooled = offline_seed_list(
-            tiny_graph, gamma, 2, engine="greedy-mc",
-            num_simulations=30, sim_workers=2, seed=23,
-        )
+
+        def greedy_mc(workers):
+            with ParallelMonteCarloSpread(
+                tiny_graph,
+                gamma,
+                num_simulations=30,
+                seed=np.random.default_rng(23),
+                workers=workers,
+            ) as estimator:
+                return greedy_seed_selection(
+                    estimator, tiny_graph.num_nodes, 2
+                )
+
+        sequential = greedy_mc(1)
+        pooled = greedy_mc(2)
         assert sequential.nodes == pooled.nodes
 
 

@@ -1,0 +1,249 @@
+"""Differential tests: the one RR-set path against the machinery it
+replaced, kept in ``tests/rr_reference.py``.
+
+Every caller of the reverse walker must reproduce the original bit for
+bit:
+
+* a one-set walk (``count=1``) matches the scalar ``sample_rr_set`` in
+  members, root and the generator state it leaves behind — for
+  per-set streams and for one generator shared across sets;
+* the flat-key block walker matches the ``lexsort`` block walker;
+* ``ris``-engine and LT seed lists match the reference greedy over the
+  reference sets, nodes and gains;
+* :meth:`RRIndex.seed_list` matches the dictionary greedy on arbitrary
+  set families, including padding and a segment population;
+* the streaming maintainer's per-set contents and seed lists match
+  reference walks from the same ``(seed, pid, sid)`` streams.
+
+Random graphs leave some nodes with no in-arcs, so walks that stop at
+the root are drawn too.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.offline import offline_seed_list
+from repro.graph import TopicGraph
+from repro.im.imm import RRIndex, sample_rr_block
+from repro.propagation import lt_influence_maximization, normalize_lt_weights
+from repro.simplex.sampling import sample_uniform_simplex
+from repro.streaming import (
+    DeltaBatch,
+    EdgeDelta,
+    EdgeState,
+    IncrementalSketchMaintainer,
+)
+from tests.rr_reference import (
+    ris_seed_selection,
+    sample_block_lexsort,
+    sample_lt_rr_sets,
+    sample_rr_set,
+    sample_rr_sets,
+)
+
+SETTINGS = settings(max_examples=25, deadline=None)
+
+GRAPHS = st.tuples(
+    st.integers(2, 40),  # nodes
+    st.integers(0, 160),  # arcs drawn
+    st.integers(1, 3),  # topics
+    st.integers(0, 2**20),  # graph seed
+)
+
+
+def _graph(num_nodes, num_arcs, num_topics, seed) -> TopicGraph:
+    """A random simple graph; about a third of the nodes get no in-arcs."""
+    rng = np.random.default_rng(seed)
+    sources_only = rng.random(num_nodes) < 0.35
+    heads_pool = np.flatnonzero(~sources_only)
+    if heads_pool.size == 0:
+        heads_pool = np.arange(num_nodes)
+    tails = rng.integers(0, num_nodes, size=num_arcs)
+    heads = heads_pool[rng.integers(0, heads_pool.size, size=num_arcs)]
+    keep = tails != heads
+    pairs = np.unique(np.stack([tails[keep], heads[keep]], axis=1), axis=0)
+    pairs = pairs.reshape(-1, 2)
+    probs = rng.uniform(0.0, 0.9, size=(pairs.shape[0], num_topics))
+    return TopicGraph.from_arcs(num_nodes, pairs, probs)
+
+
+def _gamma(num_topics, seed) -> np.ndarray:
+    return sample_uniform_simplex(1, num_topics, seed=seed)[0]
+
+
+def _in_view(graph, gamma):
+    in_indptr, in_tails, in_arc_ids = graph.reverse_view
+    return in_indptr, in_tails, graph.item_probabilities(gamma)[in_arc_ids]
+
+
+def _assert_seed_lists_equal(got, want):
+    assert got.nodes == want.nodes
+    assert got.marginal_gains == want.marginal_gains
+
+
+@given(shape=GRAPHS, seed=st.integers(0, 2**32 - 1), shared=st.booleans())
+@SETTINGS
+def test_one_set_walk_matches_scalar_reference(shape, seed, shared):
+    graph = _graph(*shape)
+    n = graph.num_nodes
+    in_indptr, in_tails, in_probs = _in_view(graph, _gamma(shape[2], seed))
+    visited = np.zeros(n, dtype=bool)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i in range(30):
+        if not shared:
+            stream = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+            ours = np.random.default_rng(stream)
+            theirs = np.random.default_rng(stream)
+        values, indptr, roots = sample_rr_block(
+            in_indptr, in_tails, in_probs, n, 1, ours
+        )
+        members = sample_rr_set(in_indptr, in_tails, in_probs, visited, theirs)
+        assert values.tolist() == sorted(members.tolist())
+        assert indptr.tolist() == [0, members.size]
+        assert int(roots[0]) == int(members[0])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@given(
+    shape=GRAPHS,
+    seed=st.integers(0, 2**32 - 1),
+    count=st.sampled_from([1, 7, 1024]),
+)
+@SETTINGS
+def test_block_walk_matches_lexsort_reference(shape, seed, count):
+    graph = _graph(*shape)
+    view = _in_view(graph, _gamma(shape[2], seed))
+    ours = sample_rr_block(
+        *view, graph.num_nodes, count, np.random.default_rng(seed)
+    )
+    theirs = sample_block_lexsort(
+        *view, graph.num_nodes, count, np.random.default_rng(seed)
+    )
+    for got, want in zip(ours, theirs):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@given(
+    shape=GRAPHS,
+    seed=st.integers(0, 2**32 - 1),
+    num_sets=st.integers(2, 120),
+    k=st.integers(0, 12),
+)
+@SETTINGS
+def test_ris_engine_matches_reference(shape, seed, num_sets, k):
+    graph = _graph(*shape)
+    gamma = _gamma(shape[2], seed)
+    k = min(k, graph.num_nodes)
+    got = offline_seed_list(
+        graph, gamma, k, engine="ris", ris_num_sets=num_sets, seed=seed
+    )
+    sets = sample_rr_sets(
+        graph, gamma, num_sets, np.random.default_rng(seed)
+    )
+    want = ris_seed_selection(sets, graph.num_nodes, k)
+    _assert_seed_lists_equal(got, want)
+    assert got.algorithm == "ris"
+
+
+@given(
+    shape=GRAPHS,
+    seed=st.integers(0, 2**32 - 1),
+    num_sets=st.integers(1, 120),
+    k=st.integers(0, 12),
+)
+@SETTINGS
+def test_lt_seed_lists_match_reference(shape, seed, num_sets, k):
+    graph = normalize_lt_weights(_graph(*shape))
+    gamma = _gamma(shape[2], seed)
+    k = min(k, graph.num_nodes)
+    got = lt_influence_maximization(
+        graph, gamma, k, num_sets=num_sets, seed=seed
+    )
+    sets = sample_lt_rr_sets(
+        graph, gamma, num_sets, np.random.default_rng(seed)
+    )
+    want = ris_seed_selection(sets, graph.num_nodes, k)
+    _assert_seed_lists_equal(got, want)
+    assert got.algorithm == "lt-ris"
+
+
+@given(
+    num_nodes=st.integers(1, 30),
+    num_sets=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    k_frac=st.floats(0.0, 1.0),
+    segment=st.booleans(),
+)
+@SETTINGS
+def test_greedy_matches_reference(num_nodes, num_sets, seed, k_frac, segment):
+    """Random set families; ``k`` up to every node forces padding, and
+    a segment population scales gains while any node stays a seed."""
+    rng = np.random.default_rng(seed)
+    population = int(rng.integers(1, num_nodes + 1)) if segment else None
+    roots = rng.integers(0, population or num_nodes, size=num_sets)
+    sets = []
+    for root in roots.tolist():
+        extra = rng.integers(0, num_nodes, size=int(rng.integers(0, 6)))
+        sets.append(np.unique(np.append(extra, root)).astype(np.uint32))
+    indptr = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum([s.size for s in sets], out=indptr[1:])
+    index = RRIndex(np.concatenate(sets), indptr, roots, num_nodes)
+    k = int(round(k_frac * num_nodes))
+    got = index.seed_list(k, algorithm="ris", population=population)
+    want = ris_seed_selection(
+        [rng.permutation(s) for s in sets],
+        population or num_nodes,
+        k,
+        universe_size=num_nodes,
+    )
+    _assert_seed_lists_equal(got, want)
+
+
+@given(
+    shape=GRAPHS,
+    seed=st.integers(0, 2**20),
+    num_sets=st.integers(1, 30),
+    tail=st.integers(0, 39),
+    head=st.integers(0, 39),
+)
+@SETTINGS
+def test_maintainer_sets_match_reference(shape, seed, num_sets, tail, head):
+    graph = _graph(*shape)
+    n = graph.num_nodes
+    points = sample_uniform_simplex(2, shape[2], seed=seed)
+    length = min(3, n)
+    maintainer = IncrementalSketchMaintainer(
+        graph, points, num_sets=num_sets, seed_list_length=length, seed=seed
+    )
+    tail, head = tail % n, head % n
+    if tail != head:
+        delta = (
+            EdgeDelta("remove", tail, head)
+            if (tail, head) in EdgeState.from_graph(graph).edges
+            else EdgeDelta("add", tail, head, (0.5,) * shape[2])
+        )
+        maintainer.apply_batch(DeltaBatch(deltas=(delta,), timestamp=1.0))
+    current = maintainer.graph
+    visited = np.zeros(n, dtype=bool)
+    for pid, (values, indptr, roots) in enumerate(maintainer.pools()):
+        view = _in_view(current, points[pid])
+        reference = [
+            sample_rr_set(
+                *view,
+                visited,
+                np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(pid, sid))
+                ),
+            )
+            for sid in range(num_sets)
+        ]
+        for sid, members in enumerate(reference):
+            got = values[indptr[sid] : indptr[sid + 1]]
+            assert got.tolist() == sorted(members.tolist())
+            assert int(roots[sid]) == int(members[0])
+        want = ris_seed_selection(reference, n, length)
+        _assert_seed_lists_equal(maintainer.seed_lists[pid], want)

@@ -167,13 +167,11 @@ def test_incremental_bank_matches_scratch_bank(
         live.graph, identity, num_sets=20, seed_list_length=1,
         seed=config.seed,
     )
-    live_bank = SketchBank.from_collections(
-        [c.sets for c in live.rr_collections],
-        live.graph.num_nodes, config,
+    live_bank = SketchBank.from_pools(
+        live.pools(), live.graph.num_nodes, config
     )
-    scratch_bank = SketchBank.from_collections(
-        [c.sets for c in scratch.rr_collections],
-        scratch.graph.num_nodes, config,
+    scratch_bank = SketchBank.from_pools(
+        scratch.pools(), scratch.graph.num_nodes, config
     )
     for name, array in live_bank.arrays().items():
         assert np.array_equal(array, scratch_bank.arrays()[name]), name

@@ -139,12 +139,20 @@ class TestSketchBank:
         with pytest.raises(ValueError, match="permutation"):
             bank.compose([0.25] * 4, order=[0, 1, 2, 2])
 
-    def test_from_collections_rejects_ragged_pools(self, bank):
-        sets_a = [np.array([0, 1]), np.array([2])]
-        sets_b = [np.array([3])]
+    def test_from_pools_rejects_ragged_pools(self, bank):
+        pool_a = (
+            np.array([0, 1, 2], dtype=np.uint32),
+            np.array([0, 2, 3]),
+            np.array([0, 2], dtype=np.uint32),
+        )
+        pool_b = (
+            np.array([3], dtype=np.uint32),
+            np.array([0, 1]),
+            np.array([3], dtype=np.uint32),
+        )
         with pytest.raises(ValueError, match="equally sized"):
-            SketchBank.from_collections(
-                [sets_a, sets_b], 10, SketchConfig(num_sets=2)
+            SketchBank.from_pools(
+                [pool_a, pool_b], 10, SketchConfig(num_sets=2)
             )
 
     def test_stats_shape(self, bank):
@@ -517,8 +525,8 @@ class TestStreamingRefresh:
             seed_list_length=1,
             seed=43,
         )
-        scratch = SketchBank.from_collections(
-            [c.sets for c in fresh.rr_collections],
+        scratch = SketchBank.from_pools(
+            fresh.pools(),
             engine.maintainer.graph.num_nodes,
             engine.index.sketches.config,
         )

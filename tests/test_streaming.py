@@ -21,12 +21,14 @@ from repro import obs
 from repro.core import InflexConfig, InflexIndex, ServingConfig
 from repro.datasets import generate_delta_workload, generate_flixster_like
 from repro.errors import CorruptArtifactError, StreamError
+from repro.im import SeedList
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
     InjectedFaultError,
 )
 from repro.serving import QueryServer
+from repro.simplex import sample_uniform_simplex, smooth
 from repro.serving.protocol import (
     encode_request,
     json_body,
@@ -256,9 +258,9 @@ class TestIncrementalSketchMaintainer:
         for batch in log:
             serial.apply_batch(batch)
             threaded.apply_batch(batch)
-        for a, b in zip(serial.rr_collections, threaded.rr_collections):
-            for rr_a, rr_b in zip(a.sets, b.sets):
-                assert np.array_equal(rr_a, rr_b)
+        for a, b in zip(serial.pools(), threaded.pools()):
+            for array_a, array_b in zip(a, b):
+                assert np.array_equal(array_a, array_b)
         assert [s.nodes for s in serial.seed_lists] == [
             s.nodes for s in threaded.seed_lists
         ]
@@ -268,10 +270,7 @@ class TestIncrementalSketchMaintainer:
         self, stream_dataset, site
     ):
         maintainer = _maintainer(stream_dataset.graph)
-        before_sets = [
-            [rr.copy() for rr in coll.sets]
-            for coll in maintainer.rr_collections
-        ]
+        before_pools = maintainer.pools()
         before_seeds = [sl.nodes for sl in maintainer.seed_lists]
         before_graph = maintainer.graph
         plan = FaultPlan([FaultSpec(site=site, mode="error")])
@@ -287,9 +286,9 @@ class TestIncrementalSketchMaintainer:
         assert maintainer.batches_applied == 0
         assert maintainer.time == 0.0
         assert maintainer.graph is before_graph
-        for coll, before in zip(maintainer.rr_collections, before_sets):
-            for rr, rr_before in zip(coll.sets, before):
-                assert np.array_equal(rr, rr_before)
+        for pool, before in zip(maintainer.pools(), before_pools):
+            for array, array_before in zip(pool, before):
+                assert np.array_equal(array, array_before)
         assert [s.nodes for s in maintainer.seed_lists] == before_seeds
         # The same batch succeeds once the fault clears, identically to
         # a maintainer that never saw the fault.
@@ -407,6 +406,29 @@ class TestStreamingEngine:
         stats = engine.stats()
         assert stats["maintainer"]["batches_applied"] == 4
         assert stats["subscriptions"]["subscriptions"] == 1
+
+    def test_swapped_index_keeps_points_exactly(
+        self, stream_dataset, stream_index
+    ):
+        """Swaps reuse the already-smoothed points; a second smoothing
+        pass would move some of them by about an ulp."""
+        config = stream_index.config
+        template = InflexIndex(
+            stream_dataset.graph,
+            sample_uniform_simplex(64, 3, seed=73),
+            [SeedList(tuple(range(config.seed_list_length)))] * 64,
+            config,
+        )
+        points = template.index_points.copy()
+        assert not np.array_equal(smooth(points), points)
+        engine = StreamingEngine(template, num_sets=20, seed=67)
+        assert np.array_equal(engine.index.index_points, points)
+        log = generate_delta_workload(
+            stream_dataset.graph, num_batches=3, batch_size=6, seed=71
+        )
+        for _ in engine.replay(log):
+            assert np.array_equal(engine.index.index_points, points)
+            assert engine.index.tree is template.tree
 
     def test_metrics_flow(self, stream_dataset, stream_index):
         obs.enable()

@@ -133,12 +133,9 @@ def test_incremental_equals_full_rebuild(
         seed_list_length=4,
         seed=rng_seed,
     )
-    for inc_coll, ref_coll in zip(
-        incremental.rr_collections, fresh.rr_collections
-    ):
-        assert inc_coll.num_sets == ref_coll.num_sets
-        for inc_set, ref_set in zip(inc_coll.sets, ref_coll.sets):
-            assert np.array_equal(inc_set, ref_set)
+    for inc_pool, ref_pool in zip(incremental.pools(), fresh.pools()):
+        for inc_array, ref_array in zip(inc_pool, ref_pool):
+            assert np.array_equal(inc_array, ref_array)
     for inc_list, ref_list in zip(incremental.seed_lists, fresh.seed_lists):
         assert inc_list.nodes == ref_list.nodes
 
@@ -163,9 +160,7 @@ def test_add_then_remove_same_edge_is_noop(graph_seed, rng_seed, tail, head):
     maintainer = IncrementalSketchMaintainer(
         graph, points, num_sets=50, seed_list_length=4, seed=rng_seed
     )
-    before_sets = [
-        [rr.copy() for rr in coll.sets] for coll in maintainer.rr_collections
-    ]
+    before_pools = maintainer.pools()
     before_seeds = [sl.nodes for sl in maintainer.seed_lists]
     maintainer.apply_batch(
         DeltaBatch(
@@ -178,9 +173,9 @@ def test_add_then_remove_same_edge_is_noop(graph_seed, rng_seed, tail, head):
             deltas=(EdgeDelta("remove", tail, head),), timestamp=0.0
         )
     )
-    for coll, before in zip(maintainer.rr_collections, before_sets):
-        for rr, rr_before in zip(coll.sets, before):
-            assert np.array_equal(rr, rr_before)
+    for pool, before in zip(maintainer.pools(), before_pools):
+        for array, array_before in zip(pool, before):
+            assert np.array_equal(array, array_before)
     assert [sl.nodes for sl in maintainer.seed_lists] == before_seeds
 
 
@@ -247,10 +242,8 @@ def test_decayed_apply_matches_rebuild_on_decayed_graph(
         seed_list_length=3,
         seed=rng_seed,
     )
-    for inc_coll, ref_coll in zip(
-        maintainer.rr_collections, fresh.rr_collections
-    ):
-        for inc_set, ref_set in zip(inc_coll.sets, ref_coll.sets):
-            assert np.array_equal(inc_set, ref_set)
+    for inc_pool, ref_pool in zip(maintainer.pools(), fresh.pools()):
+        for inc_array, ref_array in zip(inc_pool, ref_pool):
+            assert np.array_equal(inc_array, ref_array)
     for inc_list, ref_list in zip(maintainer.seed_lists, fresh.seed_lists):
         assert inc_list.nodes == ref_list.nodes
