@@ -594,7 +594,7 @@ def _serving_config(args: argparse.Namespace) -> ServingConfig:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serving import serve
+    from repro.serving import QueryServer, serve
 
     data_dir = Path(args.data)
     graph = load_graph(data_dir / "graph.npz")
@@ -630,9 +630,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         campaign = CampaignConfig(num_sets=args.campaign_sets)
 
-    def ready(server) -> None:
+    def ready(front) -> None:
         print(
-            f"serving {index} on {config.host}:{server.port} "
+            f"serving {index} on {config.host}:{front.port} "
             f"(SIGTERM drains gracefully)",
             flush=True,
         )
@@ -646,7 +646,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             return 2
         from repro.core import FleetConfig
-        from repro.serving import serve_fleet
+        from repro.serving import Fleet
 
         fleet_config = FleetConfig(
             workers=args.workers,
@@ -662,19 +662,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             hedge=args.hedge,
             hedge_delay_ms=args.hedge_delay_ms,
         )
-        asyncio.run(
-            serve_fleet(index, config, fleet_config, ready=ready)
-        )
+        front = Fleet(index, config, fleet_config, campaign=campaign)
     else:
-        asyncio.run(
-            serve(
-                index,
-                config,
-                ready=ready,
-                streaming=streaming,
-                campaign=campaign,
-            )
+        front = QueryServer(
+            index, config, streaming=streaming, campaign=campaign
         )
+    asyncio.run(serve(front, ready=ready))
     print("drained; all accepted requests answered", flush=True)
     return 0
 

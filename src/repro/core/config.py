@@ -485,9 +485,8 @@ class FleetConfig:
         returns first (queries are idempotent reads, so duplicates are
         safe).
     hedge_delay_ms:
-        Fixed hedging delay; ``None`` derives it from the rolling p99.
-    hedge_min_ms / hedge_factor:
-        Bounds of the derived delay (see ``HedgePolicy``).
+        Fixed hedging delay; ``None`` derives it from the rolling p99
+        (within ``HedgePolicy``'s default bounds).
     """
 
     workers: int = 2
@@ -504,8 +503,6 @@ class FleetConfig:
     breaker_cooloff_s: float = 1.0
     hedge: bool = False
     hedge_delay_ms: float | None = None
-    hedge_min_ms: float = 5.0
-    hedge_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -517,7 +514,6 @@ class FleetConfig:
             "probe_timeout_s",
             "dispatch_timeout_s",
             "breaker_cooloff_s",
-            "hedge_min_ms",
         ):
             value = getattr(self, name)
             if value <= 0:
@@ -548,10 +544,6 @@ class FleetConfig:
             raise ValueError(
                 "hedge_delay_ms must be positive or None, got "
                 f"{self.hedge_delay_ms}"
-            )
-        if self.hedge_factor <= 0:
-            raise ValueError(
-                f"hedge_factor must be positive, got {self.hedge_factor}"
             )
 
 

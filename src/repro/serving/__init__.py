@@ -6,9 +6,14 @@ This package turns the single-call library into a service built for
 heavy concurrent traffic, composing the layers the earlier PRs laid
 down:
 
-* :mod:`repro.serving.server` — stdlib-only asyncio HTTP/1.1 server
+* :mod:`repro.serving.front` — the one HTTP front end both servers
+  share: listener, connection loop, route table (404/405/503 checks),
+  request span and metrics, ``Retry-After`` hints, graceful drain, and
+  :func:`~repro.serving.front.serve`, which runs either server until
+  SIGTERM drains it;
+* :mod:`repro.serving.server` — the stdlib-only asyncio query server
   (``/query``, ``/query_batch``, ``/campaign``, ``/healthz``,
-  ``/metrics``, ``/stats``) with graceful SIGTERM drain;
+  ``/metrics``, ``/stats``, debug and streaming routes);
 * :mod:`repro.serving.batcher` — micro-batching of concurrent requests
   into :meth:`~repro.core.index.InflexIndex.query_batch` calls;
 * :mod:`repro.serving.admission` — in-flight/queue-depth admission
@@ -43,7 +48,8 @@ from repro.serving.batcher import (
     MicroBatcher,
     QueueFullError,
 )
-from repro.serving.fleet import Fleet, WorkerHandle, serve_fleet
+from repro.serving.fleet import Fleet, WorkerHandle
+from repro.serving.front import serve
 from repro.serving.loadgen import (
     LoadReport,
     build_far_mix,
@@ -51,7 +57,7 @@ from repro.serving.loadgen import (
     run_loadgen,
 )
 from repro.serving.protocol import HttpRequest, ProtocolError
-from repro.serving.server import QueryServer, serve
+from repro.serving.server import QueryServer
 from repro.serving.shared_index import attach_index, publish_index
 from repro.serving.singleflight import SingleFlight
 from repro.serving.worker import FleetWorkerServer, worker_main
@@ -89,6 +95,5 @@ __all__ = [
     "run_loadgen",
     "run_top",
     "serve",
-    "serve_fleet",
     "worker_main",
 ]

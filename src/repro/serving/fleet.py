@@ -53,32 +53,27 @@ import asyncio
 import collections
 import json
 import logging
-import math
 import multiprocessing
 import time
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
-from repro.core.config import FleetConfig, ServingConfig
+from repro.core.config import CampaignConfig, FleetConfig, ServingConfig
 from repro.core.index import InflexIndex
 from repro.obs import context as _ctx
 from repro.obs import instruments as _obs
-from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.hedge import HedgePolicy
-from repro.resilience.retry import RetryPolicy
-from repro.serving.admission import AdmissionController
+from repro.serving.front import GET, POST, PROMETHEUS, HttpFront, Route, Shed
 from repro.serving.protocol import (
     HttpRequest,
     ProtocolError,
     encode_request,
-    encode_response,
     error_body,
     json_body,
-    read_request,
     read_response,
 )
 from repro.serving.shared_index import publish_index
@@ -97,6 +92,22 @@ _POOL_MAX = 32
 #: seconds is presumed wedged (import deadlock, port trouble) and
 #: recycled like a hung worker.
 _READY_TIMEOUT_S = 120.0
+
+#: Single-process routes the router does not serve (it answers 404):
+#: streaming would need coordinated segment swaps across every shard,
+#: and the debug surfaces are per process (the router reads worker
+#: spans itself through ``/fleet/trace``).
+SINGLE_PROCESS_ONLY = frozenset(
+    {
+        "/deltas",
+        "/subscriptions",
+        "/subscriptions/{id}/updates",
+        "/debug/requests",
+        "/debug/slow",
+        "/debug/slo",
+        "/debug/spans",
+    }
+)
 
 #: Errors that mean "this shard did not answer" — the re-dispatch set.
 _DISPATCH_ERRORS = (
@@ -146,7 +157,7 @@ class WorkerHandle:
         }
 
 
-class Fleet:
+class Fleet(HttpFront):
     """The router process: accepts requests, dispatches to shards,
     supervises the worker fleet.
 
@@ -160,18 +171,26 @@ class Fleet:
         ``config.host:config.port``).
     fleet_config:
         Topology, supervision, dispatch, and hedging knobs.
+    campaign:
+        Knobs of every worker's ``POST /campaign`` allocator; defaults
+        to :class:`CampaignConfig()`.
     """
+
+    noun = "fleet"
+    layer = "fleet"
 
     def __init__(
         self,
         index: InflexIndex,
         config: ServingConfig | None = None,
         fleet_config: FleetConfig | None = None,
+        *,
+        campaign: CampaignConfig | None = None,
     ) -> None:
-        self.config = config or ServingConfig()
+        super().__init__(config or ServingConfig())
         self.fleet_config = fleet_config or FleetConfig()
+        self.campaign_config = campaign
         self.index = index
-        self._log = get_logger("fleet")
         self._payload = None
         self._spec = None
         self._handles: list[WorkerHandle] = []
@@ -184,33 +203,10 @@ class Fleet:
                 size=self.fleet_config.workers,
             )
         )
-        self._hedge = HedgePolicy(
-            delay_ms=self.fleet_config.hedge_delay_ms,
-            min_ms=self.fleet_config.hedge_min_ms,
-            factor=self.fleet_config.hedge_factor,
-        )
-        self.admission = AdmissionController(
-            self.config.max_inflight,
-            self.config.max_queue_depth,
-            queue_depth=lambda: 0,
-        )
-        self._retry_after_policy = RetryPolicy(
-            max_attempts=0,
-            base_delay=self.config.retry_after_s,
-            multiplier=1.0,
-            max_delay=self.config.retry_after_s,
-            jitter=self.config.retry_jitter,
-        )
-        self._shed_seq = 0
+        self._hedge = HedgePolicy(delay_ms=self.fleet_config.hedge_delay_ms)
         self._rotor = 0
         self._trace_roots: collections.OrderedDict = collections.OrderedDict()
-        self._server: asyncio.base_events.Server | None = None
         self._supervisor: asyncio.Task | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._active_http = 0
-        self._draining = False
-        self._drained = asyncio.Event()
-        self.port: int | None = None
         # Dispatch bookkeeping surfaced on /fleet (and asserted by the
         # chaos suite: accepted == answered + shed means nothing was
         # silently dropped).
@@ -220,23 +216,33 @@ class Fleet:
         self.redispatch_total = 0
         self.hedge_total = 0
 
+    def routes(self) -> list[Route]:
+        """The router's table: work routes forwarded by affinity, plus
+        fleet-wide aggregates of the read routes and the fleet views.
+        Every other single-process route is in
+        :data:`SINGLE_PROCESS_ONLY`."""
+        return [
+            Route("/query", POST, self._forward, work=True),
+            Route("/query_batch", POST, self._forward, work=True),
+            Route("/campaign", POST, self._forward, work=True),
+            Route("/healthz", GET, self._handle_healthz),
+            Route("/metrics", GET, self._handle_metrics, False, PROMETHEUS),
+            Route("/stats", GET, self._handle_stats),
+            Route("/fleet", GET, self._handle_fleet),
+            Route("/fleet/trace", GET, self._handle_fleet_trace),
+        ]
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        """Whether a fleet-wide graceful drain has been requested."""
-        return self._draining
-
     async def start(self, *, wait_ready: bool = True) -> None:
-        """Publish the index, spawn the workers, bind the router.
+        """Bind the router, publish the index, spawn the workers.
 
         With ``wait_ready`` (the default) the call returns only once
         every shard has reported ready — callers can hit the fleet
         immediately after.
         """
-        if self._server is not None:
-            raise RuntimeError("fleet already started")
+        await self._listen()
         self._payload, self._spec = publish_index(self.index)
         for shard in range(self.fleet_config.workers):
             handle = WorkerHandle(
@@ -248,10 +254,6 @@ class Fleet:
             )
             self._handles.append(handle)
             self._spawn(handle)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
         self._supervisor = asyncio.get_running_loop().create_task(
             self._supervise()
         )
@@ -290,6 +292,7 @@ class Fleet:
                 self._spec,
                 self.config,
                 self.fleet_config,
+                self.campaign_config,
                 child_conn,
             ),
             kwargs={"obs_enabled": _obs_pkg.enabled()},
@@ -303,20 +306,7 @@ class Fleet:
             generation=handle.generation,
         )
 
-    def request_drain(self) -> None:
-        """Begin a fleet-wide graceful drain (idempotent, signal-safe):
-        stop accepting, answer in-flight requests, drain every worker,
-        then release the shared segments."""
-        if self._draining:
-            return
-        self._draining = True
-        self._log.event("fleet.drain.begin")
-        asyncio.get_running_loop().create_task(self._drain())
-
-    async def _drain(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    def _begin_drain(self) -> None:
         # Ask every live worker to drain; a crashed shard has no pipe
         # to speak to, which is fine — there is nothing in it to drain.
         for handle in self._handles:
@@ -325,14 +315,10 @@ class Fleet:
                     handle.conn.send(("drain",))
                 except (OSError, BrokenPipeError, ValueError):
                     pass
-        grace_ends = time.monotonic() + self.config.drain_grace_s
-        while (
-            not (self.admission.idle and self._active_http == 0)
-            and time.monotonic() < grace_ends
-        ):
-            await asyncio.sleep(0.005)
-        for writer in list(self._connections):
-            writer.close()
+
+    async def _shutdown(self, grace_ends: float) -> None:
+        # Join the workers (each drains itself), then release the
+        # shared segments they were attached to.
         self._close_all_pools()
         loop = asyncio.get_running_loop()
         for handle in self._handles:
@@ -351,17 +337,6 @@ class Fleet:
         if self._payload is not None:
             self._payload.release()
             self._payload = None
-        self._log.event("fleet.drain.complete")
-        self._drained.set()
-
-    async def wait_drained(self) -> None:
-        """Block until a requested drain completes."""
-        await self._drained.wait()
-
-    async def aclose(self) -> None:
-        """Drain and wait — the programmatic equivalent of SIGTERM."""
-        self.request_drain()
-        await self.wait_drained()
 
     # ------------------------------------------------------------------
     # Supervision
@@ -513,19 +488,28 @@ class Fleet:
         return [int(i) for i in np.argsort(distances, kind="stable")]
 
     def _extract_gamma(self, route: str, request: HttpRequest):
+        """The affinity key of a forwarded request: the query's
+        ``gamma``, the first batch member's, or a campaign's
+        ``items[0]`` — ``None`` when absent or malformed."""
         try:
             payload = json.loads(request.body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             return None
-        entry = payload
-        if route == "/query_batch":
-            queries = payload.get("queries") if isinstance(payload, dict) else None
-            if not isinstance(queries, list) or not queries:
-                return None
-            entry = queries[0]
-        if not isinstance(entry, dict):
+        if not isinstance(payload, dict):
             return None
-        gamma = entry.get("gamma")
+        if route == "/campaign":
+            items = payload.get("items")
+            gamma = items[0] if isinstance(items, list) and items else None
+        else:
+            entry = payload
+            if route == "/query_batch":
+                queries = payload.get("queries")
+                if not isinstance(queries, list) or not queries:
+                    return None
+                entry = queries[0]
+            if not isinstance(entry, dict):
+                return None
+            gamma = entry.get("gamma")
         if (
             isinstance(gamma, list)
             and len(gamma) == self._anchors.shape[1]
@@ -628,15 +612,18 @@ class Fleet:
                 return task.result(), winner, was_backup
         raise first_error  # both sides failed
 
-    async def _proxy_query(self, route: str, request: HttpRequest, context):
+    async def _forward(self, request: HttpRequest, info: dict):
         """Affinity dispatch with breakers, re-dispatch, and hedging."""
-        if self._draining:
-            self.shed_total += 1
-            return 503, error_body("fleet is draining"), self._retry_after()
+        context = _ctx.current_context()
+        if context.parent_span_id is not None:
+            # /fleet/trace adopts worker spans under this request span.
+            self._trace_roots[context.trace_id] = context.parent_span_id
+            while len(self._trace_roots) > 1024:
+                self._trace_roots.popitem(last=False)
         reason = self.admission.try_admit()
         if reason is not None:
             self.shed_total += 1
-            return 429, error_body(f"shed: {reason}"), self._retry_after()
+            raise Shed(reason)
         self.accepted_total += 1
         try:
             forward = {
@@ -650,6 +637,7 @@ class Fleet:
                 host=self.config.host,
                 extra_headers=forward,
             )
+            route = request.target.split("?", 1)[0]
             order = self.shard_order(self._extract_gamma(route, request))
             tried: set[int] = set()
             budget = self.fleet_config.redispatch_attempts + 1
@@ -734,121 +722,12 @@ class Fleet:
         finally:
             self.admission.release()
 
-    def _retry_after(self) -> dict[str, str]:
-        # Same jittered hint the standalone server sends (whole-second
-        # Retry-After plus exact X-Retry-After-Ms).
-        self._shed_seq += 1
-        hint_s = self._retry_after_policy.delay(self._shed_seq)
-        return {
-            "Retry-After": str(max(1, math.ceil(hint_s))),
-            "X-Retry-After-Ms": f"{hint_s * 1e3:.3f}",
-        }
+    def _shed_draining(self):
+        # Counted in /fleet's dispatch block like every router shed.
+        self.shed_total += 1
+        return super()._shed_draining()
 
-    # ------------------------------------------------------------------
-    # Router HTTP front end
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except ProtocolError as exc:
-                    writer.write(
-                        encode_response(
-                            400, error_body(str(exc)), keep_alive=False
-                        )
-                    )
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if request is None:
-                    break
-                keep_alive = request.keep_alive and not self._draining
-                self._active_http += 1
-                try:
-                    response = await self._route(request, keep_alive)
-                    writer.write(response)
-                    try:
-                        await writer.drain()
-                    except ConnectionError:
-                        break
-                finally:
-                    self._active_http -= 1
-                if not keep_alive:
-                    break
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-
-    async def _route(self, request: HttpRequest, keep_alive: bool) -> bytes:
-        route = request.target.split("?", 1)[0]
-        context = _ctx.new_request_context(
-            trace_id=request.headers.get("x-trace-id"),
-            request_id=request.headers.get("x-request-id"),
-        )
-        tracer = get_tracer()
-        span = tracer.open_span(
-            "fleet.request",
-            category="fleet",
-            trace_id=context.trace_id,
-            route=route,
-        )
-        if span.span_id is not None:
-            self._trace_roots[context.trace_id] = span.span_id
-            while len(self._trace_roots) > 1024:
-                self._trace_roots.popitem(last=False)
-        content_type = "application/json"
-        try:
-            if route in ("/query", "/query_batch"):
-                if request.method != "POST":
-                    status, body, extra = 405, error_body("use POST"), None
-                else:
-                    status, body, extra = await self._proxy_query(
-                        route, request, context
-                    )
-            elif route == "/healthz":
-                status, body, extra = self._handle_healthz()
-            elif route == "/metrics":
-                content_type = "text/plain; version=0.0.4"
-                status, body, extra = await self._handle_metrics()
-            elif route == "/stats":
-                status, body, extra = await self._handle_stats()
-            elif route == "/fleet":
-                status, body, extra = 200, json_body(self.fleet_status()), None
-            elif route == "/fleet/trace":
-                status, body, extra = await self._handle_fleet_trace(request)
-            else:
-                status, body, extra = (
-                    404,
-                    error_body(f"no such route: {route}"),
-                    None,
-                )
-        except Exception as exc:  # pragma: no cover - defensive
-            status, body, extra = (
-                500,
-                error_body(f"internal error: {type(exc).__name__}: {exc}"),
-                None,
-            )
-            self._log.event(
-                "fleet.request.error",
-                level=logging.ERROR,
-                route=route,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        tracer.close_span(span)
-        headers = dict(extra) if extra else {}
-        headers.setdefault("X-Trace-Id", context.trace_id)
-        headers.setdefault("X-Request-Id", context.request_id)
-        return encode_response(
-            status,
-            body,
-            content_type=content_type,
-            keep_alive=keep_alive,
-            extra_headers=headers,
-        )
-
-    def _handle_healthz(self):
+    async def _handle_healthz(self, request: HttpRequest, info: dict):
         ready = sum(1 for h in self._handles if h.state == READY)
         if self._draining:
             return 503, json_body({"status": "draining"}), None
@@ -877,7 +756,7 @@ class Fleet:
             return None
         return body if status == 200 else None
 
-    async def _handle_metrics(self):
+    async def _handle_metrics(self, request: HttpRequest, info: dict):
         """Fleet-wide Prometheus exposition.
 
         Worker samples gain a ``shard`` label; unlabeled samples are
@@ -966,7 +845,7 @@ class Fleet:
             text = f"{text}\n{router_text}" if text else router_text
         return 200, text.encode("utf-8"), None
 
-    async def _handle_stats(self):
+    async def _handle_stats(self, request: HttpRequest, info: dict):
         bodies = await asyncio.gather(
             *(self._fetch(handle, "/stats") for handle in self._handles)
         )
@@ -981,7 +860,10 @@ class Fleet:
             None,
         )
 
-    async def _handle_fleet_trace(self, request: HttpRequest):
+    async def _handle_fleet(self, request: HttpRequest, info: dict):
+        return 200, json_body(self.fleet_status()), None
+
+    async def _handle_fleet_trace(self, request: HttpRequest, info: dict):
         """Adopt one trace's worker spans into the router tracer."""
         values = parse_qs(urlsplit(request.target).query).get("trace")
         if not values or not values[0]:
@@ -1025,30 +907,3 @@ class Fleet:
                 "hedged": self.hedge_total,
             },
         }
-
-
-async def serve_fleet(
-    index: InflexIndex,
-    config: ServingConfig | None = None,
-    fleet_config: FleetConfig | None = None,
-    *,
-    install_signal_handlers: bool = True,
-    ready=None,
-) -> None:
-    """Run a :class:`Fleet` until drained (the ``serve --workers N``
-    entrypoint).  ``ready`` is called with the fleet once the router is
-    listening and every shard has reported ready."""
-    fleet = Fleet(index, config, fleet_config)
-    await fleet.start()
-    if install_signal_handlers:
-        import signal
-
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, fleet.request_drain)
-            except (NotImplementedError, ValueError):  # pragma: no cover
-                break
-    if ready is not None:
-        ready(fleet)
-    await fleet.wait_drained()

@@ -11,8 +11,9 @@ All protocol work happens on the event loop; all index math happens on
 one executor thread (query evaluation is CPU-bound pure Python, so one
 thread avoids GIL thrash while keeping the loop free to accept, shed,
 and serve cache hits).  Graceful drain — ``SIGTERM`` via the CLI, or
-:meth:`QueryServer.request_drain` — stops accepting, flushes the
-batcher, answers every admitted request, then closes.
+:meth:`QueryServer.request_drain` — stops accepting, answers every
+admitted request and every request already on an accepted connection,
+then closes.
 
 Every request is minted a :class:`~repro.obs.context.RequestContext`
 (honoring ``X-Trace-Id`` / ``X-Request-Id`` request headers, echoed in
@@ -21,32 +22,12 @@ span, batch span, executor-side query phases, even pool-worker chunks —
 into one tree, leaves a record in the flight recorder, and feeds the
 rolling SLO monitor.
 
-Routes
-------
-``POST /query``         one TIM query (JSON body, see ``protocol``)
-``POST /query_batch``   many queries in one round trip
-``POST /campaign``      multi-item budgeted seed allocation
-                        (k-submodular campaign planner, PR 9)
-``GET  /healthz``       liveness + index shape + SLO detail (503 while
-                        draining)
-``GET  /metrics``       Prometheus text exposition of ``repro.obs``
-``GET  /stats``         JSON server/cache/batcher/admission counters
-``GET  /debug/requests``  recent flight-recorder entries (``?n=``)
-``GET  /debug/slow``      slow requests with captured span trees
-``GET  /debug/slo``       burn rates and breach flags per objective
-``GET  /debug/spans``     one trace's spans in wire (adopt) format
-                          (``?trace=<id>``) — the fleet router fetches
-                          these to stitch worker spans under its own
-                          request span
-
-With a :class:`~repro.streaming.StreamingEngine` attached, three more
-routes keep the served index current on an evolving graph (404 when
-streaming is not enabled):
-
-``POST /deltas``                       apply one delta batch
-``POST /subscriptions``                register a standing TIM query
-``GET  /subscriptions``                list registered subscriptions
-``GET  /subscriptions/<id>/updates``   drain a subscription's updates
+Routes are declared once, in :meth:`QueryServer.routes` (the table in
+``docs/SERVING.md``); the shared :mod:`repro.serving.front` base
+applies the 404/405 checks and the draining shed.  With a
+:class:`~repro.streaming.StreamingEngine` attached, ``/deltas`` and
+``/subscriptions`` keep the served index current on an evolving graph
+(404 when streaming is not enabled).
 
 Delta application runs on the same single executor thread as query
 evaluation, so it serializes naturally with in-flight queries; the new
@@ -58,9 +39,8 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import itertools
+import functools
 import logging
-import math
 import time
 from urllib.parse import parse_qs, urlsplit
 
@@ -68,31 +48,24 @@ from repro.campaign import CampaignPlanner
 from repro.core.cache import CachedIndex
 from repro.core.config import CampaignConfig, ServingConfig
 from repro.core.index import InflexIndex
-from repro.errors import InvalidDistributionError, QueryError, StreamError
+from repro.errors import QueryError, StreamError
 from repro.obs import context as _ctx
 from repro.obs import instruments as _obs
 from repro.obs.flightrec import FlightRecord, FlightRecorder, gamma_fingerprint
-from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.slo import SLOConfig, SLOMonitor
 from repro.obs.tracing import get_tracer, span_payload
 from repro.resilience.deadline import Deadline
-from repro.resilience.retry import RetryPolicy
-from repro.serving.admission import (
-    SHED_DRAINING,
-    AdmissionController,
-)
-from repro.serving.batcher import BatchItem, MicroBatcher, QueueFullError
+from repro.serving.batcher import BatchItem, MicroBatcher
+from repro.serving.front import GET, POST, PROMETHEUS, HttpFront, Route
 from repro.serving.protocol import (
     HttpRequest,
     ProtocolError,
     answer_to_dict,
-    encode_response,
     error_body,
     json_body,
     parse_campaign_payload,
     parse_query_payload,
-    read_request,
 )
 from repro.serving.singleflight import SingleFlight
 
@@ -102,7 +75,19 @@ from repro.serving.singleflight import SingleFlight
 _OBSERVER_ROUTES = frozenset({"/healthz", "/metrics", "/stats"})
 
 
-class QueryServer:
+def _needs_streaming(handler):
+    """Answer 404 from a streaming route while no engine is attached."""
+
+    @functools.wraps(handler)
+    async def handle(self, request: HttpRequest, info: dict):
+        if self.streaming is None:
+            return 404, error_body("streaming is not enabled"), None
+        return await handler(self, request, info)
+
+    return handle
+
+
+class QueryServer(HttpFront):
     """Concurrent TIM query service over one :class:`InflexIndex`.
 
     Parameters
@@ -136,7 +121,9 @@ class QueryServer:
         streaming=None,
         campaign: CampaignConfig | None = None,
     ) -> None:
-        self.config = config or ServingConfig()
+        super().__init__(
+            config or ServingConfig(), queue_depth=lambda: self.batcher.depth
+        )
         self.campaign_config = campaign or CampaignConfig()
         self._planner: CampaignPlanner | None = None
         self.streaming = streaming
@@ -155,11 +142,6 @@ class QueryServer:
             max_wait_s=self.config.max_batch_wait_s,
             max_queue_depth=self.config.max_queue_depth,
         )
-        self.admission = AdmissionController(
-            self.config.max_inflight,
-            self.config.max_queue_depth,
-            queue_depth=lambda: self.batcher.depth,
-        )
         self.singleflight = SingleFlight()
         self.flight = FlightRecorder(
             self.config.flight_records,
@@ -175,99 +157,54 @@ class QueryServer:
                 slow_window_s=self.config.slo_window_s,
             )
         )
-        self._log = get_logger("serving")
-        # Shed responses draw successive deterministic jitter values
-        # from shared RetryPolicy math (multiplier 1.0 keeps the base
-        # constant at retry_after_s), so concurrently shed clients get
-        # spread retry hints instead of returning as one herd.
-        self._retry_after_policy = RetryPolicy(
-            max_attempts=0,
-            base_delay=self.config.retry_after_s,
-            multiplier=1.0,
-            max_delay=self.config.retry_after_s,
-            jitter=self.config.retry_jitter,
-        )
-        self._shed_counter = itertools.count()
         self._degraded_reasons: dict[str, int] = {}
         self._executor: concurrent.futures.ThreadPoolExecutor | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._active_http = 0
-        self._draining = False
-        self._drained = asyncio.Event()
         self._started_at: float | None = None
-        self.port: int | None = None
+
+    def routes(self) -> list[Route]:
+        """The single-process route table (``docs/SERVING.md``).
+
+        The streaming routes are always declared and answer 404 while
+        no :class:`~repro.streaming.StreamingEngine` is attached.
+        """
+        return [
+            Route("/query", POST, self._handle_query, work=True),
+            Route("/query_batch", POST, self._handle_query_batch, work=True),
+            Route("/campaign", POST, self._handle_campaign, work=True),
+            Route("/healthz", GET, self._handle_healthz),
+            Route("/metrics", GET, self._handle_metrics, False, PROMETHEUS),
+            Route("/stats", GET, self._handle_stats),
+            Route("/debug/requests", GET, self._handle_debug_requests),
+            Route("/debug/slow", GET, self._handle_debug_slow),
+            Route("/debug/slo", GET, self._handle_debug_slo),
+            Route("/debug/spans", GET, self._handle_debug_spans),
+            Route("/deltas", POST, self._handle_deltas, work=True),
+            Route("/subscriptions", GET, self._list_subscriptions),
+            Route("/subscriptions", POST, self._subscribe, work=True),
+            Route("/subscriptions/{id}/updates", GET, self._poll_updates),
+        ]
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        """Whether a graceful drain has been requested."""
-        return self._draining
-
     async def start(self) -> None:
         """Bind the listener and start the batch collector."""
-        if self._server is not None:
-            raise RuntimeError("server already started")
+        await self._listen()
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serving-query"
         )
         self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
 
-    def request_drain(self) -> None:
-        """Begin a graceful drain (idempotent, callable from a signal
-        handler): stop accepting, finish admitted work, then stop."""
-        if self._draining:
-            return
-        self._draining = True
-        self._log.event("server.drain.begin")
-        asyncio.get_running_loop().create_task(self._drain())
-
-    async def _drain(self) -> None:
-        # 1. Stop accepting new connections.
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # 2. Wait (bounded) for every in-progress request — admitted
-        #    queries and the HTTP writes delivering their answers — to
-        #    finish; each already has a queue slot or an executor slot,
-        #    so this converges as fast as the index can answer.
-        grace_ends = time.monotonic() + self.config.drain_grace_s
-        while (
-            not (self.admission.idle and self._active_http == 0)
-            and time.monotonic() < grace_ends
-        ):
-            await asyncio.sleep(0.005)
-        # 3. Flush whatever the batcher still holds (normally empty by
-        #    now) and stop the collector.
+    async def _shutdown(self, grace_ends: float) -> None:
+        # Flush whatever the batcher still holds (normally empty: every
+        # item belongs to an admitted request) and stop the collector.
         await self.batcher.drain()
-        # 4. Close surviving keep-alive connections; their in-flight
-        #    responses were written in step 2, so only idle readers
-        #    remain.
-        for writer in list(self._connections):
-            writer.close()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
         if self._planner is not None:
             self._planner.close()
             self._planner = None
-        self._log.event("server.drain.complete")
-        self._drained.set()
-
-    async def wait_drained(self) -> None:
-        """Block until a requested drain completes."""
-        await self._drained.wait()
-
-    async def aclose(self) -> None:
-        """Drain and wait — the programmatic equivalent of SIGTERM."""
-        self.request_drain()
-        await self.wait_drained()
 
     # ------------------------------------------------------------------
     # Query execution (runs on the event loop; math on the executor)
@@ -391,162 +328,13 @@ class QueryServer:
     # ------------------------------------------------------------------
     # HTTP handling
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except ProtocolError as exc:
-                    writer.write(
-                        encode_response(
-                            400, error_body(str(exc)), keep_alive=False
-                        )
-                    )
-                    await _safe_drain(writer)
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if request is None:
-                    break
-                keep_alive = request.keep_alive and not self._draining
-                # _active_http covers route + write so drain cannot
-                # close a connection between computing an answer and
-                # flushing it.
-                self._active_http += 1
-                try:
-                    response = await self._route(request, keep_alive)
-                    writer.write(response)
-                    try:
-                        await writer.drain()
-                    except ConnectionError:
-                        break
-                finally:
-                    self._active_http -= 1
-                if not keep_alive:
-                    break
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-
-    async def _route(self, request: HttpRequest, keep_alive: bool) -> bytes:
-        started = time.monotonic()
-        route = request.target.split("?", 1)[0]
-        context = _ctx.new_request_context(
-            trace_id=request.headers.get("x-trace-id"),
-            request_id=request.headers.get("x-request-id"),
-        )
-        tracer = get_tracer()
-        # Manually managed span: it crosses awaits on the event loop,
-        # where stack-based nesting would mis-parent interleaved tasks.
-        span = tracer.open_span(
-            "serving.request",
-            category="serving",
-            trace_id=context.trace_id,
-            route=route,
-        )
-        content_type = "application/json"
-        info: dict = {}
-        with _ctx.bind(context.child_of(span)):
-            try:
-                if route == "/healthz":
-                    status, body, extra = self._handle_healthz()
-                elif route == "/metrics":
-                    content_type = "text/plain; version=0.0.4"
-                    status, body, extra = (
-                        200,
-                        get_registry().to_prometheus().encode("utf-8"),
-                        None,
-                    )
-                elif route == "/stats":
-                    status, body, extra = 200, json_body(self.stats()), None
-                elif route == "/debug/requests":
-                    status, body, extra = self._handle_debug_requests(request)
-                elif route == "/debug/slow":
-                    status, body, extra = self._handle_debug_slow(request)
-                elif route == "/debug/slo":
-                    status, body, extra = 200, json_body(self.slo.status()), None
-                elif route == "/debug/spans":
-                    status, body, extra = self._handle_debug_spans(request)
-                elif route == "/query":
-                    status, body, extra = await self._handle_query(
-                        request, info
-                    )
-                elif route == "/query_batch":
-                    status, body, extra = await self._handle_query_batch(
-                        request, info
-                    )
-                elif route == "/campaign":
-                    status, body, extra = await self._handle_campaign(
-                        request, info
-                    )
-                elif route == "/deltas":
-                    status, body, extra = await self._handle_deltas(request)
-                elif route == "/subscriptions" or route.startswith(
-                    "/subscriptions/"
-                ):
-                    status, body, extra = await self._handle_subscriptions(
-                        request, route
-                    )
-                else:
-                    status, body, extra = (
-                        404,
-                        error_body(f"no such route: {route}"),
-                        None,
-                    )
-            except (
-                ProtocolError,
-                QueryError,
-                InvalidDistributionError,
-                StreamError,
-            ) as exc:
-                status, body, extra = 400, error_body(str(exc)), None
-            except QueueFullError:
-                status, body, extra = (
-                    429,
-                    error_body("server is overloaded"),
-                    self._retry_after(),
-                )
-            except Exception as exc:  # pragma: no cover - defensive
-                status, body, extra = (
-                    500,
-                    error_body(f"internal error: {type(exc).__name__}: {exc}"),
-                    None,
-                )
-                self._log.event(
-                    "request.error",
-                    level=logging.ERROR,
-                    route=route,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-        tracer.close_span(span)
-        elapsed = time.monotonic() - started
-        _obs.record_http_request(route, status, elapsed)
-        if not (route in _OBSERVER_ROUTES or route.startswith("/debug/")):
-            self._finish_request(context, route, status, elapsed, info)
-        headers = dict(extra) if extra else {}
-        headers.setdefault("X-Trace-Id", context.trace_id)
-        headers.setdefault("X-Request-Id", context.request_id)
-        return encode_response(
-            status,
-            body,
-            content_type=content_type,
-            keep_alive=keep_alive,
-            extra_headers=headers,
-        )
-
     def _finish_request(
-        self,
-        context,
-        route: str,
-        status: int,
-        elapsed: float,
-        info: dict,
+        self, context, path: str, status: int, elapsed: float, info: dict
     ) -> None:
         """Post-response accounting: SLO observation, flight record,
         slow-query capture, and the shed/slow log events."""
+        if path in _OBSERVER_ROUTES or path.startswith("/debug/"):
+            return
         shed = status == 429
         degraded = bool(info.get("degraded")) or shed
         verdicts = self.slo.observe(
@@ -556,12 +344,12 @@ class QueryServer:
         _obs.publish_slo_status(self.slo.status())
         if shed:
             self._log.event(
-                "request.shed", level=logging.WARNING, route=route
+                "request.shed", level=logging.WARNING, route=path
             )
         record = FlightRecord(
             request_id=context.request_id,
             trace_id=context.trace_id,
-            route=route,
+            route=path,
             fingerprint=info.get("fingerprint", ""),
             k=int(info.get("k", 0)),
             strategy=info.get("strategy", ""),
@@ -582,7 +370,7 @@ class QueryServer:
             self._log.event(
                 "request.slow",
                 level=logging.WARNING,
-                route=route,
+                route=path,
                 request_id=context.request_id,
                 trace_id=context.trace_id,
                 duration_ms=round(elapsed * 1e3, 3),
@@ -601,7 +389,7 @@ class QueryServer:
         except ValueError:
             return default
 
-    def _handle_debug_requests(self, request: HttpRequest):
+    async def _handle_debug_requests(self, request: HttpRequest, info: dict):
         limit = self._debug_limit(request)
         payload = {
             "total": self.flight.total,
@@ -611,7 +399,7 @@ class QueryServer:
         }
         return 200, json_body(payload), None
 
-    def _handle_debug_slow(self, request: HttpRequest):
+    async def _handle_debug_slow(self, request: HttpRequest, info: dict):
         limit = self._debug_limit(request)
         payload = {
             "slow_total": self.flight.slow_total,
@@ -622,7 +410,7 @@ class QueryServer:
         }
         return 200, json_body(payload), None
 
-    def _handle_debug_spans(self, request: HttpRequest):
+    async def _handle_debug_spans(self, request: HttpRequest, info: dict):
         """One trace's spans as :meth:`Tracer.adopt` wire payloads.
 
         Starts are converted to wall-clock stamps (workers don't share
@@ -652,18 +440,16 @@ class QueryServer:
             spans.append(entry)
         return 200, json_body({"trace_id": trace_id, "spans": spans}), None
 
-    def _retry_after(self) -> dict[str, str]:
-        # Retry-After takes whole seconds; round the jittered hint up
-        # so sub-second values still tell clients to back off, and ship
-        # the exact value on X-Retry-After-Ms for clients that can use
-        # millisecond resolution.
-        hint_s = self._retry_after_policy.delay(next(self._shed_counter))
-        return {
-            "Retry-After": str(max(1, math.ceil(hint_s))),
-            "X-Retry-After-Ms": f"{hint_s * 1e3:.3f}",
-        }
+    async def _handle_metrics(self, request: HttpRequest, info: dict):
+        return 200, get_registry().to_prometheus().encode("utf-8"), None
 
-    def _handle_healthz(self):
+    async def _handle_stats(self, request: HttpRequest, info: dict):
+        return 200, json_body(self.stats()), None
+
+    async def _handle_debug_slo(self, request: HttpRequest, info: dict):
+        return 200, json_body(self.slo.status()), None
+
+    async def _handle_healthz(self, request: HttpRequest, info: dict):
         if self._draining:
             return 503, json_body({"status": "draining"}), None
         slo = self.slo.status()
@@ -686,31 +472,16 @@ class QueryServer:
         ), None
 
     async def _handle_query(self, request: HttpRequest, info: dict):
-        if request.method != "POST":
-            return 405, error_body("use POST"), None
-        if self._draining:
-            self.admission.shed(SHED_DRAINING)
-            return 503, error_body("server is draining"), self._retry_after()
         gamma, k, strategy, deadline_ms = parse_query_payload(
             request.json(), default_deadline_ms=self.config.deadline_ms
         )
-        reason = self.admission.try_admit()
-        if reason is not None:
-            return 429, error_body(f"shed: {reason}"), self._retry_after()
-        try:
+        with self._admitted():
             payload = await self._answer_query(
                 gamma, k, strategy, deadline_ms, info
             )
-            return 200, json_body(payload), None
-        finally:
-            self.admission.release()
+        return 200, json_body(payload), None
 
     async def _handle_query_batch(self, request: HttpRequest, info: dict):
-        if request.method != "POST":
-            return 405, error_body("use POST"), None
-        if self._draining:
-            self.admission.shed(SHED_DRAINING)
-            return 503, error_body("server is draining"), self._retry_after()
         body = request.json()
         if not isinstance(body, dict) or not isinstance(
             body.get("queries"), list
@@ -730,11 +501,8 @@ class QueryServer:
             )
             for entry in queries
         ]
-        reason = self.admission.try_admit(weight=len(parsed))
-        if reason is not None:
-            return 429, error_body(f"shed: {reason}"), self._retry_after()
         sub_infos = [dict() for _ in parsed]
-        try:
+        with self._admitted(weight=len(parsed)):
             results = await asyncio.gather(
                 *(
                     self._answer_query(gamma, k, strategy, deadline_ms, sub)
@@ -744,8 +512,6 @@ class QueryServer:
                 ),
                 return_exceptions=True,
             )
-        finally:
-            self.admission.release(weight=len(parsed))
         answers = []
         for result in results:
             if isinstance(result, (ProtocolError, QueryError)):
@@ -805,11 +571,6 @@ class QueryServer:
         return self._planner
 
     async def _handle_campaign(self, request: HttpRequest, info: dict):
-        if request.method != "POST":
-            return 405, error_body("use POST"), None
-        if self._draining:
-            self.admission.shed(SHED_DRAINING)
-            return 503, error_body("server is draining"), self._retry_after()
         items, k, algorithm, epsilon, deadline_ms = parse_campaign_payload(
             request.json(),
             default_algorithm=self.campaign_config.algorithm,
@@ -821,15 +582,15 @@ class QueryServer:
                 f"'k' must be at most {self.index.graph.num_nodes} "
                 "(the graph's node count)"
             )
-        reason = self.admission.try_admit()
-        if reason is not None:
-            return 429, error_body(f"shed: {reason}"), self._retry_after()
-        # The budget starts at admission: executor queue wait spends it,
-        # so a backed-up server degrades rather than blowing deadlines.
-        deadline = (
-            Deadline.from_ms(deadline_ms) if deadline_ms is not None else None
-        )
-        try:
+        with self._admitted():
+            # The budget starts at admission: executor queue wait spends
+            # it, so a backed-up server degrades rather than blowing
+            # deadlines.
+            deadline = (
+                Deadline.from_ms(deadline_ms)
+                if deadline_ms is not None
+                else None
+            )
 
             def run() -> dict:
                 # One executor thread: allocations serialize with query
@@ -848,34 +609,23 @@ class QueryServer:
             payload = await asyncio.get_running_loop().run_in_executor(
                 self._executor, _ctx.wrap(run)
             )
-            info.update(
-                fingerprint=gamma_fingerprint(items[0]),
-                k=k,
-                strategy=f"campaign/{payload['algorithm']}",
-                degraded=payload["degraded"],
-            )
-            return 200, json_body(payload), None
-        finally:
-            self.admission.release()
+        info.update(
+            fingerprint=gamma_fingerprint(items[0]),
+            k=k,
+            strategy=f"campaign/{payload['algorithm']}",
+            degraded=payload["degraded"],
+        )
+        return 200, json_body(payload), None
 
     # ------------------------------------------------------------------
-    # Streaming routes (active only with a StreamingEngine attached)
+    # Streaming routes (404 unless a StreamingEngine is attached)
     # ------------------------------------------------------------------
-    async def _handle_deltas(self, request: HttpRequest):
-        if request.method != "POST":
-            return 405, error_body("use POST"), None
-        if self.streaming is None:
-            return 404, error_body("streaming is not enabled"), None
-        if self._draining:
-            self.admission.shed(SHED_DRAINING)
-            return 503, error_body("server is draining"), self._retry_after()
+    @_needs_streaming
+    async def _handle_deltas(self, request: HttpRequest, info: dict):
         from repro.streaming import DeltaBatch
 
         batch = DeltaBatch.from_dict(request.json())
-        reason = self.admission.try_admit()
-        if reason is not None:
-            return 429, error_body(f"shed: {reason}"), self._retry_after()
-        try:
+        with self._admitted():
 
             def run():
                 # Runs on the single index executor thread, so the
@@ -896,73 +646,54 @@ class QueryServer:
             report, updates = await asyncio.get_running_loop().run_in_executor(
                 self._executor, _ctx.wrap(run)
             )
-            payload = {
-                "report": report.to_dict(),
-                "updates": [update.to_dict() for update in updates],
-            }
-            return 200, json_body(payload), None
-        finally:
-            self.admission.release()
+        payload = {
+            "report": report.to_dict(),
+            "updates": [update.to_dict() for update in updates],
+        }
+        return 200, json_body(payload), None
 
-    async def _handle_subscriptions(self, request: HttpRequest, route: str):
-        if self.streaming is None:
-            return 404, error_body("streaming is not enabled"), None
-        if route == "/subscriptions":
-            if request.method == "GET":
-                payload = {
-                    "subscriptions": [
-                        sub.to_dict()
-                        for sub in self.streaming.registry.list()
-                    ]
-                }
-                return 200, json_body(payload), None
-            if request.method != "POST":
-                return 405, error_body("use GET or POST"), None
-            if self._draining:
-                self.admission.shed(SHED_DRAINING)
-                return (
-                    503,
-                    error_body("server is draining"),
-                    self._retry_after(),
+    @_needs_streaming
+    async def _list_subscriptions(self, request: HttpRequest, info: dict):
+        payload = {
+            "subscriptions": [
+                sub.to_dict() for sub in self.streaming.registry.list()
+            ]
+        }
+        return 200, json_body(payload), None
+
+    @_needs_streaming
+    async def _subscribe(self, request: HttpRequest, info: dict):
+        gamma, k, strategy, _deadline = parse_query_payload(
+            request.json(), default_deadline_ms=None
+        )
+        with self._admitted():
+            subscription, baseline = (
+                await asyncio.get_running_loop().run_in_executor(
+                    self._executor,
+                    lambda: self.streaming.subscribe(
+                        gamma, k, strategy=strategy
+                    ),
                 )
-            gamma, k, strategy, _deadline = parse_query_payload(
-                request.json(), default_deadline_ms=None
             )
-            reason = self.admission.try_admit()
-            if reason is not None:
-                return 429, error_body(f"shed: {reason}"), self._retry_after()
-            try:
-                subscription, baseline = (
-                    await asyncio.get_running_loop().run_in_executor(
-                        self._executor,
-                        lambda: self.streaming.subscribe(
-                            gamma, k, strategy=strategy
-                        ),
-                    )
-                )
-                payload = {
-                    "subscription": subscription.to_dict(),
-                    "baseline": baseline.to_dict(),
-                }
-                return 200, json_body(payload), None
-            finally:
-                self.admission.release()
-        # /subscriptions/<id>/updates
-        parts = route.strip("/").split("/")
-        if len(parts) == 3 and parts[2] == "updates":
-            if request.method != "GET":
-                return 405, error_body("use GET"), None
-            try:
-                subscription_id = int(parts[1])
-            except ValueError:
-                return 404, error_body(f"no such route: {route}"), None
-            try:
-                updates = self.streaming.poll(subscription_id)
-            except StreamError as exc:
-                return 404, error_body(str(exc)), None
-            payload = {"updates": [update.to_dict() for update in updates]}
-            return 200, json_body(payload), None
-        return 404, error_body(f"no such route: {route}"), None
+        payload = {
+            "subscription": subscription.to_dict(),
+            "baseline": baseline.to_dict(),
+        }
+        return 200, json_body(payload), None
+
+    @_needs_streaming
+    async def _poll_updates(self, request: HttpRequest, info: dict):
+        path = request.target.split("?", 1)[0]
+        try:
+            subscription_id = int(path.split("/")[2])
+        except ValueError:
+            return 404, error_body(f"no such route: {path}"), None
+        try:
+            updates = self.streaming.poll(subscription_id)
+        except StreamError as exc:
+            return 404, error_body(str(exc)), None
+        payload = {"updates": [update.to_dict() for update in updates]}
+        return 200, json_body(payload), None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -993,48 +724,3 @@ class QueryServer:
         if self.streaming is not None:
             summary["streaming"] = self.streaming.stats()
         return summary
-
-
-async def serve(
-    index: InflexIndex,
-    config: ServingConfig | None = None,
-    *,
-    install_signal_handlers: bool = True,
-    ready=None,
-    streaming=None,
-    campaign: CampaignConfig | None = None,
-) -> None:
-    """Run a :class:`QueryServer` until drained.
-
-    Wires ``SIGTERM``/``SIGINT`` to a graceful drain when the loop
-    supports it (main thread on POSIX).  ``ready`` is an optional
-    callback invoked with the server once it is listening — the CLI
-    prints the bound address there, tests grab the port.  ``streaming``
-    optionally attaches a :class:`~repro.streaming.StreamingEngine`
-    (enabling the ``/deltas`` and ``/subscriptions`` routes);
-    ``campaign`` tunes the ``POST /campaign`` allocator.
-    """
-    server = QueryServer(index, config, streaming=streaming, campaign=campaign)
-    await server.start()
-    if install_signal_handlers:
-        import signal
-
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, server.request_drain)
-            except (NotImplementedError, ValueError):
-                # Non-main-thread loops and non-POSIX platforms: rely
-                # on programmatic drain instead.
-                break
-    if ready is not None:
-        ready(server)
-    await server.wait_drained()
-
-
-async def _safe_drain(writer: asyncio.StreamWriter) -> None:
-    """``writer.drain()`` that swallows a peer reset."""
-    try:
-        await writer.drain()
-    except ConnectionError:
-        pass

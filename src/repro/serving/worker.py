@@ -30,8 +30,9 @@ import os
 import time
 import zlib
 
-from repro.core.config import FleetConfig, ServingConfig
+from repro.core.config import CampaignConfig, FleetConfig, ServingConfig
 from repro.resilience.faults import maybe_inject
+from repro.serving.front import Route
 from repro.serving.server import QueryServer
 from repro.serving.shared_index import attach_index, attach_kind
 
@@ -43,15 +44,33 @@ CRASH_EXIT_CODE = 23
 class FleetWorkerServer(QueryServer):
     """A :class:`QueryServer` wired with the fleet's chaos hooks.
 
-    Identical to the standalone server except that ``/query`` and
-    ``/query_batch`` handling first consults the ``worker`` fault site
-    with ``(shard, request)`` coordinates — the injection point the
-    fleet chaos suite uses to kill or hang shards mid-request.
+    Identical to the standalone server except that every work route
+    (the routes the router forwards) first consults the ``worker``
+    fault site with ``(shard, request)`` coordinates — the injection
+    point the fleet chaos suite uses to kill or hang shards
+    mid-request.
     """
 
     def __init__(self, *args, shard_id: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.shard_id = int(shard_id)
+
+    def routes(self) -> list[Route]:
+        return [
+            route._replace(handler=self._with_faults(route.handler))
+            if route.work
+            else route
+            for route in super().routes()
+        ]
+
+    def _with_faults(self, handler):
+        async def handle(request, info):
+            hang = self._maybe_fail(request)
+            if hang is not None:
+                await asyncio.sleep(hang)
+            return await handler(request, info)
+
+        return handle
 
     def _maybe_fail(self, request) -> float | None:
         """Consult the ``worker`` fault site; returns a hang duration
@@ -68,18 +87,6 @@ class FleetWorkerServer(QueryServer):
             # A real crash: no drain, no flush, no goodbye on the pipe.
             os._exit(CRASH_EXIT_CODE)
         return float(fired.keep if fired.keep is not None else 30.0)
-
-    async def _handle_query(self, request, info):
-        hang = self._maybe_fail(request)
-        if hang is not None:
-            await asyncio.sleep(hang)
-        return await super()._handle_query(request, info)
-
-    async def _handle_query_batch(self, request, info):
-        hang = self._maybe_fail(request)
-        if hang is not None:
-            await asyncio.sleep(hang)
-        return await super()._handle_query_batch(request, info)
 
 
 async def _heartbeat_loop(conn, shard_id: int, interval_s: float) -> None:
@@ -104,9 +111,12 @@ async def _serve_shard(
     kind: str,
     serving_config: ServingConfig,
     fleet_config: FleetConfig,
+    campaign_config: CampaignConfig | None,
     conn,
 ) -> None:
-    server = FleetWorkerServer(index, serving_config, shard_id=shard_id)
+    server = FleetWorkerServer(
+        index, serving_config, shard_id=shard_id, campaign=campaign_config
+    )
     await server.start()
     conn.send(("ready", server.port, kind, generation))
     loop = asyncio.get_running_loop()
@@ -142,14 +152,16 @@ def worker_main(
     spec,
     serving_config: ServingConfig,
     fleet_config: FleetConfig,
+    campaign_config: CampaignConfig | None,
     conn,
     *,
     obs_enabled: bool = True,
 ) -> None:
     """Process entrypoint of one fleet shard (spawn-safe, top-level).
 
-    Attaches the shared index, serves it on an ephemeral port, and
-    reports readiness/heartbeats over ``conn``.  ``generation`` counts
+    Attaches the shared index, serves it on an ephemeral port (with
+    ``campaign_config`` tuning ``POST /campaign``), and reports
+    readiness/heartbeats over ``conn``.  ``generation`` counts
     respawns of this shard; it is echoed in the ready message so the
     supervisor can discard stale messages from a predecessor process.
     """
@@ -162,6 +174,13 @@ def worker_main(
     config = dataclasses.replace(serving_config, port=0)
     asyncio.run(
         _serve_shard(
-            shard_id, generation, index, kind, config, fleet_config, conn
+            shard_id,
+            generation,
+            index,
+            kind,
+            config,
+            fleet_config,
+            campaign_config,
+            conn,
         )
     )
