@@ -13,6 +13,12 @@ Acceptance bar from the issue: >= 5x speedup over a from-scratch
 rebuild for the smallest batch size.  The comparison is apples to
 apples because the differential guarantee makes both sides produce
 bit-identical state (asserted on a sampled point).
+
+It also records what construction costs: the from-scratch rebuild
+(one stream per set, walked side by side) against adopting pools that
+:class:`~repro.im.imm.RRSampler` block-walked (as
+:class:`~repro.streaming.StreamingEngine` adopts a stored sketch bank),
+with the block walks' own time beside it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from conftest import register_report
 
 from repro.datasets import generate_delta_workload
 from repro.graph import interest_topic_graph
+from repro.im.imm import RRSampler, _block_size
 from repro.simplex.sampling import sample_uniform_simplex
 from repro.streaming import DeltaBatch, EdgeDelta, IncrementalSketchMaintainer
 
@@ -83,6 +90,7 @@ def test_streaming_incremental_speedup(benchmark):
     benchmark(micro.apply_batch, reweight)
 
     results = []
+    all_rebuild_times = []
     for batch_size in BATCH_SIZES:
         maintainer = _fresh_maintainer(graph)
         log = generate_delta_workload(
@@ -107,6 +115,7 @@ def test_streaming_incremental_speedup(benchmark):
         # path agree bit-for-bit, so the timing comparison is fair.
         for inc, ref in zip(maintainer.pools()[0], rebuilt.pools()[0]):
             assert np.array_equal(inc, ref)
+        all_rebuild_times.extend(rebuild_times)
         apply_s = statistics.median(apply_times)
         rebuild_s = statistics.median(rebuild_times)
         results.append(
@@ -119,6 +128,32 @@ def test_streaming_incremental_speedup(benchmark):
                 "retain_fraction": statistics.median(retained),
             }
         )
+
+    walk_times, adopt_times = [], []
+    for _ in range(BATCHES_PER_SIZE):
+        start = time.perf_counter()
+        with RRSampler(graph, workers=1) as sampler:
+            pools = [
+                sampler.sample(point, NUM_SETS, seed=139, request=pid)
+                for pid, point in enumerate(_index_points())
+            ]
+        walk_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        IncrementalSketchMaintainer(
+            graph,
+            _index_points(),
+            num_sets=NUM_SETS,
+            seed_list_length=SEED_LIST_LENGTH,
+            seed=139,
+            block_size=_block_size(NUM_NODES),
+            pools=pools,
+        )
+        adopt_times.append(time.perf_counter() - start)
+    construction = {
+        "rebuild_seconds": statistics.median(all_rebuild_times),
+        "block_walk_seconds": statistics.median(walk_times),
+        "from_pools_seconds": statistics.median(adopt_times),
+    }
 
     payload = {
         "cpu_count": os.cpu_count(),
@@ -134,6 +169,7 @@ def test_streaming_incremental_speedup(benchmark):
         },
         "speedup_threshold": SPEEDUP_THRESHOLD,
         "results": results,
+        "construction": construction,
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2))
 
@@ -149,6 +185,12 @@ def test_streaming_incremental_speedup(benchmark):
             f"{row['speedup']:6.1f}x | {row['deltas_per_second']:8.1f} | "
             f"{row['retain_fraction']:7.1%}"
         )
+    lines.append(
+        "construction: rebuild "
+        f"{construction['rebuild_seconds'] * 1e3:.1f} ms, block walks "
+        f"{construction['block_walk_seconds'] * 1e3:.1f} ms + from pools "
+        f"{construction['from_pools_seconds'] * 1e3:.1f} ms"
+    )
     report = "\n".join(lines)
     register_report("Streaming incremental maintenance", report)
     print(report)

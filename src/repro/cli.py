@@ -784,6 +784,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     graph = load_graph(data_dir / "graph.npz")
     index = load_index(args.index, graph)
+    # A colocated sketch bank is maintained too, as under serve --stream.
+    _load_sketches_into(index, None, args.index)
     if args.log:
         log = DeltaLog.load(args.log)
         print(f"replaying {log!r} from {args.log}")

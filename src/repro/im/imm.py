@@ -96,7 +96,7 @@ def sample_rr_block(
     in_probs: np.ndarray,
     num_nodes: int,
     count: int,
-    rng: np.random.Generator,
+    rng,
     roots: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk ``count`` RR sets in one lock-step batched reverse BFS.
@@ -108,8 +108,13 @@ def sample_rr_block(
     reached keys with one ``np.unique``.  Randomness consumption is a
     pure function of the in-adjacency view and the generator state, so
     a block replays bit-identically anywhere (parent process, any
-    worker); at ``count=1`` it walks exactly one set per generator, as
-    the streaming maintainer's per-set streams need.
+    worker).
+
+    ``rng`` is one ``Generator`` for the whole block, or a sequence of
+    ``count`` generators, one per set: set ``i`` then draws from
+    ``rng[i]`` exactly what it would draw walked alone (``count=1``),
+    so sets with streams of their own (the streaming maintainer's) walk
+    together at block speed.
 
     ``roots`` optionally fixes the ``count`` roots (segment targeting
     draws them from the segment); by default they are the generator's
@@ -119,8 +124,13 @@ def sample_rr_block(
     arrays concatenated in set order with an ``int64`` CSR pointer, and
     the ``uint32`` root of each set.  Every set contains its root.
     """
+    streams = None if isinstance(rng, np.random.Generator) else rng
     if roots is None:
-        roots = rng.integers(0, num_nodes, size=count)
+        if streams is None:
+            roots = rng.integers(0, num_nodes, size=count)
+        else:
+            # A scalar draw consumes the generator as a size-1 draw does.
+            roots = [stream.integers(0, num_nodes) for stream in streams]
     roots = np.asarray(roots, dtype=np.int64)
     visited = np.zeros(count * num_nodes, dtype=bool)
     bases = np.arange(count, dtype=np.int64) * num_nodes
@@ -139,7 +149,11 @@ def sample_rr_block(
         arc_pos = np.arange(total, dtype=np.int64) + np.repeat(
             starts - ends + arc_counts, arc_counts
         )
-        success = rng.random(total) < in_probs[arc_pos]
+        if streams is None:
+            coins = rng.random(total)
+        else:
+            coins = _per_set_coins(streams, bases // num_nodes, ends)
+        success = coins < in_probs[arc_pos]
         # A reached parent keeps its set's key base ``set * num_nodes``.
         reached = (
             np.repeat(bases, arc_counts)[success]
@@ -161,6 +175,24 @@ def sample_rr_block(
     )
     values = (keys % num_nodes).astype(np.uint32)
     return values, indptr, roots.astype(np.uint32)
+
+
+def _per_set_coins(streams, sets, ends) -> np.ndarray:
+    """One wave's coins when every set has its own stream.
+
+    ``sets`` (nondecreasing) is the set of each frontier key and
+    ``ends`` the running total of their in-arc counts; each set draws
+    all of its wave's coins in one call, as a lone walk does.
+    """
+    last = np.flatnonzero(np.diff(sets)).tolist() + [sets.size - 1]
+    coins = []
+    drawn = 0
+    for i in last:
+        count = int(ends[i]) - drawn
+        if count:
+            coins.append(streams[int(sets[i])].random(count))
+            drawn += count
+    return np.concatenate(coins)
 
 
 def _sample_blocks_task(task):
@@ -345,6 +377,13 @@ class RRIndex:
             + self._inv_indptr.nbytes
             + self._roots.nbytes
         )
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(values, indptr, roots)`` triple the sets were packed
+        from, not copied (``csr`` storage only)."""
+        if self._values is None:
+            raise ValueError("csr() needs csr storage, not bitmaps")
+        return self._values, self._indptr, self._roots
 
     # ------------------------------------------------------------------
     def members(self, set_id: int) -> np.ndarray:

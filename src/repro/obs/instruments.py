@@ -183,7 +183,7 @@ FLEET_WORKERS = _REGISTRY.gauge(
 # -- streaming (evolving graph) ----------------------------------------
 STREAM_BATCHES = _REGISTRY.counter(
     "repro_stream_batches_applied_total",
-    "Delta batches applied to the incremental sketch maintainer",
+    "Delta batches applied by the streaming engine",
 )
 STREAM_DELTAS = _REGISTRY.counter(
     "repro_stream_deltas_applied_total",

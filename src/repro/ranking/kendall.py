@@ -167,4 +167,6 @@ def mean_kendall_tau_top(
     distances = np.array(
         [kendall_tau_top(candidate, ranking, p=p) for ranking in lists]
     )
-    return float((weight_values * distances).sum() / total_weight)
+    # Normalise before multiplying: subnormal weights times a distance
+    # below one would underflow to zero and tie every candidate.
+    return float((weight_values / total_weight * distances).sum())

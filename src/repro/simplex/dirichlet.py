@@ -19,19 +19,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma
 
 from repro.errors import ConvergenceError, InvalidDistributionError
 from repro.rng import resolve_rng
 from repro.simplex.vectors import MACHINE_EPS, as_distribution_matrix, smooth
 
 
+# scipy.special is imported inside the functions that use it, so that
+# loading and querying an index never pays its import.
+
+
 def _trigamma(x: np.ndarray) -> np.ndarray:
+    from scipy.special import polygamma
+
     return polygamma(1, x)
 
 
 def _inverse_digamma(y: np.ndarray, *, iterations: int = 6) -> np.ndarray:
     """Invert the digamma function with Newton's method (Minka, App. C)."""
+    from scipy.special import digamma
+
     y = np.asarray(y, dtype=np.float64)
     x = np.where(y >= -2.22, np.exp(y) + 0.5, -1.0 / (y - digamma(1.0)))
     for _ in range(iterations):
@@ -95,6 +102,8 @@ class Dirichlet:
             raise InvalidDistributionError(
                 f"points have {pts.shape[1]} topics, expected {self.num_topics}"
             )
+        from scipy.special import gammaln
+
         norm = gammaln(self.alpha.sum()) - gammaln(self.alpha).sum()
         return norm + np.log(pts) @ (self.alpha - 1.0)
 
@@ -129,6 +138,8 @@ def _initial_alpha(points: np.ndarray) -> np.ndarray:
 def _fit_fixed_point(
     log_means: np.ndarray, alpha: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, bool]:
+    from scipy.special import digamma
+
     for iteration in range(1, max_iter + 1):
         new_alpha = _inverse_digamma(digamma(alpha.sum()) + log_means)
         new_alpha = np.maximum(new_alpha, 1e-10)
@@ -148,6 +159,8 @@ def _fit_newton(
     ``c = psi'(sum(alpha))`` (per-observation), which admits an exact
     ``O(Z)`` inverse-vector product via Sherman--Morrison.
     """
+    from scipy.special import digamma
+
     for iteration in range(1, max_iter + 1):
         total = alpha.sum()
         gradient = digamma(total) - digamma(alpha) + log_means

@@ -241,6 +241,18 @@ class SketchBank:
             num_nodes, config,
         )
 
+    def pools(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The inverse of :meth:`from_pools`: one ``(values, indptr,
+        roots)`` triple per topic, as views of the storage arrays."""
+        return [
+            (
+                self._values[self._pool_offsets[z] : self._pool_offsets[z + 1]],
+                self._indptr_matrix[z],
+                self._roots_matrix[z],
+            )
+            for z in range(self.num_topics)
+        ]
+
     # ------------------------------------------------------------------
     def topic_index(self, topic: int) -> RRIndex:
         """Pool ``topic`` packed as an :class:`RRIndex` (copies)."""

@@ -23,10 +23,10 @@ can be tested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 #: D'Agostino critical values for the corrected statistic ``A*^2``.
 #: The 1.8692 entry at alpha = 1e-4 is the value the G-means paper uses.
@@ -91,7 +91,12 @@ def anderson_darling_statistic(sample) -> float:
     if std <= 0 or not np.isfinite(std):
         raise ValueError("sample is constant; normality test undefined")
     standardized = (data - mean) / std
-    cdf = ndtr(standardized)
+    # The normal CDF as erfc(-x / sqrt 2) / 2, with math.erfc: scipy's
+    # ndtr gives the same decisions but costs every query path the
+    # import of scipy.special.
+    cdf = 0.5 * np.array(
+        [math.erfc(-x / math.sqrt(2.0)) for x in standardized.tolist()]
+    )
     # Clip away exact 0/1 so the logs stay finite for extreme outliers.
     cdf = np.clip(cdf, 1e-300, 1.0 - 1e-16)
     i = np.arange(1, n + 1)

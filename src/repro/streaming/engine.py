@@ -12,20 +12,34 @@ keeps it queryable while the underlying graph evolves:
   re-evaluates the standing queries whose neighbors changed and queues
   :class:`~repro.streaming.subscriptions.SeedSetUpdate` events.
 
-On construction the engine re-derives every seed list from its own
-sketches, so answers are consistent with the maintained state from the
-first query on (the build-time lists may come from a different engine
-or RNG stream than the maintainer's).
+Construction walks no set alone.  Every index point's pool keeps one
+stream per set, as incremental maintenance needs (a hit set is
+re-walked without touching its neighbours), but the sets are walked
+side by side, a sampler block's worth per call of the shared walker.
+The engine re-derives every seed list from these pools, so answers are
+consistent with the maintained state from the first query on (the
+build-time lists come from IMM's own pools).
 
 When the wrapped index carries a per-topic
 :class:`~repro.sketches.SketchBank`, a second maintainer tracks the
 ``Z`` single-topic pools (index points = the identity matrix) through
 the same delta stream, so ``strategy="sketch"`` answers and the
-distance/deadline fallback upgrades stay fresh on hot-swaps too.  The
-bank is likewise re-derived from the maintainer's own RNG streams at
-construction, trading bit-compatibility with the on-disk bank for the
-differential guarantee: the served bank after any delta sequence is
-bit-identical to one rebuilt from scratch on the final graph.
+distance/deadline fallback upgrades stay fresh on hot-swaps too.  It
+adopts the bank's arrays as they are, with zero walks: the bank served
+at construction is the loaded bank, bit for bit.
+
+**Streams.**  Both maintainers re-walk an invalidated set from the
+stream that first walked it (see :mod:`repro.streaming.maintainer` for
+why a fresh stream would bias the pools).  For the bank that stream
+belongs to a whole ``SketchBank.build`` block, keyed ``(topic,
+block)`` under the bank seed, so a hit set costs its block.  The point
+pools' streams are keyed ``(0, pid, sid)`` under the engine seed
+(:func:`point_pool_root`), so the two families never share a stream,
+even when the index and the bank share a seed as CLI builds do.
+
+**Contract.**  After any batch sequence the engine's point pools and
+seed lists are bit-identical to those of an engine built on the final
+graph, and its bank to ``SketchBank.build`` on the final graph.
 """
 
 from __future__ import annotations
@@ -33,12 +47,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.index import InflexIndex
+from repro.im.imm import _block_size
 from repro.obs import instruments as _obs
 from repro.obs.logs import get_logger
 from repro.resilience.faults import FaultPlan
 from repro.streaming.deltas import DeltaBatch
 from repro.streaming.maintainer import ApplyReport, IncrementalSketchMaintainer
 from repro.streaming.subscriptions import SubscriptionRegistry
+
+
+def point_pool_root(seed) -> np.random.SeedSequence:
+    """The root of the point pools' streams: set ``sid`` of point
+    ``pid`` draws from key ``(0, pid, sid)`` under ``seed``, never a
+    bank key ``(topic, block)``."""
+    return np.random.SeedSequence(seed, spawn_key=(0,))
 
 
 class StreamingEngine:
@@ -54,7 +76,7 @@ class StreamingEngine:
         RR sets per index-point sketch (default
         ``index.config.ris_num_sets``).
     seed:
-        Root entropy of the sketch RNG streams (default
+        Root entropy of the point pools' RNG streams (default
         ``index.config.seed``).
     decay_rate / workers / fault_plan:
         Forwarded to the
@@ -75,14 +97,16 @@ class StreamingEngine:
         max_pending: int = 256,
     ) -> None:
         config = index.config
+        if num_sets is None:
+            num_sets = config.ris_num_sets
+        if seed is None:
+            seed = config.seed
         self._maintainer = IncrementalSketchMaintainer(
             index.graph,
             index.index_points,
-            num_sets=(
-                config.ris_num_sets if num_sets is None else num_sets
-            ),
+            num_sets=num_sets,
             seed_list_length=config.seed_list_length,
-            seed=config.seed if seed is None else seed,
+            seed=point_pool_root(seed),
             decay_rate=decay_rate,
             workers=workers,
             fault_plan=fault_plan,
@@ -90,25 +114,26 @@ class StreamingEngine:
         self._registry = SubscriptionRegistry(max_pending=max_pending)
         self._template = index
         self._sketch_maintainer = None
-        self._bank = None
-        if index.sketches is not None:
+        self._bank = index.sketches
+        if self._bank is not None:
             # One pool per topic: the identity rows are the e_z "index
             # points" of the composable bank.  The main maintainer runs
             # the batch first and fires any scripted faults pre-commit,
             # so this one is shielded (empty plan beats the env plan) —
             # either both maintainers advance or neither does.
-            self._sketch_config = index.sketches.config
             self._sketch_maintainer = IncrementalSketchMaintainer(
                 index.graph,
                 np.eye(index.graph.num_topics),
-                num_sets=self._sketch_config.num_sets,
+                num_sets=self._bank.num_sets,
                 seed_list_length=1,
-                seed=self._sketch_config.seed,
+                seed=self._bank.config.seed,
+                # SketchBank.build walks with the sampler's default block.
+                block_size=_block_size(index.graph.num_nodes),
+                pools=self._bank.pools(),
                 decay_rate=decay_rate,
                 workers=workers,
                 fault_plan=FaultPlan(),
             )
-            self._bank = self._rebuild_bank()
         self._index = self._rebuild_index()
 
     def _rebuild_bank(self):
@@ -119,7 +144,7 @@ class StreamingEngine:
         return SketchBank.from_pools(
             maintainer.pools(),
             maintainer.graph.num_nodes,
-            self._sketch_config,
+            self._bank.config,
         )
 
     def _rebuild_index(self) -> InflexIndex:
@@ -175,16 +200,20 @@ class StreamingEngine:
         """
         if not isinstance(batch, DeltaBatch):
             batch = DeltaBatch.from_dict(batch)
-        report = self._maintainer.apply_batch(batch)
-        if self._sketch_maintainer is not None:
-            # The main maintainer validated the batch and committed, so
-            # this (fault-shielded) apply cannot fail; the per-topic
-            # pools advance to the same stream clock.
-            sketch_report = self._sketch_maintainer.apply_batch(batch)
-            if sketch_report.rr_sets_resampled or sketch_report.decayed:
-                self._bank = self._rebuild_bank()
-                self._index.attach_sketches(self._bank)
-                _obs.record_sketch_refresh()
+        batch_id = self._maintainer.batches_applied
+        with _obs.stream_apply_span(batch_id, len(batch)):
+            report = self._maintainer.apply_batch(batch)
+            if self._sketch_maintainer is not None:
+                # The main maintainer validated the batch and committed,
+                # so this (fault-shielded) apply cannot fail; the
+                # per-topic pools advance to the same stream clock.
+                sketch_report = self._sketch_maintainer.apply_batch(batch)
+                if sketch_report.rr_sets_resampled or sketch_report.decayed:
+                    self._bank = self._rebuild_bank()
+                    self._index.attach_sketches(self._bank)
+                    _obs.record_sketch_refresh()
+        # One batch counts once, with the index points' resample figures.
+        _obs.record_stream_batch(report)
         if report.changed_points or report.decayed:
             self._index = self._rebuild_index()
         updates = self._registry.notify(

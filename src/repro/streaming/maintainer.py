@@ -6,31 +6,55 @@ When the graph changes, rebuilding every sketch from scratch wastes
 almost all of the work: an RR set walked on the old graph is still a
 valid sample on the new one unless the change is *visible* to its walk.
 
-**State.**  Per point the maintainer keeps each set's sorted member
-array and root, and one :class:`~repro.im.imm.RRIndex` packed from
-them.  The index serves both greedy seed selection and invalidation:
-its inverted node-to-set CSR (:meth:`~repro.im.imm.RRIndex.node_sets`)
-lists the sets a changed head invalidates.
+**Streams.**  Every set belongs to a *block* with a stream of its own:
+block ``b`` of point ``pid`` holds sets ``[b * B, (b + 1) * B)`` and
+draws from ``SeedSequence(entropy, spawn_key=base + (pid, b))``
+(``entropy`` and ``base`` are the ``seed``'s; ``base`` is empty for an
+integer seed).  ``B`` is ``block_size``.  At the default 1 every set
+has its own stream; the shared reverse BFS
+:func:`repro.im.imm.sample_rr_block` still walks many such sets per
+call, each drawing from its own generator exactly what a lone walk
+would.  With ``B > 1`` a block is one call on one generator, the way
+:class:`~repro.im.imm.RRSampler` walks (a stored
+:class:`~repro.sketches.SketchBank`'s pools are such blocks).  Pools
+given at construction are taken to be these walks and are adopted
+without walking.
 
-**Invalidation lemma.**  An RR set must be resampled iff the head of a
-changed arc is among its members.  The reverse walk examines exactly
-the in-arc slices of nodes it visits; for a node whose in-arcs did not
-change, the slice's content, order (the reverse view sorts stably by
-head over the ``(tail, head)``-lexsorted forward CSR, so each slice is
-the arcs into that head ordered by tail), and item probabilities are
-unchanged — so replaying the walk on the new graph consumes the
-generator identically and yields the same member set bit for bit.  The
-root draw is also unchanged because the node count is fixed.
+**State.**  Per point the maintainer keeps one CSR
+:class:`~repro.im.imm.RRIndex`: the sets' sorted members concatenated
+in set order, the set pointer and the roots, plus the inverted
+node-to-set CSR (:meth:`~repro.im.imm.RRIndex.node_sets`) that serves
+both greedy seed selection and invalidation.  A batch splices the
+re-walked sets into a new CSR;
+:meth:`IncrementalSketchMaintainer.pools` reads the triples out.
 
-**Differential guarantee.**  Every set ``sid`` of point ``pid`` is
-always walked alone (``count=1``) by the shared reverse BFS
-:func:`repro.im.imm.sample_rr_block` from the dedicated stream
-``SeedSequence(entropy=seed, spawn_key=(pid, sid))``, freshly
-constructed on each (re)sample.  Combined with the lemma, the
-maintainer's state after any delta sequence is *bit-identical* to a
-from-scratch :class:`IncrementalSketchMaintainer` built on the final
-graph with the same seed — the property
-``tests/test_streaming_properties.py`` checks.
+**Invalidation lemma.**  A block must be re-walked iff the head of a
+changed arc is a member of one of its sets.  The reverse walk examines
+exactly the in-arc slices of nodes it visits; for a node whose in-arcs
+did not change, the slice's content, order (the reverse view sorts
+stably by head over the ``(tail, head)``-lexsorted forward CSR, so each
+slice is the arcs into that head ordered by tail), and item
+probabilities are unchanged — so replaying the block on the new graph
+consumes the generator identically and yields the same sets bit for
+bit.  The root draws are also unchanged because the node count is
+fixed.
+
+**Why from the block's own stream.**  Re-walking the hit sets from
+fresh randomness would bias the pool: kept sets are samples
+*conditioned* on missing the changed heads, fresh ones are not, so the
+share of sets holding a changed head ``h`` falls from ``p`` to
+``p**2`` per batch.  Re-walking a hit block from the stream that drew
+it keeps every block equal to its walk on the current graph.  The
+price of ``B > 1`` is that one hit set costs its whole block, so
+incremental retention shrinks with ``B``.
+
+**Differential guarantee.**  Hence, after any delta sequence, the
+maintainer is bit-identical to one built from scratch on the final
+graph from the same streams — the property
+``tests/test_streaming_properties.py`` checks for ``B = 1`` and
+``tests/test_streaming_replay.py`` for the streaming engine (per-set
+point pools, an adopted bank of sampler blocks) against the replay
+oracle in ``tests/rr_reference.py``.
 
 Application is transactional: all successor state is staged and only
 committed once every delta validated and every affected sketch
@@ -47,10 +71,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StreamError
-from repro.im.imm import RRIndex, sample_rr_block
+from repro.im.imm import RRIndex, _block_size, _merge_blocks, sample_rr_block
 from repro.im.seed_list import SeedList
-from repro.obs import instruments as _obs
 from repro.resilience.faults import InjectedFaultError, maybe_inject
+from repro.rng import as_seed_sequence
 from repro.streaming.deltas import DeltaBatch, EdgeState
 from repro.workers import resolve_workers
 
@@ -70,9 +94,10 @@ class ApplyReport:
     deltas_by_op:
         Delta counts keyed by op (``add``/``remove``/``reweight``).
     rr_sets_resampled / rr_sets_retained:
-        Across all index points, how many RR sets were invalidated and
-        resampled versus replayed bit-identically from the old state —
-        the incremental win is ``retained / (resampled + retained)``.
+        Across all index points, how many RR sets were re-walked (every
+        set of an invalidated block) versus replayed bit-identically
+        from the old state — the incremental win is
+        ``retained / (resampled + retained)``.
     resampled_points:
         Index points whose sketch had at least one set resampled.
     changed_points:
@@ -124,8 +149,25 @@ class IncrementalSketchMaintainer:
     seed_list_length:
         Seeds selected per point by greedy max-coverage.
     seed:
-        Root entropy of the per-set RNG streams; the differential
-        guarantee holds between maintainers sharing this seed.
+        Root of the per-block RNG streams: an ``int`` or a
+        ``SeedSequence`` whose spawn key prefixes every block's key.
+        The differential guarantee holds between maintainers sharing
+        it.
+    block_size:
+        Sets per RNG stream: block ``b`` (sets ``[b * block_size,
+        (b + 1) * block_size)``) is walked from one generator, and
+        re-walked as a whole when a batch invalidates any of its sets.
+        The default 1 gives every set its own stream (what incremental
+        maintenance wants; the streaming engine uses more only to
+        adopt a stored sketch bank).
+    pools:
+        Optional initial sketches, adopted without walking after a
+        shape check: for each point ``pid``, the ``(values, indptr,
+        roots)`` triple of those blocks' walks, as
+        ``RRSampler(graph, block_size=block_size).sample(
+        index_points[pid], num_sets, seed=seed, request=pid)`` returns
+        it (a stored :class:`~repro.sketches.SketchBank`'s pools are
+        such triples).  Without them the maintainer walks every block.
     decay_rate:
         Exponential time-decay rate of edge strength: advancing the
         stream clock by ``dt`` multiplies every arc probability by
@@ -150,7 +192,9 @@ class IncrementalSketchMaintainer:
         *,
         num_sets: int = 1000,
         seed_list_length: int = 10,
-        seed: int = 0,
+        seed=0,
+        block_size: int = 1,
+        pools=None,
         decay_rate: float = 0.0,
         start_time: float = 0.0,
         workers=1,
@@ -169,6 +213,8 @@ class IncrementalSketchMaintainer:
             )
         if num_sets < 1:
             raise StreamError(f"num_sets must be >= 1, got {num_sets}")
+        if block_size < 1:
+            raise StreamError(f"block_size must be >= 1, got {block_size}")
         if seed_list_length < 1:
             raise StreamError(
                 f"seed_list_length must be >= 1, got {seed_list_length}"
@@ -180,7 +226,9 @@ class IncrementalSketchMaintainer:
         self._points = points
         self._num_sets = int(num_sets)
         self._seed_list_length = int(seed_list_length)
-        self._seed = int(seed)
+        root = as_seed_sequence(seed)
+        self._entropy = root.entropy
+        self._base_key = tuple(root.spawn_key)
         self._decay_rate = float(decay_rate)
         self._time = float(start_time)
         self._workers = resolve_workers(workers, name="workers")
@@ -190,24 +238,28 @@ class IncrementalSketchMaintainer:
         self._batches_applied = 0
         self._total_resampled = 0
         self._total_retained = 0
-        self._members: list[list[np.ndarray]] = []
-        self._roots: list[np.ndarray] = []
-        self._indexes: list[RRIndex] = []
-        self._seed_lists: list[SeedList] = []
-        all_sids = range(self._num_sets)
-        for pid in range(points.shape[0]):
-            members, roots = self._sample_sets(
-                graph,
-                pid,
-                all_sids,
-                [None] * self._num_sets,
-                np.empty(self._num_sets, dtype=np.uint32),
+        self._block = int(block_size)
+        self._num_blocks = -(-self._num_sets // self._block)
+        n = graph.num_nodes
+        if pools is None:
+            empty = (
+                np.empty(0, dtype=np.uint32),
+                np.zeros(self._num_sets + 1, dtype=np.int64),
+                np.zeros(self._num_sets, dtype=np.uint32),
             )
-            index = self._pack(members, roots)
-            self._members.append(members)
-            self._roots.append(roots)
-            self._indexes.append(index)
-            self._seed_lists.append(self._select_seeds(index))
+            every_block = list(range(self._num_blocks))
+            pools = [
+                self._rewalk(graph, pid, empty, every_block)
+                for pid in range(points.shape[0])
+            ]
+        else:
+            pools = _check_pools(pools, points.shape[0], self._num_sets, n)
+        self._indexes = [
+            RRIndex(*pool, n, storage="csr") for pool in pools
+        ]
+        self._seed_lists = [
+            self._select_seeds(index) for index in self._indexes
+        ]
 
     # ------------------------------------------------------------------
     # Accessors
@@ -235,11 +287,10 @@ class IncrementalSketchMaintainer:
     def pools(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per-point sketches as packed ``(values, indptr, roots)``
         triples: sorted ``uint32`` members in set order, the ``int64``
-        CSR pointer, and each set's ``uint32`` root."""
-        return [
-            (np.concatenate(members), self._indptr(members), roots)
-            for members, roots in zip(self._members, self._roots)
-        ]
+        CSR pointer, and each set's ``uint32`` root.  These are the
+        live arrays, not copies; batches replace them, never write
+        into them."""
+        return [index.csr() for index in self._indexes]
 
     @property
     def time(self) -> float:
@@ -270,55 +321,58 @@ class IncrementalSketchMaintainer:
     # ------------------------------------------------------------------
     # Sampling internals
     # ------------------------------------------------------------------
-    def _rng_for(self, pid: int, sid: int) -> np.random.Generator:
-        """The dedicated stream for set ``sid`` of point ``pid``.
+    def _rng(self, pid: int, block: int) -> np.random.Generator:
+        """A fresh generator on the stream of ``block`` of point ``pid``.
 
-        Freshly constructed on every (re)sample, so the bits a set is
-        walked from depend only on ``(seed, pid, sid)`` — never on how
-        many times or in what order sets were resampled.
+        Constructed anew for every walk, so the bits a block is walked
+        from depend only on ``(seed, pid, block)`` — never on how many
+        times or in what order it was walked.
         """
         return np.random.default_rng(
             np.random.SeedSequence(
-                entropy=self._seed, spawn_key=(pid, sid)
+                self._entropy, spawn_key=self._base_key + (pid, int(block))
             )
         )
 
-    def _in_view(self, graph, pid: int):
-        """The point-specific in-adjacency view RR walks run over."""
+    def _rewalk(self, graph, pid: int, pool, blocks):
+        """``pool`` with ``blocks`` (ascending ids) re-walked over
+        ``graph``, each from its own stream, as a new triple."""
         probs = graph.item_probabilities(self._points[pid])
         in_indptr, in_tails, in_arc_ids = graph.reverse_view
-        return in_indptr, in_tails, probs[in_arc_ids]
-
-    def _sample_sets(self, graph, pid, sids, members, roots):
-        """Resample ``sids`` of point ``pid`` over ``graph`` into copies
-        of ``members`` / ``roots`` (the retained sets)."""
-        in_indptr, in_tails, in_probs = self._in_view(graph, pid)
+        in_probs = probs[in_arc_ids]
         n = graph.num_nodes
-        members = list(members)
-        roots = roots.copy()
-        for sid in sids:
-            values, _, root = sample_rr_block(
-                in_indptr, in_tails, in_probs, n, 1, self._rng_for(pid, sid)
-            )
-            members[sid] = values
-            roots[sid] = root[0]
-        return members, roots
-
-    @staticmethod
-    def _indptr(members) -> np.ndarray:
-        indptr = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum([m.size for m in members], out=indptr[1:])
-        return indptr
-
-    def _pack(self, members, roots) -> RRIndex:
-        """One point's sets as an :class:`RRIndex` (inverted CSR only)."""
-        return RRIndex(
-            np.concatenate(members),
-            self._indptr(members),
-            roots,
-            self._graph.num_nodes,
-            storage="csr",
-        )
+        parts = []
+        if self._block == 1:
+            # One stream per set: the walker takes them side by side, a
+            # sampler block's worth of sets per call.
+            step = _block_size(n)
+            for start in range(0, len(blocks), step):
+                sids = blocks[start : start + step]
+                streams = [self._rng(pid, sid) for sid in sids]
+                parts.append(
+                    sample_rr_block(
+                        in_indptr, in_tails, in_probs, n, len(sids), streams
+                    )
+                )
+            sids = np.asarray(blocks, dtype=np.int64)
+        else:
+            spans = []
+            for block in blocks:
+                lo = block * self._block
+                hi = min(lo + self._block, self._num_sets)
+                parts.append(
+                    sample_rr_block(
+                        in_indptr,
+                        in_tails,
+                        in_probs,
+                        n,
+                        hi - lo,
+                        self._rng(pid, block),
+                    )
+                )
+                spans.append(np.arange(lo, hi))
+            sids = np.concatenate(spans)
+        return _splice(pool, sids, _merge_blocks(parts, sids.size))
 
     def _select_seeds(self, index: RRIndex) -> SeedList:
         return index.seed_list(self._seed_list_length, algorithm="ris")
@@ -331,8 +385,8 @@ class IncrementalSketchMaintainer:
 
         Advances the stream clock (applying exponential decay if
         configured), replays the batch's deltas onto the edge set,
-        resamples exactly the RR sets whose member set contains the
-        head of a changed arc, and refreshes the seed lists of affected
+        re-walks exactly the blocks with a set that contains the head
+        of a changed arc, and refreshes the seed lists of affected
         points.  On any :class:`~repro.errors.StreamError` or injected
         fault, no state changes.
 
@@ -344,12 +398,6 @@ class IncrementalSketchMaintainer:
         """
         if not isinstance(batch, DeltaBatch):
             batch = DeltaBatch.from_dict(batch)
-        with _obs.stream_apply_span(self._batches_applied, len(batch)):
-            report = self._apply_batch_inner(batch, fault_plan)
-        _obs.record_stream_batch(report)
-        return report
-
-    def _apply_batch_inner(self, batch, fault_plan) -> ApplyReport:
         plan = fault_plan if fault_plan is not None else self._fault_plan
         if batch.timestamp < self._time:
             raise StreamError(
@@ -384,12 +432,16 @@ class IncrementalSketchMaintainer:
             if decayed:
                 # Decay rescales every arc probability, so every walk's
                 # coin flips change: the whole sketch is stale.
-                invalid = list(range(self._num_sets))
+                invalid = list(range(self._num_blocks))
             else:
                 index = self._indexes[pid]
                 hit = [index.node_sets(head) for head in touched]
                 invalid = (
-                    np.unique(np.concatenate(hit)).tolist() if hit else []
+                    np.unique(
+                        np.concatenate(hit) // self._block
+                    ).tolist()
+                    if hit
+                    else []
                 )
             if not invalid:
                 continue
@@ -406,14 +458,13 @@ class IncrementalSketchMaintainer:
             invalid_by_point[pid] = invalid
 
         def refresh(pid: int):
-            members, roots = self._sample_sets(
+            pool = self._rewalk(
                 new_graph,
                 pid,
+                self._indexes[pid].csr(),
                 invalid_by_point[pid],
-                self._members[pid],
-                self._roots[pid],
             )
-            return pid, members, roots, self._pack(members, roots)
+            return pid, RRIndex(*pool, new_graph.num_nodes, storage="csr")
 
         affected = list(invalid_by_point)
         if len(affected) > 1 and self._workers > 1:
@@ -427,7 +478,7 @@ class IncrementalSketchMaintainer:
         # num_nodes (fixed), so run it after sampling, still pre-commit.
         new_seed_lists = {}
         changed = []
-        for pid, _, _, index in staged:
+        for pid, index in staged:
             seed_list = self._select_seeds(index)
             new_seed_lists[pid] = seed_list
             if seed_list.nodes != self._seed_lists[pid].nodes:
@@ -435,12 +486,14 @@ class IncrementalSketchMaintainer:
         # ---- commit point: everything below is infallible ----
         self._state = new_state
         self._graph = new_graph
-        for pid, members, roots, index in staged:
-            self._members[pid] = members
-            self._roots[pid] = roots
+        for pid, index in staged:
             self._indexes[pid] = index
             self._seed_lists[pid] = new_seed_lists[pid]
-        resampled = sum(len(v) for v in invalid_by_point.values())
+        resampled = sum(
+            min(self._block, self._num_sets - block * self._block)
+            for blocks in invalid_by_point.values()
+            for block in blocks
+        )
         retained = self.num_points * self._num_sets - resampled
         self._total_resampled += resampled
         self._total_retained += retained
@@ -464,3 +517,87 @@ class IncrementalSketchMaintainer:
             f"{self._num_sets} sets each, {self._batches_applied} "
             f"batches applied)"
         )
+
+
+def _splice(pool, sids, walked):
+    """``pool`` with sets ``sids`` (ascending) replaced, in order, by
+    the sets of the ``walked`` triple, as a new ``(values, indptr,
+    roots)`` triple."""
+    values, indptr, roots = pool
+    walked_values, walked_indptr, walked_roots = walked
+    num_sets = roots.size
+    sizes = np.diff(indptr)
+    new_sizes = sizes.copy()
+    new_sizes[sids] = np.diff(walked_indptr)
+    new_indptr = np.zeros_like(indptr)
+    np.cumsum(new_sizes, out=new_indptr[1:])
+    new_values = np.empty(int(new_indptr[-1]), dtype=np.uint32)
+    # A member moves by the shift of its set's start.
+    old_set = np.repeat(np.arange(num_sets), sizes)
+    kept = np.ones(num_sets, dtype=bool)
+    kept[sids] = False
+    keep = kept[old_set]
+    shift = new_indptr[:-1] - indptr[:-1]
+    new_values[np.flatnonzero(keep) + shift[old_set[keep]]] = values[keep]
+    walked_shift = new_indptr[sids] - walked_indptr[:-1]
+    new_values[
+        np.arange(walked_values.size)
+        + np.repeat(walked_shift, np.diff(walked_indptr))
+    ] = walked_values
+    new_roots = roots.copy()
+    new_roots[sids] = walked_roots
+    return new_values, new_indptr, new_roots
+
+
+def _check_pools(pools, num_points: int, num_sets: int, num_nodes: int):
+    """Validate caller-supplied initial pools; return them typed."""
+    pools = list(pools)
+    if len(pools) != num_points:
+        raise StreamError(
+            f"{len(pools)} initial pools for {num_points} index points"
+        )
+    checked = []
+    for pid, pool in enumerate(pools):
+        values, indptr, roots = (np.asarray(array) for array in pool)
+        problem = _pool_problem(values, indptr, roots, num_sets, num_nodes)
+        if problem is not None:
+            raise StreamError(f"initial pool {pid}: {problem}")
+        checked.append(
+            (
+                values.astype(np.uint32, copy=False),
+                indptr.astype(np.int64, copy=False),
+                roots.astype(np.uint32, copy=False),
+            )
+        )
+    return checked
+
+
+def _pool_problem(values, indptr, roots, num_sets: int, num_nodes: int):
+    """Why one ``(values, indptr, roots)`` triple is not a pool of
+    ``num_sets`` RR sets over ``num_nodes`` nodes, or ``None``."""
+    if any(a.dtype.kind not in "iu" for a in (values, indptr, roots)):
+        return "arrays must hold integers"
+    if values.ndim != 1 or indptr.shape != (num_sets + 1,):
+        return f"expected {num_sets} sets in a 1-D CSR layout"
+    if roots.shape != (num_sets,):
+        return f"expected {num_sets} roots, got shape {roots.shape}"
+    if indptr[0] != 0 or indptr[-1] != values.size:
+        return "indptr must run from 0 to the member count"
+    sizes = np.diff(indptr)
+    if np.any(sizes < 1):
+        return "every set must hold at least its root"
+    for name, array in (("member", values), ("root", roots)):
+        if array.min() < 0 or array.max() >= num_nodes:
+            return f"{name} out of node range [0, {num_nodes})"
+    # Sets in order with sorted members make the flat keys strictly
+    # increasing; each root's key must then be among them.
+    keys = np.repeat(
+        np.arange(num_sets, dtype=np.int64) * num_nodes, sizes
+    ) + values.astype(np.int64)
+    if np.any(np.diff(keys) <= 0):
+        return "members must be sorted and distinct within each set"
+    root_keys = np.arange(num_sets, dtype=np.int64) * num_nodes + roots
+    found = keys[np.minimum(np.searchsorted(keys, root_keys), keys.size - 1)]
+    if np.any(found != root_keys):
+        return "every set must contain its root"
+    return None

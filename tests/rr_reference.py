@@ -10,15 +10,23 @@ walker ordered by ``np.lexsort``, and :func:`sample_lt_rr_sets` is the
 backward random walk of the LT model returning unsorted member arrays.
 ``repro.im.imm`` must reproduce each of them bit for bit (members,
 roots, generator state, seed-list nodes and gains).
+
+:func:`replay_pools` is the streaming engine's oracle: starting from
+given initial pools it re-walks, batch by batch, exactly the blocks
+with a set that holds a touched head (every block on decay) with
+:func:`sample_block_lexsort`, each from the stream that drew it, and
+re-ranks each point with :func:`ris_seed_selection`.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
 from repro.im.seed_list import SeedList
+from repro.streaming.deltas import EdgeState
 
 
 def sample_rr_set(in_indptr, in_tails, in_probs, visited, rng) -> np.ndarray:
@@ -191,3 +199,88 @@ def sample_lt_rr_sets(graph, gamma, num_sets: int, rng) -> list[np.ndarray]:
             node = parent
         sets.append(np.fromiter(visited, dtype=np.int64, count=len(visited)))
     return sets
+
+
+def replay_pools(
+    graph,
+    points,
+    pools,
+    seed: np.random.SeedSequence,
+    block: int,
+    batches,
+    *,
+    seed_list_length: int,
+    decay_rate: float = 0.0,
+):
+    """Replay ``batches`` over initial ``pools``, block by block.
+
+    ``pools`` holds one ``(values, indptr, roots)`` triple per row of
+    ``points``; block ``b`` of row ``pid`` (sets ``[b * block, (b + 1)
+    * block)``) is re-walked by :func:`sample_block_lexsort` from
+    ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (pid, b))``
+    whenever one of its sets holds a touched head (every block on
+    decay).  Returns the final graph, the final pools as triples, and
+    one seed list per row.
+    """
+    sets = [
+        [
+            np.asarray(values[indptr[sid] : indptr[sid + 1]])
+            for sid in range(len(roots))
+        ]
+        for values, indptr, roots in pools
+    ]
+    roots = [np.asarray(pool[2]).copy() for pool in pools]
+    state = EdgeState.from_graph(graph)
+    clock = 0.0
+    for batch in batches:
+        decayed = False
+        if decay_rate > 0.0 and batch.timestamp > clock:
+            factor = math.exp(-decay_rate * (batch.timestamp - clock))
+            if factor < 1.0:
+                state.decay(factor)
+                decayed = True
+        clock = batch.timestamp
+        for delta in batch.deltas:
+            state.apply_delta(delta)
+        graph = state.to_graph()
+        heads = {delta.head for delta in batch.deltas}
+        in_indptr, in_tails, in_arc_ids = graph.reverse_view
+        for pid, point_sets in enumerate(sets):
+            in_probs = graph.item_probabilities(points[pid])[in_arc_ids]
+            for b, lo in enumerate(range(0, len(point_sets), block)):
+                hi = min(lo + block, len(point_sets))
+                hit = any(
+                    not heads.isdisjoint(members.tolist())
+                    for members in point_sets[lo:hi]
+                )
+                if not (decayed or hit):
+                    continue
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(
+                        seed.entropy,
+                        spawn_key=tuple(seed.spawn_key) + (pid, b),
+                    )
+                )
+                values, indptr, walked_roots = sample_block_lexsort(
+                    in_indptr, in_tails, in_probs, graph.num_nodes,
+                    hi - lo, rng,
+                )
+                for i in range(hi - lo):
+                    point_sets[lo + i] = values[indptr[i] : indptr[i + 1]]
+                roots[pid][lo:hi] = walked_roots
+    final = []
+    for point_sets, point_roots in zip(sets, roots):
+        indptr = np.zeros(len(point_sets) + 1, dtype=np.int64)
+        np.cumsum([m.size for m in point_sets], out=indptr[1:])
+        final.append(
+            (
+                np.concatenate(point_sets).astype(np.uint32),
+                indptr,
+                point_roots.astype(np.uint32),
+            )
+        )
+    seed_lists = [
+        ris_seed_selection(point_sets, graph.num_nodes, seed_list_length)
+        for point_sets in sets
+    ]
+    return graph, final, seed_lists

@@ -215,6 +215,7 @@ def condorcet_permutations(draw):
 
 class TestKemenyOracle:
     @given(condorcet_permutations())
+    @example(([[0, 1, 3, 2], [0, 1, 2, 3]], [5e-324, 0.0]))
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_on_condorcet_inputs(self, case):
         # With a strict, transitive weighted majority over full rankings

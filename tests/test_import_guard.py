@@ -3,7 +3,8 @@
 ``scipy.stats`` costs most of a second and tens of MB to import, and
 ``repro.experiments`` pulls in every figure and table; the CLI and the
 server need neither until an experiment, a t-test or an explanation
-asks.  Each check runs in a fresh interpreter, since this test session
+asks.  Serving needs no scipy at all: ``scipy.special`` alone is about
+25 MB of resident memory, so only the Dirichlet fit imports it.  Each check runs in a fresh interpreter, since this test session
 has long since imported both.
 """
 
@@ -43,6 +44,63 @@ def test_cli_and_serving_imports_defer_heavy_modules():
         f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))\n"
     )
     assert report == []
+
+
+def test_serve_path_loads_no_scipy(tmp_path):
+    """Neither importing the serve entry points nor answering an
+    inflex, exact-knn and sketch query on a loaded index with a bank
+    imports any scipy module (the Dirichlet fit and the experiments
+    still may)."""
+    from repro.core import InflexConfig, InflexIndex, SketchConfig
+    from repro.core.persistence import save_index
+    from repro.datasets import generate_flixster_like
+    from repro.graph import save_graph
+    from repro.sketches import SketchBank, save_sketches
+
+    data = generate_flixster_like(
+        num_nodes=80, num_topics=3, num_items=20, seed=7
+    )
+    config = InflexConfig(
+        num_index_points=6,
+        num_dirichlet_samples=200,
+        seed_list_length=4,
+        ris_num_sets=100,
+        seed=3,
+    )
+    index = InflexIndex.build(data.graph, data.item_topics, config)
+    save_graph(data.graph, tmp_path / "graph.npz")
+    save_index(index, tmp_path / "index.npz")
+    save_sketches(
+        SketchBank.build(data.graph, SketchConfig(num_sets=60, seed=3)),
+        tmp_path / "index.sketches.npz",
+    )
+    report = run_fresh(
+        f"""
+import json, sys
+import repro.cli, repro.serving, repro.streaming
+after_import = [m for m in sys.modules if m.startswith("scipy")]
+from repro.core.persistence import load_index
+from repro.graph import load_graph
+from repro.sketches import load_sketches
+graph = load_graph({str(tmp_path / "graph.npz")!r})
+index = load_index({str(tmp_path / "index.npz")!r}, graph)
+index.attach_sketches(load_sketches({str(tmp_path / "index.sketches.npz")!r}))
+answers = [
+    len(index.query([0.5, 0.3, 0.2], 3, strategy=s).seeds)
+    for s in ("inflex", "exact-knn", "sketch")
+]
+print(json.dumps({{
+    "after_import": after_import,
+    "after_queries": [m for m in sys.modules if m.startswith("scipy")],
+    "answers": answers,
+}}))
+"""
+    )
+    assert report == {
+        "after_import": [],
+        "after_queries": [],
+        "answers": [3, 3, 3],
+    }
 
 
 def test_deferred_imports_work_on_first_call():

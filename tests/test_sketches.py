@@ -467,9 +467,8 @@ class TestServingEndToEnd:
 
 class TestStreamingRefresh:
     @pytest.fixture()
-    def engine(self, small_graph):
+    def bank_index(self, small_graph):
         from repro.core import InflexConfig
-        from repro.streaming import StreamingEngine
 
         rng = np.random.default_rng(5)
         config = InflexConfig(
@@ -489,7 +488,13 @@ class TestStreamingRefresh:
                 small_graph, SketchConfig(num_sets=100, seed=43)
             )
         )
-        return StreamingEngine(index, num_sets=200)
+        return index
+
+    @pytest.fixture()
+    def engine(self, bank_index):
+        from repro.streaming import StreamingEngine
+
+        return StreamingEngine(bank_index, num_sets=200)
 
     @staticmethod
     def _touch_batch(graph, timestamp):
@@ -512,27 +517,51 @@ class TestStreamingRefresh:
         )
 
     def test_bank_refreshes_and_matches_scratch_rebuild(self, engine):
-        from repro.streaming.maintainer import IncrementalSketchMaintainer
+        """The served bank starts as the index's bank, bit for bit, and
+        after a batch equals both the replay oracle over that bank and
+        a bank built from scratch on the final graph."""
+        from repro.im.imm import _block_size
+        from tests.rr_reference import replay_pools
 
-        assert engine.index.sketches is not None
-        engine.apply(self._touch_batch(engine.maintainer.graph, 1.0))
+        start = engine.index.sketches
+        assert start is not None
+        graph = engine.maintainer.graph
+        before = {
+            name: array.copy() for name, array in start.arrays().items()
+        }
+        batch = self._touch_batch(graph, 1.0)
+        engine.apply(batch)
         stats = engine.stats()
         assert stats["sketch_maintainer"]["batches_applied"] == 1
-        fresh = IncrementalSketchMaintainer(
-            engine.maintainer.graph,
+        assert stats["sketch_maintainer"]["rr_sets_resampled"] > 0
+        # Refreshing swapped in a new bank; the original is untouched.
+        for name, array in start.arrays().items():
+            assert np.array_equal(array, before[name]), name
+        final_graph, pools, _ = replay_pools(
+            graph,
             np.eye(4),
-            num_sets=100,
+            start.pools(),
+            np.random.SeedSequence(43),
+            _block_size(graph.num_nodes),
+            [batch],
             seed_list_length=1,
-            seed=43,
         )
-        scratch = SketchBank.from_pools(
-            fresh.pools(),
-            engine.maintainer.graph.num_nodes,
-            engine.index.sketches.config,
+        replayed = SketchBank.from_pools(
+            pools, graph.num_nodes, start.config
         )
+        scratch = SketchBank.build(final_graph, start.config)
         live = engine.index.sketches
-        for name, array in scratch.arrays().items():
-            assert np.array_equal(array, live.arrays()[name]), name
+        assert live is not start
+        for name, array in live.arrays().items():
+            assert np.array_equal(array, replayed.arrays()[name]), name
+            assert np.array_equal(array, scratch.arrays()[name]), name
+
+    def test_bank_at_construction_is_the_index_bank(self, bank_index):
+        from repro.streaming import StreamingEngine
+
+        served = StreamingEngine(bank_index, num_sets=200).index.sketches
+        for name, array in bank_index.sketches.arrays().items():
+            assert np.array_equal(served.arrays()[name], array), name
 
     def test_sketch_queries_stay_live_across_batches(self, engine):
         before = engine.index.query(

@@ -52,6 +52,43 @@ class TestAndersonDarling:
             theirs = scipy_stats.anderson(sample, dist="norm").statistic
         assert ours == pytest.approx(theirs, rel=1e-9)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(3, 120),
+        shape=st.sampled_from(["normal", "exponential", "t3", "uniform"]),
+        alpha=st.sampled_from([0.001, 0.05, 0.5, 0.8, 0.95]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decisions_match_scipy_ndtr(self, seed, size, shape, alpha):
+        """The erfc-based normal CDF gives the decisions scipy's ndtr
+        gives (the statistics agree to the last few bits)."""
+        from scipy.special import ndtr
+
+        from repro.stats.anderson_darling import anderson_darling_p_value
+
+        rng = np.random.default_rng(seed)
+        sample = {
+            "normal": lambda: rng.normal(size=size),
+            "exponential": lambda: rng.exponential(size=size),
+            "t3": lambda: rng.standard_t(3, size=size),
+            "uniform": lambda: rng.uniform(size=size),
+        }[shape]()
+        data = np.sort(sample)
+        standardized = (data - data.mean()) / data.std(ddof=1)
+        cdf = np.clip(ndtr(standardized), 1e-300, 1.0 - 1e-16)
+        weights = 2.0 * np.arange(1, size + 1) - 1.0
+        reference = float(
+            -size
+            - np.sum(weights * (np.log(cdf) + np.log(1.0 - cdf[::-1])))
+            / size
+        )
+        p_value = anderson_darling_p_value(
+            corrected_statistic(reference, size)
+        )
+        result = anderson_darling_test(sample, alpha=alpha)
+        assert result.statistic == pytest.approx(reference, rel=1e-12)
+        assert result.reject_normality == (p_value < alpha)
+
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
             anderson_darling_statistic([1.0, 2.0])
