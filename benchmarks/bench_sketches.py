@@ -15,7 +15,7 @@ Three answering paths run on the same index and the same query mixes:
 * **inflex-degraded** — the nearest neighbor's precomputed list, i.e.
   what a far query or expired deadline degrades to without a bank;
 * **sketch** — gamma-weighted composition over per-topic RR pools with
-  lazy-greedy max coverage (no retrieval at all).
+  greedy max coverage (no retrieval at all).
 
 Quality is judged by a referee the strategies cannot influence: for
 every query a fresh 4000-set RR index is sampled at gamma_q itself,

@@ -26,7 +26,7 @@ k-submodular influence maximization.  Two allocators are provided:
 The value oracle reuses PR 7's RIS machinery end to end: per item, a
 :class:`~repro.im.imm.RRIndex` of ``num_sets`` reverse-reachable sets
 is sampled by one shared :class:`~repro.im.imm.RRSampler` (vectorized,
-pool-parallel, shared-memory CSR), and marginal gains are bit-packed
+pool-parallel, shared-memory CSR), and marginal gains are CSR
 coverage recounts — the count of the item's RR sets containing the
 node and not yet covered, scaled to spread units by ``n / num_sets``.
 

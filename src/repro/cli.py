@@ -398,10 +398,7 @@ def _cmd_spread(args: argparse.Namespace) -> int:
         spread = index.spread_of(seeds)
         elapsed = time.perf_counter() - start
         print(f"seeds: {seeds}")
-        print(
-            f"spread: {spread:.3f} "
-            f"({index.num_sets} RR sets, {index.storage} storage)"
-        )
+        print(f"spread: {spread:.3f} ({index.num_sets} RR sets)")
         print(f"estimated in {elapsed * 1000:.1f} ms")
         return 0
     start = time.perf_counter()

@@ -555,7 +555,7 @@ class CampaignConfig:
     ------
     num_sets:
         RR sets sampled per item for the value oracle.  The planner
-        reuses PR 7's bit-packed :class:`~repro.im.imm.RRIndex`
+        reuses PR 7's :class:`~repro.im.imm.RRIndex`
         coverage recount; accuracy grows with the budget while cost is
         linear in it.
     oracle_cache_entries:

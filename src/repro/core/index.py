@@ -18,7 +18,7 @@ Six strategies are exposed — the paper's five retrieval variants
 (``inflex``, ``exact-knn``, ``approx-knn``, ``approx-knn-sel``,
 ``approx-ad``) plus ``sketch``, a second answering engine that skips
 retrieval entirely: it composes precomputed per-topic RR sketch pools
-for the query mixture and runs lazy-greedy max coverage over the
+for the query mixture and runs greedy max coverage over the
 composition (:mod:`repro.sketches`, requires an attached bank).  A
 bank, when attached, also upgrades the degraded-answer path of every
 other strategy: far-from-index queries and expired deadlines answer
@@ -561,7 +561,7 @@ class InflexIndex:
         """Compose the bank for ``gamma`` and greedy-select ``k`` seeds.
 
         The composition replaces the similarity search (its duration is
-        reported as the ``search`` phase) and the lazy-greedy max
+        reported as the ``search`` phase) and the greedy max
         coverage replaces selection; there is no aggregation phase.
         Marginal gains are scaled from covered-set units to expected
         spread (``n / num_sets``).

@@ -36,11 +36,11 @@ implementation:
   ``SeedSequence(entropy, spawn_key=base + (r, b))`` — worker count and
   scheduling never touch the streams, so seed lists are bit-identical
   for any pool width (including the fully inline ``workers=1`` path).
-* **Bit-packed storage.**  Sampled sets live in an :class:`RRIndex`:
-  ``uint64`` node bitmaps for small graphs, sorted ``uint32`` member
-  arrays otherwise, plus an inverted node-to-set CSR index that the
-  greedy max-coverage selection walks across all ``l`` rounds without
-  ever materializing Python sets.
+* **CSR storage.**  Sampled sets live in an :class:`RRIndex`: sorted
+  ``uint32`` member arrays behind an ``int64`` pointer, plus an
+  inverted node-to-set CSR index built by one radix-sorted argsort;
+  the argmax greedy reads both across all ``l`` rounds without ever
+  materializing Python sets.
 
 See ``docs/INDEX_BUILDS.md`` for the phase walkthrough, the
 ``eps``/``delta`` semantics, and representative budget tables.
@@ -48,7 +48,6 @@ See ``docs/INDEX_BUILDS.md`` for the phase walkthrough, the
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import time
@@ -71,11 +70,6 @@ from repro.propagation.parallel import (
 from repro.rng import as_seed_sequence
 from repro.simplex.vectors import as_distribution
 from repro.workers import default_sim_workers, resolve_workers
-
-#: Graphs at or below this node count store RR sets as uint64 bitmaps
-#: (at most 16 words per set); larger graphs use sorted uint32 arrays.
-BITMAP_MAX_NODES = 1024
-
 
 def _block_size(num_nodes: int) -> int:
     """Deterministic sampling block size for an ``num_nodes``-node graph.
@@ -105,7 +99,7 @@ def sample_rr_block(
     advance together over flat ``set * num_nodes + node`` keys: each
     wave gathers the in-arc slices of every frontier key in one ragged
     pass, flips every live-edge coin at once, and deduplicates newly
-    reached keys with one ``np.unique``.  Randomness consumption is a
+    reached keys with one in-place sort.  Randomness consumption is a
     pure function of the in-adjacency view and the generator state, so
     a block replays bit-identically anywhere (parent process, any
     worker).
@@ -153,16 +147,18 @@ def sample_rr_block(
             coins = rng.random(total)
         else:
             coins = _per_set_coins(streams, bases // num_nodes, ends)
-        success = coins < in_probs[arc_pos]
+        hits = np.flatnonzero(coins < in_probs[arc_pos])
         # A reached parent keeps its set's key base ``set * num_nodes``.
-        reached = (
-            np.repeat(bases, arc_counts)[success]
-            + in_tails[arc_pos[success]]
-        )
+        reached = np.repeat(bases, arc_counts)[hits] + in_tails[arc_pos[hits]]
         reached = reached[~visited[reached]]
         if reached.size == 0:
             break
-        frontier = np.unique(reached)
+        # Sorted and deduplicated, as ``np.unique`` would return it.
+        reached.sort()
+        fresh = np.empty(reached.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(reached[1:], reached[:-1], out=fresh[1:])
+        frontier = reached[fresh]
         visited[frontier] = True
         waves.append(frontier)
         nodes = frontier % num_nodes
@@ -258,16 +254,13 @@ def _merge_blocks(parts, num_sets: int):
 
 
 class RRIndex:
-    """Bit-packed store of reverse-reachable sets with greedy coverage.
+    """CSR store of reverse-reachable sets with greedy coverage.
 
-    The RR sets of one ``(graph, item)`` pair, held in the layout the
-    issue's scaling math wants: per-set storage is ``uint64`` node
-    bitmaps when the graph is small (``num_nodes`` at most
-    :data:`BITMAP_MAX_NODES`) and concatenated sorted ``uint32`` member
-    arrays otherwise, and in both modes an inverted node-to-set CSR
-    index is kept so the lazy-greedy max-coverage selection — reused
-    across all ``l`` rounds of a seed-list build — touches numpy arrays
-    only.
+    The RR sets of one ``(graph, item)`` pair: each set's sorted
+    ``uint32`` members concatenated behind an ``int64`` pointer, plus
+    the inverted node-to-set CSR index, so the argmax-greedy max
+    coverage selection — reused across all ``l`` rounds of a seed-list
+    build — touches numpy arrays only.
 
     Parameters
     ----------
@@ -278,13 +271,9 @@ class RRIndex:
         The root node each set was grown from (must be a member).
     num_nodes:
         Node universe size (scales coverage to spread).
-    storage:
-        ``"bitmap"``, ``"csr"``, or ``None`` to choose by graph size.
     """
 
-    def __init__(
-        self, values, indptr, roots, num_nodes: int, *, storage=None
-    ) -> None:
+    def __init__(self, values, indptr, roots, num_nodes: int) -> None:
         values = np.ascontiguousarray(values, dtype=np.uint32)
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         roots = np.ascontiguousarray(roots, dtype=np.uint32)
@@ -293,7 +282,8 @@ class RRIndex:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
         if indptr.ndim != 1 or indptr.size < 1 or indptr[0] != 0:
             raise ValueError("indptr must be 1-D and start at 0")
-        if np.any(np.diff(indptr) < 0):
+        sizes = np.diff(indptr)
+        if np.any(sizes < 0):
             raise ValueError("indptr must be nondecreasing")
         if int(indptr[-1]) != values.size:
             raise ValueError(
@@ -306,41 +296,22 @@ class RRIndex:
             raise ValueError("set member out of node range")
         if roots.size and int(roots.max()) >= num_nodes:
             raise ValueError("root out of node range")
-        if storage is None:
-            storage = "bitmap" if num_nodes <= BITMAP_MAX_NODES else "csr"
-        if storage not in ("bitmap", "csr"):
-            raise ValueError(
-                f"storage must be 'bitmap', 'csr' or None, got {storage!r}"
-            )
         self._num_nodes = num_nodes
         self._num_sets = num_sets
+        self._values = values
+        self._indptr = indptr
         self._roots = roots
-        self._storage = storage
-        # Inverted node -> set-ids CSR (both modes; what greedy walks).
-        sizes = np.diff(indptr)
-        set_of_value = np.repeat(
-            np.arange(num_sets, dtype=np.int64), sizes
-        )
-        order = np.argsort(values, kind="stable")
-        self._inv_sets = set_of_value[order].astype(np.uint32)
+        # Inverted node -> set-ids CSR.  numpy radix-sorts 16-bit keys
+        # in linear time; a stable order is unique, so it matches the
+        # ``uint32`` argsort used above 2**16 nodes.
+        keys = values.astype(np.uint16) if num_nodes <= 1 << 16 else values
+        order = np.argsort(keys, kind="stable")
+        self._inv_sets = np.repeat(
+            np.arange(num_sets, dtype=np.uint32), sizes
+        )[order]
         node_counts = np.bincount(values, minlength=num_nodes)
         self._inv_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(node_counts, out=self._inv_indptr[1:])
-        if storage == "bitmap":
-            words = (num_nodes + 63) >> 6
-            bitmaps = np.zeros(num_sets * words, dtype=np.uint64)
-            slots = set_of_value * words + (values >> np.uint32(6))
-            bits = np.uint64(1) << (
-                values.astype(np.uint64) & np.uint64(63)
-            )
-            np.bitwise_or.at(bitmaps, slots, bits)
-            self._bitmaps = bitmaps.reshape(num_sets, words)
-            self._values = None
-            self._indptr = None
-        else:
-            self._bitmaps = None
-            self._values = values
-            self._indptr = indptr
 
     # ------------------------------------------------------------------
     @property
@@ -354,52 +325,35 @@ class RRIndex:
         return self._num_nodes
 
     @property
-    def storage(self) -> str:
-        """Active layout: ``"bitmap"`` or ``"csr"``."""
-        return self._storage
-
-    @property
     def roots(self) -> np.ndarray:
         """The root node of each set, shape ``(num_sets,)``."""
         return self._roots
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the packed sets plus the inverted index."""
-        packed = (
-            self._bitmaps.nbytes
-            if self._bitmaps is not None
-            else self._values.nbytes + self._indptr.nbytes
-        )
+        """Bytes held by the member CSR plus the inverted index."""
         return int(
-            packed
+            self._values.nbytes
+            + self._indptr.nbytes
             + self._inv_sets.nbytes
             + self._inv_indptr.nbytes
             + self._roots.nbytes
         )
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``(values, indptr, roots)`` triple the sets were packed
-        from, not copied (``csr`` storage only)."""
-        if self._values is None:
-            raise ValueError("csr() needs csr storage, not bitmaps")
+        """The ``(values, indptr, roots)`` triple the index was built
+        from, not copied."""
         return self._values, self._indptr, self._roots
 
     # ------------------------------------------------------------------
     def members(self, set_id: int) -> np.ndarray:
-        """Sorted ``uint32`` members of one set (unpacked if bit-packed)."""
+        """Sorted ``uint32`` members of one set (a copy)."""
         if not 0 <= set_id < self._num_sets:
             raise ValueError(
                 f"set_id {set_id} out of range [0, {self._num_sets})"
             )
-        if self._values is not None:
-            lo, hi = self._indptr[set_id], self._indptr[set_id + 1]
-            return self._values[lo:hi].copy()
-        # Little-endian unpack: bit i of word w is node 64*w + i.
-        bits = np.unpackbits(
-            self._bitmaps[set_id].view(np.uint8), bitorder="little"
-        )
-        return np.flatnonzero(bits[: self._num_nodes]).astype(np.uint32)
+        lo, hi = self._indptr[set_id], self._indptr[set_id + 1]
+        return self._values[lo:hi].copy()
 
     def contains(self, set_id: int, node: int) -> bool:
         """Whether ``node`` is a member of set ``set_id``."""
@@ -409,9 +363,6 @@ class RRIndex:
             )
         if not 0 <= node < self._num_nodes:
             return False
-        if self._bitmaps is not None:
-            word = self._bitmaps[set_id, node >> 6]
-            return bool((word >> np.uint64(node & 63)) & np.uint64(1))
         lo, hi = self._indptr[set_id], self._indptr[set_id + 1]
         pos = lo + np.searchsorted(self._values[lo:hi], node)
         return bool(pos < hi and self._values[pos] == node)
@@ -464,13 +415,16 @@ class RRIndex:
     def greedy_select(
         self, k: int, *, exclude=None
     ) -> tuple[list[int], list[float]]:
-        """Lazy-greedy max coverage: ``k`` seeds with coverage gains.
+        """Greedy max coverage: ``k`` seeds with coverage gains.
 
-        Gains are in *covered-set* units (:meth:`seed_list` scales
-        them to spread units); ties break toward lower node ids, and
-        when every set is covered before ``k`` seeds the list is padded
-        with the lowest-id unused nodes at zero gain.  The selection is
-        therefore invariant under set permutation.
+        Each round takes the node of largest marginal gain, ties toward
+        the lower id (``argmax``), then decrements the gain of every
+        member of the sets it newly covers.  Gains are in *covered-set*
+        units (:meth:`seed_list` scales them to spread units).  Nodes in
+        some set stay candidates at zero gain once every set is
+        covered; after them the list is padded with the lowest-id
+        unused nodes at zero gain.  The selection is therefore
+        invariant under set permutation.
         ``exclude`` removes nodes from candidacy entirely (selection
         and padding) — the campaign planner's independent-allocation
         path uses it to keep per-item seed sets disjoint.
@@ -483,33 +437,34 @@ class RRIndex:
                 f"k={k} exceeds "
                 f"{self._num_nodes - len(excluded)} candidate nodes"
             )
-        stale = np.diff(self._inv_indptr).astype(np.int64)
+        # Non-candidates (in no set, excluded or picked) sit below zero;
+        # decrements only push them further down.
+        gain = np.diff(self._inv_indptr)
+        gain[gain == 0] = -1
+        gain[[node for node in excluded if 0 <= node < self._num_nodes]] = -1
         covered = np.zeros(self._num_sets, dtype=bool)
-        candidates = np.flatnonzero(stale > 0)
-        if excluded:
-            candidates = candidates[~np.isin(candidates, list(excluded))]
-        heap = list(
-            zip((-stale[candidates]).tolist(), candidates.tolist())
-        )
-        heapq.heapify(heap)
         seeds: list[int] = []
         gains: list[float] = []
-        while len(seeds) < k and heap:
-            neg_count, node = heapq.heappop(heap)
-            count = -neg_count
-            if count != stale[node]:
-                continue
-            lo, hi = self._inv_indptr[node], self._inv_indptr[node + 1]
-            set_ids = self._inv_sets[lo:hi]
-            fresh = int(np.count_nonzero(~covered[set_ids]))
-            if fresh != count:
-                stale[node] = fresh
-                heapq.heappush(heap, (-fresh, node))
-                continue
+        while len(seeds) < k:
+            node = int(gain.argmax())
+            best = int(gain[node])
+            if best < 0:
+                break
             seeds.append(node)
-            gains.append(float(fresh))
-            stale[node] = -1  # never reconsidered
-            covered[set_ids] = True
+            gains.append(float(best))
+            gain[node] = -1
+            if best == 0:
+                continue
+            set_ids = self.node_sets(node)
+            fresh = set_ids[~covered[set_ids]]
+            covered[fresh] = True
+            starts = self._indptr[fresh]
+            sizes = self._indptr[fresh + 1] - starts
+            ends = np.cumsum(sizes)
+            positions = np.arange(int(ends[-1])) + np.repeat(
+                starts - ends + sizes, sizes
+            )
+            np.subtract.at(gain, self._values[positions], 1)
         if len(seeds) < k:
             used = set(seeds) | excluded
             for node in range(self._num_nodes):
@@ -543,7 +498,7 @@ class RRIndex:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RRIndex(num_sets={self._num_sets}, "
-            f"num_nodes={self._num_nodes}, storage={self._storage!r})"
+            f"num_nodes={self._num_nodes})"
         )
 
 
@@ -778,16 +733,13 @@ ParallelMonteCarloSpread`.
         *,
         seed=None,
         request: int = 0,
-        storage=None,
     ) -> RRIndex:
         """Sample ``num_sets`` RR sets and pack them into an
         :class:`RRIndex`."""
         values, indptr, roots = self.sample(
             gamma, num_sets, seed=seed, request=request
         )
-        return RRIndex(
-            values, indptr, roots, self._num_nodes, storage=storage
-        )
+        return RRIndex(values, indptr, roots, self._num_nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -843,7 +795,6 @@ def sample_rr_index(
     *,
     workers=None,
     seed=None,
-    storage=None,
 ) -> RRIndex:
     """One-shot convenience: sample a packed RR index for one item.
 
@@ -852,9 +803,7 @@ def sample_rr_index(
     paid once, not per item).
     """
     with RRSampler(graph, workers=workers) as sampler:
-        return sampler.sample_index(
-            gamma, num_sets, seed=seed, storage=storage
-        )
+        return sampler.sample_index(gamma, num_sets, seed=seed)
 
 
 # ----------------------------------------------------------------------

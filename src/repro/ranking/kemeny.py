@@ -22,6 +22,9 @@ from repro.ranking.borda import _prepare_lists
 from repro.ranking.copeland import pairwise_preference_matrix
 from repro.ranking.kendall import mean_kendall_tau_top
 
+#: Objective values of :func:`brute_force_kemeny` closer than this tie.
+TIE_TOLERANCE = 1e-12
+
 
 def local_kemenization(
     initial, rankings, *, weights=None
@@ -77,7 +80,8 @@ def brute_force_kemeny(
 
     Only usable for unions of at most ``max_universe`` elements —
     intended as a ground-truth oracle in tests.  Ties between optimal
-    permutations break lexicographically for determinism.
+    permutations (objectives within :data:`TIE_TOLERANCE`) break
+    lexicographically for determinism.
     """
     lists = _prepare_lists(rankings)
     universe = sorted({node for ranking in lists for node in ranking})
@@ -92,7 +96,7 @@ def brute_force_kemeny(
         value = mean_kendall_tau_top(
             list(candidate), lists, p=p, weights=weights
         )
-        if value < best_value - 1e-12:
+        if value < best_value - TIE_TOLERANCE:
             best_value = value
             best_order = list(candidate)
     assert best_order is not None

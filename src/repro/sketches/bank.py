@@ -17,7 +17,7 @@ under the single-topic item ``gamma = e_z``, reusing
 pools — ``n_z`` sets from pool ``z`` with ``n_z`` proportional to
 ``gamma_z`` (largest-remainder rounding, ties toward the lower topic
 id) — and packs the composed view into an
-:class:`~repro.im.imm.RRIndex` for lazy-greedy max coverage.
+:class:`~repro.im.imm.RRIndex` for greedy max coverage.
 
 The composed estimator targets the *mixture of marginals*
 ``sum_z gamma_z * sigma_{e_z}(S)``: each selected RR set from pool

@@ -254,9 +254,7 @@ class IncrementalSketchMaintainer:
             ]
         else:
             pools = _check_pools(pools, points.shape[0], self._num_sets, n)
-        self._indexes = [
-            RRIndex(*pool, n, storage="csr") for pool in pools
-        ]
+        self._indexes = [RRIndex(*pool, n) for pool in pools]
         self._seed_lists = [
             self._select_seeds(index) for index in self._indexes
         ]
@@ -464,7 +462,7 @@ class IncrementalSketchMaintainer:
                 self._indexes[pid].csr(),
                 invalid_by_point[pid],
             )
-            return pid, RRIndex(*pool, new_graph.num_nodes, storage="csr")
+            return pid, RRIndex(*pool, new_graph.num_nodes)
 
         affected = list(invalid_by_point)
         if len(affected) > 1 and self._workers > 1:

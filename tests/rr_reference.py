@@ -7,7 +7,9 @@ members in ascending order), :func:`ris_seed_selection` is the
 dictionary-based lazy greedy that scales gains to spread units,
 :func:`sample_block_lexsort` is the two-array ``(set, node)`` block
 walker ordered by ``np.lexsort``, and :func:`sample_lt_rr_sets` is the
-backward random walk of the LT model returning unsorted member arrays.
+backward random walk of the LT model returning unsorted member arrays,
+and :func:`heap_greedy_select` is the lazy heap greedy that
+:meth:`RRIndex.greedy_select` ran before its argmax rewrite.
 ``repro.im.imm`` must reproduce each of them bit for bit (members,
 roots, generator state, seed-list nodes and gains).
 
@@ -121,6 +123,52 @@ def ris_seed_selection(
                 if len(seeds) == k:
                     break
     return SeedList(tuple(seeds), tuple(gains), algorithm="ris")
+
+
+def heap_greedy_select(index, k: int, *, exclude=None):
+    """Lazy heap greedy over an :class:`RRIndex`'s inverted index.
+
+    Returns ``(nodes, gains)`` in covered-set units: candidates are the
+    nodes in some set (minus ``exclude``), popped by ``(-gain, id)``
+    and re-pushed while their cached gain is stale; once the heap is
+    empty the list is padded with the lowest-id unused nodes.
+    """
+    excluded = frozenset(int(node) for node in exclude or ())
+    if not 0 <= k <= index.num_nodes - len(excluded):
+        raise ValueError(f"k={k} outside the candidate range")
+    stale = index.coverage_counts().astype(np.int64)
+    covered = np.zeros(index.num_sets, dtype=bool)
+    candidates = np.flatnonzero(stale > 0)
+    if excluded:
+        candidates = candidates[~np.isin(candidates, list(excluded))]
+    heap = list(zip((-stale[candidates]).tolist(), candidates.tolist()))
+    heapq.heapify(heap)
+    seeds: list[int] = []
+    gains: list[float] = []
+    while len(seeds) < k and heap:
+        neg_count, node = heapq.heappop(heap)
+        count = -neg_count
+        if count != stale[node]:
+            continue
+        set_ids = index.node_sets(node)
+        fresh = int(np.count_nonzero(~covered[set_ids]))
+        if fresh != count:
+            stale[node] = fresh
+            heapq.heappush(heap, (-fresh, node))
+            continue
+        seeds.append(node)
+        gains.append(float(fresh))
+        stale[node] = -1
+        covered[set_ids] = True
+    if len(seeds) < k:
+        used = set(seeds) | excluded
+        for node in range(index.num_nodes):
+            if node not in used:
+                seeds.append(node)
+                gains.append(0.0)
+                if len(seeds) == k:
+                    break
+    return seeds, gains
 
 
 def sample_block_lexsort(

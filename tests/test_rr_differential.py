@@ -12,6 +12,10 @@ bit:
   reference sets, nodes and gains;
 * :meth:`RRIndex.seed_list` matches the dictionary greedy on arbitrary
   set families, including padding and a segment population;
+* :meth:`RRIndex.greedy_select` matches the lazy heap greedy it
+  replaced, with ``exclude``, padding and ``k`` up to every candidate;
+* the inverted index matches a stable ``uint32`` argsort on both sides
+  of the 16-bit key width;
 * the streaming maintainer's per-set contents and seed lists match
   reference walks from the same ``(seed, pid, sid)`` streams.
 
@@ -22,7 +26,7 @@ the root are drawn too.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.offline import offline_seed_list
@@ -37,6 +41,7 @@ from repro.streaming import (
     IncrementalSketchMaintainer,
 )
 from tests.rr_reference import (
+    heap_greedy_select,
     ris_seed_selection,
     sample_block_lexsort,
     sample_lt_rr_sets,
@@ -201,6 +206,84 @@ def test_greedy_matches_reference(num_nodes, num_sets, seed, k_frac, segment):
         universe_size=num_nodes,
     )
     _assert_seed_lists_equal(got, want)
+
+
+def _family(rng, num_nodes, num_sets, nodes=None, hub=None):
+    """Random sorted sets over ``nodes`` (default: every node), each
+    with a member drawn as its root; ``hub`` joins every set."""
+    if nodes is None:
+        nodes = np.arange(num_nodes)
+    sets = []
+    for _ in range(num_sets):
+        size = int(rng.integers(1, 6))
+        members = rng.choice(nodes, size=size)
+        if hub is not None:
+            members = np.append(members, hub)
+        sets.append(np.unique(members).astype(np.uint32))
+    indptr = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum([m.size for m in sets], out=indptr[1:])
+    values = np.concatenate(sets) if sets else np.zeros(0, np.uint32)
+    roots = np.array([rng.choice(m) for m in sets], dtype=np.uint32)
+    return values, indptr, roots
+
+
+@given(
+    num_nodes=st.integers(1, 40),
+    num_sets=st.integers(0, 50),
+    seed=st.integers(0, 2**32 - 1),
+    hub=st.booleans(),
+    num_excluded=st.integers(0, 6),
+    k_frac=st.floats(0.0, 1.0),
+)
+@SETTINGS
+def test_argmax_greedy_matches_heap_reference(
+    num_nodes, num_sets, seed, hub, num_excluded, k_frac
+):
+    """A hub in every set covers the family in one pick, so the rest of
+    the list is zero-gain candidates, then padding; ``exclude`` may
+    name ids outside the graph, which only shrink the budget."""
+    rng = np.random.default_rng(seed)
+    index = RRIndex(
+        *_family(
+            rng, num_nodes, num_sets,
+            hub=int(rng.integers(num_nodes)) if hub else None,
+        ),
+        num_nodes,
+    )
+    exclude = set(
+        rng.integers(-2, num_nodes + 2, size=num_excluded).tolist()
+    )
+    assume(len(exclude) <= num_nodes)
+    k = int(round(k_frac * (num_nodes - len(exclude))))
+    got = index.greedy_select(k, exclude=exclude)
+    want = heap_greedy_select(index, k, exclude=exclude)
+    assert got == want
+    assert all(isinstance(gain, float) for gain in got[1])
+
+
+@given(
+    num_nodes=st.sampled_from([1 << 16, (1 << 16) + 1]),
+    num_sets=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@SETTINGS
+def test_inverted_index_matches_uint32_argsort(num_nodes, num_sets, seed):
+    """Sets over a few ids, the top one included, so nodes share sets
+    and the 16-bit keys (at 2**16 nodes) reach their largest value."""
+    rng = np.random.default_rng(seed)
+    nodes = np.append(rng.integers(0, num_nodes, size=12), num_nodes - 1)
+    values, indptr, roots = _family(rng, num_nodes, num_sets, nodes)
+    index = RRIndex(values, indptr, roots, num_nodes)
+    order = np.argsort(values, kind="stable")
+    set_of_value = np.repeat(np.arange(num_sets), np.diff(indptr))[order]
+    counts = np.bincount(values, minlength=num_nodes)
+    assert np.array_equal(index.coverage_counts(), counts)
+    starts = np.cumsum(counts) - counts
+    for node in np.unique(np.append(nodes, 0)).tolist():
+        want = set_of_value[starts[node] : starts[node] + counts[node]]
+        got = index.node_sets(node)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, want)
 
 
 @given(

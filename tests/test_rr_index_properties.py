@@ -1,16 +1,14 @@
-"""Property-based tests for the bit-packed :class:`repro.im.imm.RRIndex`.
+"""Property-based tests for the CSR :class:`repro.im.imm.RRIndex`.
 
-Hypothesis drives randomized set families through both storage layouts
-(``uint64`` bitmaps and sorted-uint32 CSR) and checks the invariants
-the IMM engine leans on:
+Hypothesis drives randomized set families through the index and checks
+the invariants the IMM engine leans on:
 
 * pack/unpack roundtrip — ``members(i)`` returns exactly the sets that
-  went in, in both layouts;
+  went in;
 * coverage bookkeeping — ``coverage_counts``/``covered_count`` agree
   with a naive Python-set recount;
 * greedy max coverage — the selection is invariant under any
-  permutation of the stored sets, and the two layouts select
-  identically.
+  permutation of the stored sets.
 
 Style follows ``tests/test_cascade_properties.py``: scalars are drawn
 by Hypothesis, bulk structure by a numpy generator seeded from a drawn
@@ -58,16 +56,14 @@ def _random_family(num_nodes: int, num_sets: int, seed: int):
     num_nodes=st.integers(min_value=1, max_value=80),
     num_sets=st.integers(min_value=0, max_value=40),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    storage=st.sampled_from(["bitmap", "csr"]),
 )
 @SETTINGS
-def test_pack_unpack_roundtrip(num_nodes, num_sets, seed, storage):
+def test_pack_unpack_roundtrip(num_nodes, num_sets, seed):
     members, values, indptr, roots = _random_family(
         num_nodes, num_sets, seed
     )
-    index = RRIndex(values, indptr, roots, num_nodes, storage=storage)
+    index = RRIndex(values, indptr, roots, num_nodes)
     assert index.num_sets == num_sets
-    assert index.storage == storage
     for set_id, expected in enumerate(members):
         unpacked = index.members(set_id)
         assert unpacked.dtype == np.uint32
@@ -86,14 +82,13 @@ def test_pack_unpack_roundtrip(num_nodes, num_sets, seed, storage):
     num_nodes=st.integers(min_value=1, max_value=60),
     num_sets=st.integers(min_value=1, max_value=30),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    storage=st.sampled_from(["bitmap", "csr"]),
 )
 @SETTINGS
-def test_coverage_matches_naive_recount(num_nodes, num_sets, seed, storage):
+def test_coverage_matches_naive_recount(num_nodes, num_sets, seed):
     members, values, indptr, roots = _random_family(
         num_nodes, num_sets, seed
     )
-    index = RRIndex(values, indptr, roots, num_nodes, storage=storage)
+    index = RRIndex(values, indptr, roots, num_nodes)
     as_sets = [set(m.tolist()) for m in members]
     counts = index.coverage_counts()
     for node in range(num_nodes):
@@ -117,17 +112,16 @@ def test_coverage_matches_naive_recount(num_nodes, num_sets, seed, storage):
     num_sets=st.integers(min_value=1, max_value=25),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     k=st.integers(min_value=1, max_value=6),
-    storage=st.sampled_from(["bitmap", "csr"]),
 )
 @SETTINGS
 def test_greedy_invariant_under_set_permutation(
-    num_nodes, num_sets, seed, k, storage
+    num_nodes, num_sets, seed, k
 ):
     members, values, indptr, roots = _random_family(
         num_nodes, num_sets, seed
     )
     k = min(k, num_nodes)
-    index = RRIndex(values, indptr, roots, num_nodes, storage=storage)
+    index = RRIndex(values, indptr, roots, num_nodes)
     rng = np.random.default_rng(seed + 2)
     order = rng.permutation(num_sets)
     shuffled_members = [members[i] for i in order]
@@ -145,31 +139,8 @@ def test_greedy_invariant_under_set_permutation(
         shuffled_indptr,
         roots[order],
         num_nodes,
-        storage=storage,
     )
     assert index.greedy_select(k) == shuffled.greedy_select(k)
-
-
-@given(
-    num_nodes=st.integers(min_value=2, max_value=70),
-    num_sets=st.integers(min_value=1, max_value=30),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    k=st.integers(min_value=1, max_value=8),
-)
-@SETTINGS
-def test_storage_modes_are_interchangeable(num_nodes, num_sets, seed, k):
-    _, values, indptr, roots = _random_family(num_nodes, num_sets, seed)
-    k = min(k, num_nodes)
-    bitmap = RRIndex(values, indptr, roots, num_nodes, storage="bitmap")
-    csr = RRIndex(values, indptr, roots, num_nodes, storage="csr")
-    assert bitmap.greedy_select(k) == csr.greedy_select(k)
-    assert np.array_equal(
-        bitmap.coverage_counts(), csr.coverage_counts()
-    )
-    for set_id in range(num_sets):
-        assert np.array_equal(
-            bitmap.members(set_id), csr.members(set_id)
-        )
 
 
 @given(
@@ -198,11 +169,6 @@ def test_validation_rejects_malformed_input():
         RRIndex(
             np.zeros(0, np.uint32), np.zeros(1, np.int64),
             np.zeros(0, np.uint32), 0,
-        )
-    with pytest.raises(ValueError, match="storage"):
-        RRIndex(
-            np.zeros(0, np.uint32), np.zeros(1, np.int64),
-            np.zeros(0, np.uint32), 4, storage="zip",
         )
     with pytest.raises(ValueError, match="roots"):
         RRIndex(
