@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.divergence.base import BregmanDivergence
+from repro.divergence.base import BregmanDivergence, PreparedPoint
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,9 @@ def project_to_ball(
 
 def can_prune(
     divergence: BregmanDivergence,
-    center: np.ndarray,
+    center,
     radius: float,
-    query: np.ndarray,
+    query,
     threshold: float,
     *,
     tol: float = 1e-4,
@@ -119,38 +119,50 @@ def can_prune(
       immediately (the upper bound dropped below the threshold);
     * if the bracket converges with the boundary divergence at or above
       ``threshold``, the subtree is safely prunable.
+
+    ``center`` and ``query`` are points or their
+    :meth:`~repro.divergence.base.BregmanDivergence.prepare_point`
+    forms; a search passes the prepared ones it keeps, and the decision
+    is the same either way.
     """
     if threshold <= 0:
         return False
-    if divergence.divergence(query, center) <= radius:
+    if not isinstance(center, PreparedPoint):
+        center = divergence.prepare_point(center)
+    if not isinstance(query, PreparedPoint):
+        query = divergence.prepare_point(query)
+    if (
+        divergence.prepared_divergence(query.point, query.generator, center)
+        <= radius
+    ):
         return False
-    theta_query = divergence.gradient(
-        divergence._prepare(np.asarray(query, dtype=np.float64))[np.newaxis, :]
-    )[0]
-    theta_center = divergence.gradient(
-        divergence._prepare(np.asarray(center, dtype=np.float64))[np.newaxis, :]
-    )[0]
 
-    def point_at(lam: float) -> np.ndarray:
-        theta = (1.0 - lam) * theta_query + lam * theta_center
-        return divergence.gradient_inverse(theta[np.newaxis, :])[0]
+    def point_at(lam: float) -> tuple[np.ndarray, float]:
+        theta = (1.0 - lam) * query.gradient + lam * center.gradient
+        x = divergence._prepare(
+            divergence.gradient_inverse(theta[np.newaxis, :])[0]
+        )
+        return x, float(divergence.generator(x[np.newaxis, :])[0])
 
     # The center itself is the innermost candidate: if even the center
     # is closer than the threshold, no pruning.
-    if divergence.divergence(center, query) < threshold:
+    if (
+        divergence.prepared_divergence(center.point, center.generator, query)
+        < threshold
+    ):
         return False
     low, high = 0.0, 1.0
     for _ in range(max_iter):
         mid = 0.5 * (low + high)
         candidate = point_at(mid)
-        if divergence.divergence(candidate, center) <= radius:
+        if divergence.prepared_divergence(*candidate, center) <= radius:
             high = mid
             # Inside the ball: its divergence to q upper-bounds the min.
-            if divergence.divergence(candidate, query) < threshold:
+            if divergence.prepared_divergence(*candidate, query) < threshold:
                 return False
         else:
             low = mid
         if high - low < tol:
             break
     boundary = point_at(high)
-    return bool(divergence.divergence(boundary, query) >= threshold)
+    return bool(divergence.prepared_divergence(*boundary, query) >= threshold)

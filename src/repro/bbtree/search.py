@@ -2,9 +2,8 @@
 
 Three searches back the paper's query strategies:
 
-* :func:`exact_nearest_neighbors` — branch-and-bound best-first search
-  with Bregman-projection lower bounds; returns the true K nearest
-  neighbors (the ``exactKNN`` baseline).
+* :func:`exact_nearest_neighbors` — one scan of every point, the true K
+  nearest neighbors (the ``exactKNN`` baseline);
 * :func:`leaf_limited_search` — Algorithm-1-style guided depth-first
   traversal that stops after a fixed number of leaves (``approxKNN``).
 * :func:`inflex_search` — the paper's Algorithm 1: guided DFS with a
@@ -15,21 +14,30 @@ Three searches back the paper's query strategies:
 Every search returns a :class:`SearchResult` carrying instrumentation
 (leaves visited, divergence computations) used by the Figure 5
 experiment and the paper's early-stopping statistics.
+
+The searches read the tree's :class:`~repro.bbtree.tree.SearchTables`
+and prepare the query once, so a visited node or leaf costs one small
+block product; every divergence, decision and count is the one the
+node-walking search computes.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.bbtree.projection import can_prune, project_to_ball
-from repro.bbtree.tree import BBTree, BBTreeNode
+from repro.bbtree.tree import BBTree, SearchTables
+from repro.divergence.base import BregmanDivergence, PreparedPoint
 from repro.obs import instruments as _obs
 from repro.stats.anderson_darling import (
+    anderson_darling_p_value,
     anderson_darling_test,
+    corrected_statistic,
     project_to_principal_axis,
 )
 
@@ -86,90 +94,64 @@ class SearchResult:
 
 
 def _sorted_result(
-    ids: list[int],
-    divs: list[float],
+    indices: np.ndarray,
+    divergences: np.ndarray,
     stats: SearchStats,
 ) -> SearchResult:
-    indices = np.asarray(ids, dtype=np.int64)
-    divergences = np.asarray(divs, dtype=np.float64)
+    """The neighbors ordered by ``(divergence, id)``."""
     order = np.lexsort((indices, divergences))
     return SearchResult(indices[order], divergences[order], stats)
 
 
+def _leaf_divergences(
+    tables: SearchTables,
+    divergence: BregmanDivergence,
+    leaf: int,
+    target: PreparedPoint,
+) -> np.ndarray:
+    start, stop = tables.point_start[leaf], tables.point_stop[leaf]
+    return divergence.prepared_divergences(
+        tables.points[start:stop], tables.point_generator[start:stop], target
+    )
+
+
+def _leaf_ids(tables: SearchTables, leaf: int) -> np.ndarray:
+    return tables.point_ids[tables.point_start[leaf]:tables.point_stop[leaf]]
+
+
 # ----------------------------------------------------------------------
-# Exact branch-and-bound search
+# Exact search
 # ----------------------------------------------------------------------
 def exact_nearest_neighbors(tree: BBTree, query, k: int) -> SearchResult:
     """True K nearest neighbors under ``d_f(point, query)``.
 
-    Best-first branch and bound: nodes are expanded in order of the
-    minimum divergence any of their ball's points could have to the
-    query (computed by Bregman projection); a node is pruned when that
-    bound cannot beat the current ``k``-th best.
+    One scan: every leaf block is scored and the ``k`` smallest
+    divergences are kept, ties broken toward the lower point id (as in
+    every other search).  At index sizes INFLEX serves, a
+    branch-and-bound descent with projection bounds visits every leaf
+    anyway and pays for the bounds on top.
     """
     if not 1 <= k <= tree.num_points:
         raise ValueError(f"k must be in [1, {tree.num_points}], got {k}")
-    q = np.asarray(query, dtype=np.float64)
+    tables = tree.tables
     divergence = tree.divergence
-    counter = itertools.count()
-    heap: list[tuple[float, int, BBTreeNode]] = [(0.0, next(counter), tree.root)]
-    # Max-heap of the best k so far: (-divergence, point_id).
-    best: list[tuple[float, int]] = []
-    leaves = 0
-    computations = 0
-    pruned = 0
-    while heap:
-        bound, _, node = heapq.heappop(heap)
-        if len(best) == k and bound >= -best[0][0]:
-            pruned += 1
-            continue
-        if node.is_leaf:
-            leaves += 1
-            divs = divergence.divergence_to_point(
-                tree.points[node.point_ids], q
-            )
-            computations += int(divs.size)
-            for point_id, value in zip(node.point_ids, divs):
-                entry = (-float(value), int(point_id))
-                if len(best) < k:
-                    heapq.heappush(best, entry)
-                elif entry > best[0]:
-                    heapq.heapreplace(best, entry)
-            continue
-        threshold = -best[0][0] if len(best) == k else np.inf
-        for child in node.children:
-            if np.isfinite(threshold):
-                projection = project_to_ball(
-                    divergence, child.center, child.radius, q
-                )
-                # The bisection converges to the projection from above,
-                # so shave a safety margin off before using it as a
-                # branch-and-bound lower bound — otherwise a borderline
-                # tie could prune a true neighbor.
-                child_bound = max(
-                    0.0,
-                    projection.min_divergence
-                    * (1.0 - 1e-6)
-                    - 1e-12,
-                )
-                if child_bound >= threshold:
-                    pruned += 1
-                    continue
-            else:
-                child_bound = 0.0
-            heapq.heappush(heap, (child_bound, next(counter), child))
+    target = divergence.prepare_point(query)
+    divs = np.concatenate(
+        [
+            _leaf_divergences(tables, divergence, leaf, target)
+            for leaf in tables.leaves
+        ]
+    )
     stats = SearchStats(
-        leaves_visited=leaves,
-        divergence_computations=computations,
-        nodes_pruned=pruned,
+        leaves_visited=len(tables.leaves),
+        divergence_computations=int(divs.size),
+        nodes_pruned=0,
         epsilon_match=False,
         stopped_early=False,
     )
     _obs.record_search("exact", stats)
-    ranked = sorted(((-neg, pid) for neg, pid in best))
-    return _sorted_result(
-        [pid for _, pid in ranked], [d for d, _ in ranked], stats
-    )
+    order = np.lexsort((tables.point_ids, divs))[:k]
+    return SearchResult(tables.point_ids[order], divs[order], stats)
 
 
 # ----------------------------------------------------------------------
@@ -223,36 +205,45 @@ def range_search(tree: BBTree, query, radius: float) -> SearchResult:
         stopped_early=False,
     )
     _obs.record_search("range", stats)
-    return _sorted_result(ids, divs, stats)
+    return _sorted_result(
+        np.asarray(ids, dtype=np.int64),
+        np.asarray(divs, dtype=np.float64),
+        stats,
+    )
 
 
 # ----------------------------------------------------------------------
 # Shared guided traversal used by the approximate searches
 # ----------------------------------------------------------------------
 def _descend(
-    tree: BBTree,
-    node: BBTreeNode,
-    q: np.ndarray,
+    tables: SearchTables,
+    divergence: BregmanDivergence,
+    node: int,
+    target: PreparedPoint,
     heap: list,
     counter,
-) -> tuple[BBTreeNode, int]:
+) -> tuple[int, int]:
     """Walk from ``node`` to a leaf, following the child whose ball
     center is closest to the query and queueing the siblings.
 
     Returns the reached leaf and the number of divergence evaluations
     spent on center comparisons.
     """
-    divergence = tree.divergence
     computations = 0
-    while not node.is_leaf:
-        centers = np.vstack([child.center for child in node.children])
-        divs = divergence.divergence_to_point(centers, q)
-        computations += int(divs.size)
+    start, stop = tables.child_start[node], tables.child_stop[node]
+    while start < stop:
+        divs = divergence.prepared_divergences(
+            tables.centers[start:stop],
+            tables.center_generator[start:stop],
+            target,
+        )
+        computations += stop - start
         closest = int(np.argmin(divs))
-        for i, child in enumerate(node.children):
-            if i != closest:
-                heapq.heappush(heap, (float(divs[i]), next(counter), child))
-        node = node.children[closest]
+        for child, value in enumerate(divs.tolist(), start):
+            if child != start + closest:
+                heapq.heappush(heap, (value, next(counter), child))
+        node = start + closest
+        start, stop = tables.child_start[node], tables.child_stop[node]
     return node, computations
 
 
@@ -269,25 +260,24 @@ def leaf_limited_search(
         raise ValueError(f"k must be in [1, {tree.num_points}], got {k}")
     if max_leaves < 1:
         raise ValueError(f"max_leaves must be >= 1, got {max_leaves}")
-    q = np.asarray(query, dtype=np.float64)
+    tables = tree.tables
     divergence = tree.divergence
+    target = divergence.prepare_point(query)
     counter = itertools.count()
-    heap: list = [(0.0, next(counter), tree.root)]
-    ids: list[int] = []
-    divs: list[float] = []
+    heap: list = [(0.0, next(counter), 0)]
+    ids: list[np.ndarray] = []
+    divs: list[np.ndarray] = []
     leaves = 0
     computations = 0
     while heap and leaves < max_leaves:
         _, _, node = heapq.heappop(heap)
-        leaf, spent = _descend(tree, node, q, heap, counter)
+        leaf, spent = _descend(tables, divergence, node, target, heap, counter)
         computations += spent
         leaves += 1
-        leaf_divs = divergence.divergence_to_point(
-            tree.points[leaf.point_ids], q
-        )
+        leaf_divs = _leaf_divergences(tables, divergence, leaf, target)
         computations += int(leaf_divs.size)
-        ids.extend(int(v) for v in leaf.point_ids)
-        divs.extend(float(v) for v in leaf_divs)
+        ids.append(_leaf_ids(tables, leaf))
+        divs.append(leaf_divs)
     stats = SearchStats(
         leaves_visited=leaves,
         divergence_computations=computations,
@@ -296,12 +286,28 @@ def leaf_limited_search(
         stopped_early=False,
     )
     _obs.record_search("leaf-limited", stats)
-    return _sorted_result(ids, divs, stats).top(k)
+    result = _sorted_result(np.concatenate(ids), np.concatenate(divs), stats)
+    return result.top(k)
 
 
 # ----------------------------------------------------------------------
 # Algorithm 1: the INFLEX similarity search
 # ----------------------------------------------------------------------
+#: Relative half-width of the band around each float threshold of the
+#: SVD test (alpha, the p-value cut-points, the two 1e-8 degeneracy
+#: checks) inside which :func:`similar_enough` re-runs the SVD path.
+#: The eigh-based statistic agrees with it to about 1e-10 relative.
+_NEAR = 1e-6
+#: Top eigengap, relative to the top eigenvalue, below which the
+#: principal axis is ill-defined and the SVD path decides.
+_MIN_GAP = 1e-4
+#: Smallest normal tail probability the lean statistic trusts: below
+#: it ``1 - F`` loses digits to cancellation (and the SVD path clips).
+_MIN_TAIL = 1e-7
+#: The cut-points of the piecewise p-value approximation.
+_P_VALUE_CUTS = (0.2, 0.34, 0.6)
+
+
 def similar_enough(points, query, *, alpha: float = 0.05) -> bool:
     """The paper's leaf-acceptance test.
 
@@ -310,13 +316,64 @@ def similar_enough(points, query, *, alpha: float = 0.05) -> bool:
     Anderson--Darling normality test with unknown mean/variance is run.
     Accepting normality means the leaf population plausibly surrounds
     the query as one homogeneous cloud — good enough neighbors, stop
-    searching.  Samples too small or too degenerate to test are treated
-    as *not* similar enough (the search continues to the next leaf).
+    searching.  Fewer than 8 pooled points are *not* similar enough
+    (the search continues to the next leaf); a pooled cloud whose
+    projection is constant (standard deviation at most 1e-8) is
+    trivially similar.  Any other input the test cannot run on (an
+    ``alpha`` outside (0, 1)) is not similar enough.
+
+    The axis is the top eigenvector of the pooled ``Z x Z`` scatter
+    matrix, and the statistic is summed in plain floats.  Whenever the
+    outcome could differ from the SVD formulation
+    (``stats.project_to_principal_axis`` then ``anderson_darling_test``)
+    — a value within ``_NEAR`` of a threshold, a small top eigengap, an
+    extreme tail — that formulation decides, so the answer is always
+    the one it gives.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    pooled = np.vstack([pts, np.asarray(query, dtype=np.float64)])
-    if pooled.shape[0] < 8:
+    pooled = np.vstack(
+        [
+            np.atleast_2d(np.asarray(points, dtype=np.float64)),
+            np.asarray(query, dtype=np.float64),
+        ]
+    )
+    n = pooled.shape[0]
+    if n < 8:
         return False
+    centered = pooled - pooled.mean(axis=0)
+    # The SVD path's own all-coordinates-within-1e-8 check, computed on
+    # the same centered values; a non-finite cloud goes there too.
+    if not (0.0 < alpha < 1.0 and np.abs(centered).max() > 1e-8):
+        return _similar_enough_svd(pooled, alpha)
+    values, vectors = np.linalg.eigh(centered.T @ centered)
+    if values.size > 1 and values[-1] - values[-2] <= _MIN_GAP * values[-1]:
+        return _similar_enough_svd(pooled, alpha)
+    projected = sorted((centered @ vectors[:, -1]).tolist())
+    mean = sum(projected) / n
+    deviations = [value - mean for value in projected]
+    squares = sum(d * d for d in deviations)
+    if squares <= n * (1e-8 * (1.0 + _NEAR)) ** 2:
+        return _similar_enough_svd(pooled, alpha)
+    # Standardize by the ddof=1 deviation; F(x) = erfc(-x / sqrt 2) / 2.
+    scale = math.sqrt(0.5 * (n - 1) / squares)
+    cdf = [0.5 * math.erfc(-d * scale) for d in deviations]
+    if cdf[0] < _MIN_TAIL or 1.0 - cdf[-1] < _MIN_TAIL:
+        return _similar_enough_svd(pooled, alpha)
+    total = sum(
+        (2 * i + 1) * (math.log(cdf[i]) + math.log(1.0 - cdf[n - 1 - i]))
+        for i in range(n)
+    )
+    corrected = corrected_statistic(-n - total / n, n)
+    p_value = anderson_darling_p_value(corrected)
+    if abs(p_value - alpha) <= _NEAR * alpha or any(
+        abs(corrected - cut) <= _NEAR * cut for cut in _P_VALUE_CUTS
+    ):
+        return _similar_enough_svd(pooled, alpha)
+    return p_value >= alpha
+
+
+def _similar_enough_svd(pooled: np.ndarray, alpha: float) -> bool:
+    """:func:`similar_enough` on the SVD axis with the library test;
+    decides every case near one of its thresholds."""
     projected = project_to_principal_axis(pooled)
     if abs(projected.std()) <= 1e-8:
         # A degenerate (constant) projection means all points coincide
@@ -363,35 +420,41 @@ def inflex_search(
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     q = np.asarray(query, dtype=np.float64)
+    tables = tree.tables
     divergence = tree.divergence
+    target = divergence.prepare_point(q)
     counter = itertools.count()
-    heap: list = [(0.0, next(counter), tree.root)]
-    ids: list[int] = []
-    divs: list[float] = []
+    heap: list = [(0.0, next(counter), 0)]
+    ids: list[np.ndarray] = []
+    divs: list[np.ndarray] = []
+    delta = 0.0  # the worst retrieved divergence, once there is one
     leaves = 0
     computations = 0
     pruned = 0
-    epsilon_match = False
     stopped_early = False
     while heap and leaves < max_leaves:
         priority, _, node = heapq.heappop(heap)
-        if use_pruning and divs:
-            delta = max(divs)
-            if priority > 0 and can_prune(
-                divergence, node.center, node.radius, q, delta
-            ):
-                pruned += 1
-                continue
-        leaf, spent = _descend(tree, node, q, heap, counter)
+        if (
+            use_pruning
+            and divs
+            and priority > 0
+            and can_prune(
+                divergence,
+                tables.prepared_centers[node],
+                tables.radii[node],
+                target,
+                delta,
+            )
+        ):
+            pruned += 1
+            continue
+        leaf, spent = _descend(tables, divergence, node, target, heap, counter)
         computations += spent
         leaves += 1
-        leaf_divs = divergence.divergence_to_point(
-            tree.points[leaf.point_ids], q
-        )
+        leaf_divs = _leaf_divergences(tables, divergence, leaf, target)
         computations += int(leaf_divs.size)
         nearest_in_leaf = int(np.argmin(leaf_divs))
         if leaf_divs[nearest_in_leaf] <= epsilon:
-            match_id = int(leaf.point_ids[nearest_in_leaf])
             stats = SearchStats(
                 leaves_visited=leaves,
                 divergence_computations=computations,
@@ -401,25 +464,26 @@ def inflex_search(
             )
             _obs.record_search("inflex", stats)
             return SearchResult(
-                np.asarray([match_id], dtype=np.int64),
-                np.asarray(
-                    [float(leaf_divs[nearest_in_leaf])], dtype=np.float64
-                ),
+                _leaf_ids(tables, leaf)[[nearest_in_leaf]],
+                leaf_divs[[nearest_in_leaf]],
                 stats,
             )
-        ids.extend(int(v) for v in leaf.point_ids)
-        divs.extend(float(v) for v in leaf_divs)
-        if use_ad_test and similar_enough(
-            tree.points[leaf.point_ids], q, alpha=ad_alpha
-        ):
-            stopped_early = True
-            break
+        ids.append(_leaf_ids(tables, leaf))
+        divs.append(leaf_divs)
+        delta = max(delta, float(leaf_divs.max()))
+        if use_ad_test:
+            start, stop = tables.point_start[leaf], tables.point_stop[leaf]
+            if similar_enough(
+                tables.raw_points[start:stop], q, alpha=ad_alpha
+            ):
+                stopped_early = True
+                break
     stats = SearchStats(
         leaves_visited=leaves,
         divergence_computations=computations,
         nodes_pruned=pruned,
-        epsilon_match=epsilon_match,
+        epsilon_match=False,
         stopped_early=stopped_early,
     )
     _obs.record_search("inflex", stats)
-    return _sorted_result(ids, divs, stats)
+    return _sorted_result(np.concatenate(ids), np.concatenate(divs), stats)

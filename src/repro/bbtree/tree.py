@@ -8,6 +8,11 @@ node into as many Gaussian-looking child clusters as the data demands
 and thereby avoids heavily overlapping child balls.  Each node stores a
 Bregman ball ``B(mu, R)`` covering all points of its subtree, with
 ``mu`` the (right) Bregman centroid and ``R = max_i d_f(x_i, mu)``.
+
+Searches do not walk the node objects: :class:`SearchTables` lays the
+finished tree out once as arrays (node centers with each node's child
+slice, leaf populations as slices of one leaf-ordered point matrix),
+with every per-point quantity a query would otherwise recompute.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from repro.clustering.gmeans import learn_branching_factor
 from repro.clustering.kmeanspp import bregman_kmeans
-from repro.divergence.base import BregmanDivergence
+from repro.divergence.base import BregmanDivergence, PreparedPoint
 from repro.divergence.kl import KLDivergence
 from repro.rng import resolve_rng
 
@@ -53,6 +58,121 @@ class BBTreeNode:
         if self.is_leaf:
             return int(self.point_ids.size)
         return sum(child.size for child in self.children)
+
+
+@dataclass(frozen=True)
+class SearchTables:
+    """The bb-tree as flat arrays, built once per tree.
+
+    Nodes are numbered breadth first from the root (node 0), so the
+    children of node ``i`` are the consecutive nodes
+    ``child_start[i]:child_stop[i]`` (an empty range for a leaf).  The
+    points of leaf ``i`` are rows ``point_start[i]:point_stop[i]`` of
+    the leaf-ordered matrices.
+
+    Each block a search scores — one node's children, one leaf's
+    points — is a slice holding the same rows a per-node ``vstack`` or
+    per-leaf gather would, and its generator values were computed on
+    that block.  A divergence read from the tables is therefore the
+    very value :meth:`BregmanDivergence.divergence_to_point` returns
+    for the block.  (One product over all points at once is not: the
+    matrix-vector product sums a row in an order that depends on the
+    row's place in the block.)
+
+    Attributes
+    ----------
+    child_start / child_stop / point_start / point_stop:
+        Per-node slice bounds, as Python lists (read one at a time).
+    leaves:
+        Leaf node numbers, breadth first.
+    radii:
+        Ball radius per node.
+    centers / center_generator:
+        Node centers (clamped into the divergence's domain) and ``f``
+        of each, evaluated per child block.
+    prepared_centers:
+        Per node, the center with its gradient and generator, as the
+        single-point divergences of the Eq. 5 bound need them.
+    point_ids:
+        Tree point ids in leaf order.
+    points / point_generator:
+        The points in leaf order, clamped, and ``f`` per leaf block.
+    raw_points:
+        The points in leaf order as given (the Anderson--Darling test
+        pools the stored coordinates).
+    """
+
+    child_start: list[int]
+    child_stop: list[int]
+    point_start: list[int]
+    point_stop: list[int]
+    leaves: list[int]
+    radii: list[float]
+    centers: np.ndarray
+    center_generator: np.ndarray
+    prepared_centers: list[PreparedPoint]
+    point_ids: np.ndarray
+    points: np.ndarray
+    point_generator: np.ndarray
+    raw_points: np.ndarray
+
+    @classmethod
+    def from_root(
+        cls,
+        root: "BBTreeNode",
+        points: np.ndarray,
+        divergence: BregmanDivergence,
+    ) -> "SearchTables":
+        nodes = [root]
+        child_start: list[int] = []
+        child_stop: list[int] = []
+        for node in nodes:  # grows as it is read: breadth first
+            child_start.append(len(nodes))
+            nodes.extend(node.children)
+            child_stop.append(len(nodes))
+        point_start: list[int] = []
+        point_stop: list[int] = []
+        leaf_ids: list[np.ndarray] = []
+        filled = 0
+        for node in nodes:
+            point_start.append(filled)
+            if node.is_leaf:
+                leaf_ids.append(node.point_ids)
+                filled += int(node.point_ids.size)
+            point_stop.append(filled)
+        centers = divergence.prepare([node.center for node in nodes])
+        center_generator = np.empty(len(nodes))
+        for start, stop in zip(child_start, child_stop):
+            if start < stop:
+                center_generator[start:stop] = divergence.generator(
+                    centers[start:stop]
+                )
+        point_ids = np.concatenate(leaf_ids).astype(np.int64, copy=False)
+        raw_points = points[point_ids]
+        prepared = divergence.prepare(raw_points)
+        point_generator = np.empty(point_ids.size)
+        for start, stop, node in zip(point_start, point_stop, nodes):
+            if node.is_leaf:
+                point_generator[start:stop] = divergence.generator(
+                    prepared[start:stop]
+                )
+        return cls(
+            child_start=child_start,
+            child_stop=child_stop,
+            point_start=point_start,
+            point_stop=point_stop,
+            leaves=[i for i, node in enumerate(nodes) if node.is_leaf],
+            radii=[float(node.radius) for node in nodes],
+            centers=centers,
+            center_generator=center_generator,
+            prepared_centers=[
+                divergence.prepare_point(node.center) for node in nodes
+            ],
+            point_ids=point_ids,
+            points=prepared,
+            point_generator=point_generator,
+            raw_points=raw_points,
+        )
 
 
 class BBTree:
@@ -110,6 +230,9 @@ class BBTree:
         self._ad_alpha = float(ad_alpha)
         self._rng = resolve_rng(seed)
         self._root = self._build(np.arange(pts.shape[0], dtype=np.int64))
+        self._tables = SearchTables.from_root(
+            self._root, pts, self._divergence
+        )
 
     # ------------------------------------------------------------------
     # Accessors
@@ -126,6 +249,11 @@ class BBTree:
     @property
     def divergence(self) -> BregmanDivergence:
         return self._divergence
+
+    @property
+    def tables(self) -> SearchTables:
+        """The tree as flat arrays, as the searches read it."""
+        return self._tables
 
     @property
     def num_points(self) -> int:

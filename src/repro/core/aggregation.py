@@ -4,7 +4,8 @@ Thin orchestration over :mod:`repro.ranking`: pick the aggregator
 (Borda / Copeland / MC4), apply importance weights, optionally refine
 with Local Kemenization, and cut the result to the requested ``k``.
 Copeland, MC4 and Local Kemenization all read one weighted
-pairwise-preference matrix, built once per aggregation.
+pairwise-preference matrix, built once per aggregation from the lists
+as one padded integer array (:func:`~repro.ranking.copeland.ranking_rows`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ import numpy as np
 
 from repro.im.seed_list import SeedList
 from repro.ranking.borda import borda_aggregation
-from repro.ranking.copeland import copeland_order, pairwise_preference_matrix
+from repro.ranking.copeland import (
+    copeland_order,
+    pairwise_preference_matrix,
+    ranking_rows,
+)
 from repro.ranking.kemeny import kemenize
 from repro.ranking.mc4 import mc4_order
 
@@ -36,7 +41,8 @@ def aggregate_seed_lists(
     ----------
     seed_lists:
         The retrieved neighbors' :class:`~repro.im.seed_list.SeedList`
-        objects (or plain sequences of node ids).
+        objects (or plain sequences of node ids), or the same lists as
+        a :func:`~repro.ranking.copeland.ranking_rows` array.
     k:
         Requested answer length; the returned list is the top ``k`` of
         the aggregation (shorter if the union has fewer than ``k``
@@ -54,8 +60,12 @@ def aggregate_seed_lists(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    lists = [list(entry) for entry in seed_lists]
-    if not lists:
+    rows = seed_lists
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+        if rows:
+            rows = ranking_rows(rows)
+    if len(rows) == 0:
         raise ValueError("no seed lists to aggregate")
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
@@ -64,14 +74,15 @@ def aggregate_seed_lists(
             f"unknown aggregator {aggregator!r}; "
             f"expected one of {sorted(_AGGREGATORS)}"
         )
-    if len(lists) == 1:
-        ranked = list(lists[0])
+    if rows.shape[0] == 1:
+        ranked = [node for node in rows[0].tolist() if node >= 0]
     else:
         if aggregator != "borda" or apply_local_kemenization:
             matrix, universe = pairwise_preference_matrix(
-                lists, weights=weights
+                rows, weights=weights
             )
         if aggregator == "borda":
+            lists = [row[row >= 0] for row in rows]
             ranked = borda_aggregation(lists, None, weights=weights)
         else:
             ranked = _MATRIX_AGGREGATORS[aggregator](matrix, universe)

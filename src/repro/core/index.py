@@ -48,6 +48,7 @@ from repro.graph.topic_graph import TopicGraph
 from repro.im.seed_list import SeedList
 from repro.obs import instruments as _obs
 from repro.obs.tracing import get_tracer
+from repro.ranking.copeland import ranking_rows
 from repro.ranking.weights import importance_weights, select_neighbors
 from repro.rng import resolve_rng, spawn_rngs
 from repro.simplex.dirichlet import Dirichlet, fit_dirichlet_mle
@@ -148,6 +149,8 @@ class InflexIndex:
         self._graph = graph
         self._points = points
         self._seed_lists = list(seed_lists)
+        # The lists as one padded (h, l) array: a query aggregates rows.
+        self._seed_rows = ranking_rows(self._seed_lists)
         self._config = config
         self._dirichlet = dirichlet
         self._divergence = KLDivergence()
@@ -463,7 +466,6 @@ class InflexIndex:
 
             # Phase 3: rank aggregation ---------------------------------
             with tracer.span("query.aggregation") as aggregation_span:
-                lists = [self._seed_lists[int(i)] for i in kept_ids]
                 aggregation_weights = (
                     kept_weights if config.weighted else None
                 )
@@ -477,7 +479,7 @@ class InflexIndex:
                     # dividing by a zero total weight.
                     aggregation_weights = None
                 seeds = aggregate_seed_lists(
-                    lists,
+                    self._seed_rows[kept_ids],
                     k,
                     aggregator=config.aggregator,
                     weights=aggregation_weights,

@@ -23,8 +23,21 @@ Key facts used downstream (Banerjee et al. 2005, Nielsen & Nock 2009):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import NamedTuple
 
 import numpy as np
+
+
+class PreparedPoint(NamedTuple):
+    """One point as the second argument of ``d_f``.
+
+    ``point`` is clamped into the domain of ``f``; ``gradient`` and
+    ``generator`` are ``grad f(point)`` and ``f(point)``.
+    """
+
+    point: np.ndarray
+    gradient: np.ndarray
+    generator: float
 
 
 class BregmanDivergence(ABC):
@@ -48,15 +61,51 @@ class BregmanDivergence(ABC):
     def divergence(self, p, q) -> float:
         """Return ``d_f(p, q)`` for two single points."""
         p_arr = self._prepare(np.asarray(p, dtype=np.float64))
-        q_arr = self._prepare(np.asarray(q, dtype=np.float64))
-        grad_q = self.gradient(q_arr[np.newaxis, :])[0]
-        value = (
-            self.generator(p_arr[np.newaxis, :])[0]
-            - self.generator(q_arr[np.newaxis, :])[0]
-            - float(np.dot(grad_q, p_arr - q_arr))
+        return self.prepared_divergence(
+            p_arr,
+            float(self.generator(p_arr[np.newaxis, :])[0]),
+            self.prepare_point(q),
         )
-        # Numerical round-off can produce tiny negatives for p == q.
+
+    def prepare_point(self, point) -> PreparedPoint:
+        """``point`` clamped into the domain, with its gradient and
+        generator value: all that Eq. 3 needs of a second argument.
+
+        A search meets one query against many stored points, and a
+        tree stores each ball center once; preparing either once keeps
+        every later divergence bit-identical to :meth:`divergence` and
+        :meth:`divergence_to_point`.
+        """
+        x = self._prepare(np.asarray(point, dtype=np.float64))
+        row = x[np.newaxis, :]
+        return PreparedPoint(
+            x, self.gradient(row)[0], float(self.generator(row)[0])
+        )
+
+    @staticmethod
+    def prepared_divergence(x, x_generator: float, q: PreparedPoint) -> float:
+        """``d_f(x, q)`` for a prepared point ``x`` with ``f(x)`` given."""
+        value = (
+            x_generator - q.generator - float(np.dot(q.gradient, x - q.point))
+        )
+        # Numerical round-off can produce tiny negatives for x == q.
         return max(float(value), 0.0)
+
+    @staticmethod
+    def prepared_divergences(
+        points: np.ndarray, point_generator: np.ndarray, q: PreparedPoint
+    ) -> np.ndarray:
+        """``d_f(points[i], q)`` for a prepared ``(n, d)`` block.
+
+        The result of a row depends on the whole block: the matrix-vector
+        product sums a row in an order that varies with the row's place
+        in the block.  A caller that must reproduce another call keeps
+        its blocks.
+        """
+        values = (
+            point_generator - q.generator - (points - q.point) @ q.gradient
+        )
+        return np.maximum(values, 0.0)
 
     def prepare(self, points) -> np.ndarray:
         """Rows as a float64 matrix clamped into the domain of ``f``.
@@ -77,17 +126,12 @@ class BregmanDivergence(ABC):
         ``generator(prepare(points))`` when the same points meet many
         ``q``; the result is bit-identical either way.
         """
-        pts = self._prepare(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        q_arr = self._prepare(np.asarray(q, dtype=np.float64))
-        grad_q = self.gradient(q_arr[np.newaxis, :])[0]
+        pts = self.prepare(points)
         if point_generator is None:
             point_generator = self.generator(pts)
-        values = (
-            point_generator
-            - self.generator(q_arr[np.newaxis, :])[0]
-            - (pts - q_arr[np.newaxis, :]) @ grad_q
+        return self.prepared_divergences(
+            pts, point_generator, self.prepare_point(q)
         )
-        return np.maximum(values, 0.0)
 
     def divergence_matrix(
         self, points, centroids, *, point_generator=None

@@ -12,6 +12,7 @@ from repro.ranking.copeland import (
     copeland_order,
     copeland_scores,
     pairwise_preference_matrix,
+    ranking_rows,
 )
 from repro.ranking.kemeny import (
     brute_force_kemeny,
@@ -37,6 +38,7 @@ __all__ = [
     "copeland_order",
     "copeland_scores",
     "pairwise_preference_matrix",
+    "ranking_rows",
     "brute_force_kemeny",
     "kemenize",
     "local_kemenization",

@@ -31,6 +31,8 @@ def _prepare_weights(weights, count: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (count,):
         raise ValueError(f"expected {count} weights, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     if w.sum() <= 0:

@@ -22,6 +22,25 @@ import numpy as np
 from repro.ranking.borda import _prepare_lists, _prepare_weights
 
 
+def ranking_rows(rankings) -> np.ndarray:
+    """Rankings as one integer array, a row each, padded with -1.
+
+    The form :func:`pairwise_preference_matrix` works on.  A caller
+    that aggregates subsets of the same lists many times (the INFLEX
+    index, once per query) converts them once and passes rows.
+    """
+    lists = _prepare_lists(rankings)
+    lengths = np.array([len(ranking) for ranking in lists])
+    flat = np.fromiter(
+        chain.from_iterable(lists), dtype=np.int64, count=lengths.sum()
+    )
+    if flat.size and flat.min() < 0:
+        raise ValueError("node ids must be non-negative")
+    rows = np.full((len(lists), lengths.max()), -1, dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < lengths[:, np.newaxis]] = flat
+    return rows
+
+
 def pairwise_preference_matrix(
     rankings, *, weights=None, extra_nodes=()
 ) -> tuple[np.ndarray, list[int]]:
@@ -31,31 +50,39 @@ def pairwise_preference_matrix(
     ``P[a, b]`` is the total weight of lists preferring
     ``universe[a]`` over ``universe[b]``.  ``extra_nodes`` joins the
     universe as nodes no list ranks (every list abstains between two of
-    them and prefers any node it ranks over them).
+    them and prefers any node it ranks over them).  ``rankings`` is a
+    sequence of rankings or their :func:`ranking_rows` array.
     """
-    lists = _prepare_lists(rankings)
-    w = _prepare_weights(weights, len(lists))
-    lengths = [len(ranking) for ranking in lists]
-    flat = np.fromiter(
-        chain.from_iterable(lists), dtype=np.int64, count=sum(lengths)
+    rows = (
+        rankings
+        if isinstance(rankings, np.ndarray)
+        else ranking_rows(rankings)
     )
+    w = _prepare_weights(weights, rows.shape[0])
+    present = rows >= 0
     universe = np.unique(
-        np.concatenate([flat, np.asarray(extra_nodes, dtype=np.int64)])
+        np.concatenate(
+            [rows[present], np.asarray(extra_nodes, dtype=np.int64)]
+        )
     )
     # One (lists x union) rank array.  Absent nodes sit at a sentinel
     # behind every position, so "rank(v) < rank(v')" is exactly the
     # present-beats-absent rule and absent-vs-absent pairs tie.
-    ranks = np.full((len(lists), universe.size), max(lengths))
-    starts = np.cumsum(lengths) - lengths
-    ranks[
-        np.repeat(np.arange(len(lists)), lengths),
-        np.searchsorted(universe, flat),
-    ] = np.arange(flat.size) - np.repeat(starts, lengths)
+    columns = np.searchsorted(universe, rows)
+    ranks = np.full((rows.shape[0], universe.size), rows.shape[1])
+    list_of, position = np.nonzero(present)
+    ranks[list_of, columns[list_of, position]] = position
     matrix = np.zeros((universe.size, universe.size))
     # Accumulate list by list, in input order: Copeland's exact
-    # P == P.T tie test depends on the summation order.
-    for weight, rank in zip(w, ranks):
-        matrix += weight * (rank[:, np.newaxis] < rank[np.newaxis, :])
+    # P == P.T tie test depends on the summation order.  A list adds
+    # its weight only to the rows of the nodes it ranks (row j: every
+    # node behind position j); the entries it skips are the ones the
+    # full (rank < rank) product would add 0.0 to.
+    behind = np.arange(rows.shape[1])[:, np.newaxis]
+    for weight, rank, row_columns, length in zip(
+        w.tolist(), ranks, columns, present.sum(axis=1).tolist()
+    ):
+        matrix[row_columns[:length]] += weight * (rank > behind[:length])
     return matrix, universe.tolist()
 
 

@@ -51,7 +51,9 @@ class BatchItem:
     dispatch binds the *first* item's context (the batch leader), so
     executor-side spans stitch into the leader's trace while co-batched
     requests reference the shared ``batch_id`` (stamped at dispatch)
-    from their flight records.
+    from their flight records.  ``key`` is the result-cache key the
+    submitter already computed, so the executor stores the answer
+    under it without canonicalizing ``gamma`` a second time.
     """
 
     gamma: object
@@ -62,6 +64,7 @@ class BatchItem:
     enqueued_at: float = 0.0
     ctx: object = None
     batch_id: int | None = None
+    key: tuple | None = None
 
     @property
     def group_key(self) -> tuple[int, str]:

@@ -227,9 +227,7 @@ class QueryServer(HttpFront):
                 gammas, k, strategy=strategy, deadline_ms=deadline
             )
             for item, answer in zip(items, answers):
-                self.cache.store(
-                    self.cache.canonical_key(item.gamma, k, strategy), answer
-                )
+                self.cache.store(item.key, answer)
             return answers
 
         # run_in_executor does not propagate contextvars; wrap captures
@@ -275,6 +273,7 @@ class QueryServer(HttpFront):
                 deadline=deadline,
                 future=future,
                 ctx=_ctx.current_context(),
+                key=key,
             )
             submitted.append(item)
             self.batcher.submit(item)

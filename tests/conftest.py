@@ -9,10 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import InflexConfig, InflexIndex
 from repro.datasets import generate_flixster_like, generate_query_workload
 from repro.graph import TopicGraph, interest_topic_graph
+
+#: ``--hypothesis-profile=deep``: twenty times the default example
+#: budget.  CI re-runs the search differential
+#: (``tests/test_search_differential.py``, which takes a quarter of the
+#: active budget per test) under it with a fixed ``--hypothesis-seed``.
+settings.register_profile("deep", max_examples=2000)
 
 
 @pytest.fixture(scope="session")
