@@ -49,11 +49,11 @@ def _sweep(graph, workers: int) -> tuple[list[float], float]:
         seed=5,
         workers=workers,
     ) as estimator:
-        if workers > 1:
-            # Pay pool startup before the measured region — the pool is
-            # persistent in real use, so startup is not part of the
-            # steady-state cost being compared.
-            estimator.estimate_many([[0]])
+        # Pay pool startup before the measured region — the pool is
+        # persistent in real use, so startup is not part of the
+        # steady-state cost being compared.  Both widths make the call,
+        # so both sweeps draw the same call keys.
+        estimator.estimate_many([[0]])
         start = time.perf_counter()
         values = estimator.estimate_many(seed_sets)
         elapsed = time.perf_counter() - start

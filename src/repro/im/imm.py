@@ -28,7 +28,7 @@ implementation:
   it too (see :func:`walk_rr_index`), and every consumer ranks its
   sets with the one greedy of :class:`RRIndex`.
 * **Parallel dispatch.**  Blocks fan out over the persistent process
-  pools and shared-memory CSR payloads of
+  pool, shared-memory payloads and crash recovery of
   :mod:`repro.propagation.parallel`; the reverse CSR and the full
   ``(m, Z)`` probability matrix are published once per
   :class:`RRSampler` and reused across every item of a build.
@@ -49,10 +49,6 @@ See ``docs/INDEX_BUILDS.md`` for the phase walkthrough, the
 from __future__ import annotations
 
 import math
-import os
-import time
-import weakref
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -60,16 +56,10 @@ from repro.graph.topic_graph import TopicGraph
 from repro.im.seed_list import SeedList
 from repro.obs import instruments as _obs
 from repro.obs.tracing import get_tracer
-from repro.resilience.faults import InjectedFaultError, get_fault_plan
-from repro.propagation.parallel import (
-    _discard_executor,
-    _get_executor,
-    _GraphPayload,
-    _payload_arrays,
-)
+from repro.propagation.parallel import Chunk, PooledArrays
 from repro.rng import as_seed_sequence
 from repro.simplex.vectors import as_distribution
-from repro.workers import default_sim_workers, resolve_workers
+
 
 def _block_size(num_nodes: int) -> int:
     """Deterministic sampling block size for an ``num_nodes``-node graph.
@@ -191,51 +181,35 @@ def _per_set_coins(streams, sets, ends) -> np.ndarray:
     return np.concatenate(coins)
 
 
-def _sample_blocks_task(task):
-    """Worker entry point: sample a range of blocks for one request.
+def _sample_blocks(arrays, gamma, entropy, base_key, request, blocks):
+    """The block kernel: RR sets of ``blocks`` for one request.
 
-    ``task`` is ``(spec, gamma, entropy, base_key, request, blocks,
-    fault)`` where ``spec`` resolves (via the shared-memory payload
-    cache) to the reverse CSR plus the reverse-gathered ``(m, Z)``
-    probability matrix, and ``blocks`` lists ``(block_id, count)``
-    pairs.  The item-specific arc probabilities are mixed once per
-    task.
-
-    ``fault`` is the injection directive the parent attached when the
-    active fault plan fired for this task's ``chunk`` coordinates:
-    ``("crash", _)`` kills the worker (exercising pool-rebuild plus the
-    bit-identical inline fallback), ``("error", _)`` raises a
-    recoverable :class:`InjectedFaultError`, and ``("sleep", seconds)``
-    stalls before sampling.  The fault-free path pays one ``is None``
-    check.
+    ``arrays`` are the sampler's reverse CSR plus its reverse-gathered
+    ``(m, Z)`` probability matrix, mixed here into the item's in-arc
+    probabilities once per call; ``blocks`` lists ``(block_id, count)``
+    pairs and block ``b`` draws from ``SeedSequence(entropy,
+    spawn_key=base_key + (request, b))``.  The same kernel runs inline,
+    in pool workers and in the recovery fallback, so where a block runs
+    never changes its sets.
     """
-    spec, gamma, entropy, base_key, request, blocks, fault = task
-    if fault is not None:
-        mode, arg = fault
-        if mode == "crash":
-            os._exit(17)
-        if mode == "error":
-            raise InjectedFaultError(
-                f"injected fault for RR sampling task (request {request})"
-            )
-        if mode == "sleep":
-            time.sleep(arg if arg is not None else 0.5)
-    in_indptr, in_tails, prob_matrix = _payload_arrays(spec)
+    in_indptr, in_tails, prob_matrix = arrays
     in_probs = prob_matrix @ gamma
     num_nodes = int(in_indptr.shape[0]) - 1
-    out = []
-    for block_id, count in blocks:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=entropy, spawn_key=base_key + (request, block_id)
-            )
+    return [
+        sample_rr_block(
+            in_indptr,
+            in_tails,
+            in_probs,
+            num_nodes,
+            count,
+            np.random.default_rng(
+                np.random.SeedSequence(
+                    entropy=entropy, spawn_key=base_key + (request, block_id)
+                )
+            ),
         )
-        out.append(
-            sample_rr_block(
-                in_indptr, in_tails, in_probs, num_nodes, count, rng
-            )
-        )
-    return out
+        for block_id, count in blocks
+    ]
 
 
 def _merge_blocks(parts, num_sets: int):
@@ -502,20 +476,23 @@ class RRIndex:
         )
 
 
-class RRSampler:
+class RRSampler(PooledArrays):
     """Vectorized, pool-parallel RR-set sampler bound to one graph.
 
     One sampler serves every item of a build: the reverse CSR arrays
     and the reverse-gathered ``(m, Z)`` probability matrix are
     published to shared memory once (lazily, on first pooled dispatch)
-    and each sampling task ships only the item's ``gamma`` — workers
-    mix the item-specific arc probabilities locally.  With
+    and each sampling task ships only the item's ``gamma`` — the block
+    kernel mixes the item-specific arc probabilities.  With
     ``workers=1`` everything runs inline and no payload is created.
 
-    Use as a context manager (or call :meth:`close`) to unlink the
-    shared-memory segments; the worker pool itself is process-wide and
-    shared with :class:`~repro.propagation.parallel.\
-ParallelMonteCarloSpread`.
+    Blocks are dispatched like the chunks of
+    :class:`~repro.propagation.parallel.ParallelMonteCarloSpread`, by
+    the same fan-out: pool rebuilds, ``REPRO_SIM_RETRIES`` retries, the
+    inline fallback and the ``chunk`` fault site (coordinates ``call``
+    = request, ``chunk`` = task index) all apply.  Use as a context
+    manager (or call :meth:`close`) to unlink the shared-memory
+    segments.
     """
 
     def __init__(
@@ -525,19 +502,18 @@ ParallelMonteCarloSpread`.
         workers=None,
         block_size: int | None = None,
     ) -> None:
-        if workers is None:
-            self._workers = default_sim_workers()
-        else:
-            self._workers = resolve_workers(workers, name="workers")
         if block_size is not None and block_size < 1:
             raise ValueError(
                 f"block_size must be >= 1, got {block_size}"
             )
         in_indptr, in_tails, in_arc_ids = graph.reverse_view
-        self._in_indptr = in_indptr
-        self._in_tails = in_tails
-        self._prob_matrix = np.ascontiguousarray(
-            graph.probabilities[in_arc_ids]
+        super().__init__(
+            (
+                in_indptr,
+                in_tails,
+                np.ascontiguousarray(graph.probabilities[in_arc_ids]),
+            ),
+            workers,
         )
         self._num_nodes = graph.num_nodes
         self._num_topics = graph.num_topics
@@ -546,56 +522,12 @@ ParallelMonteCarloSpread`.
             if block_size is not None
             else _block_size(graph.num_nodes)
         )
-        self._payload: _GraphPayload | None = None
-        self._finalizer = None
-        self._closed = False
 
     # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Resolved pool width (1 means fully inline)."""
-        return self._workers
-
     @property
     def num_nodes(self) -> int:
         """Node count of the bound graph."""
         return self._num_nodes
-
-    def close(self) -> None:
-        """Unlink the shared-memory payload (idempotent)."""
-        self._closed = True
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._payload = None
-
-    def __enter__(self) -> "RRSampler":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _ensure_payload(self) -> _GraphPayload:
-        if self._payload is None:
-            payload = _GraphPayload(
-                (self._in_indptr, self._in_tails, self._prob_matrix)
-            )
-            self._finalizer = weakref.finalize(
-                self, _GraphPayload.release, payload
-            )
-            self._payload = payload
-        return self._payload
-
-    # ------------------------------------------------------------------
-    def _blocks(self, num_sets: int) -> list[tuple[int, int]]:
-        """Split a request into ``(block_id, count)`` pairs."""
-        blocks = []
-        lo = 0
-        while lo < num_sets:
-            count = min(self._block, num_sets - lo)
-            blocks.append((len(blocks), count))
-            lo += count
-        return blocks
 
     def sample(
         self, gamma, num_sets: int, *, seed=None, request: int = 0
@@ -609,8 +541,6 @@ ParallelMonteCarloSpread`.
         disjoint randomness from one root ``seed``; results are
         bit-identical for any worker count.
         """
-        if self._closed:
-            raise RuntimeError("RRSampler is closed; create a new one")
         if num_sets < 1:
             raise ValueError(f"num_sets must be >= 1, got {num_sets}")
         dist = as_distribution(gamma)
@@ -620,110 +550,36 @@ ParallelMonteCarloSpread`.
                 f"{self._num_topics}"
             )
         root = as_seed_sequence(seed)
-        entropy = root.entropy
-        base_key = tuple(root.spawn_key)
-        blocks = self._blocks(num_sets)
-        if self._workers == 1:
-            in_probs = self._prob_matrix @ dist
-            parts = [
-                sample_rr_block(
-                    self._in_indptr,
-                    self._in_tails,
-                    in_probs,
-                    self._num_nodes,
-                    count,
-                    np.random.default_rng(
-                        np.random.SeedSequence(
-                            entropy=entropy,
-                            spawn_key=base_key + (request, block_id),
-                        )
-                    ),
-                )
-                for block_id, count in blocks
-            ]
-            return _merge_blocks(parts, num_sets)
-        return self._dispatch(
-            dist, entropy, base_key, request, blocks, num_sets
+        blocks = [
+            (block_id, min(self._block, num_sets - lo))
+            for block_id, lo in enumerate(range(0, num_sets, self._block))
+        ]
+        # Inline, one chunk holds every block; pooled, about two chunks
+        # per worker.
+        per_chunk = (
+            len(blocks)
+            if self._workers == 1
+            else -(-len(blocks) // (self._workers * 2))
         )
-
-    def _dispatch(
-        self, dist, entropy, base_key, request, blocks, num_sets
-    ):
-        """Fan blocks over the shared pool; inline on pool failure.
-
-        Block streams never depend on where a block runs, so the
-        recovery path (and the fully inline fallback) is bit-identical
-        to a healthy pooled run.  The active fault plan's ``chunk``
-        site is honoured per submitted task (coordinates ``call`` =
-        request, ``chunk`` = task index, ``attempt`` = 0), so chaos
-        runs exercise this recovery on the RR sampling path too.
-        """
-        spec = self._ensure_payload().spec
-        plan = get_fault_plan()
-        chunk = max(1, -(-len(blocks) // (self._workers * 2)))
-        tasks = []
-        for i in range(0, len(blocks), chunk):
-            fault = None
-            if plan is not None:
-                fired = plan.fire(
-                    "chunk", call=request, chunk=len(tasks), attempt=0
-                )
-                if fired is not None:
-                    fault = (fired.mode, fired.keep)
-            tasks.append(
+        chunks = [
+            Chunk(
+                request,
+                index,
                 (
-                    spec,
                     dist,
-                    entropy,
-                    base_key,
+                    root.entropy,
+                    tuple(root.spawn_key),
                     request,
-                    blocks[i : i + chunk],
-                    fault,
-                )
+                    blocks[lo : lo + per_chunk],
+                ),
             )
-        results: list = [None] * len(tasks)
-        executor = _get_executor(self._workers)
-        futures = {}
-        broken = False
-        try:
-            for i, task in enumerate(tasks):
-                futures[executor.submit(_sample_blocks_task, task)] = i
-        except (BrokenProcessPool, RuntimeError):
-            broken = True
-        for future, i in futures.items():
-            try:
-                results[i] = future.result()
-            except (BrokenProcessPool, OSError):
-                broken = True
-            except InjectedFaultError:
-                # Worker survived the injected error; this task falls
-                # through to the bit-identical inline fallback below.
-                pass
-        if broken:
-            _discard_executor(self._workers)
-        in_probs = None
-        for i, task in enumerate(tasks):
-            if results[i] is not None:
-                continue
-            if in_probs is None:
-                in_probs = self._prob_matrix @ dist
-            results[i] = [
-                sample_rr_block(
-                    self._in_indptr,
-                    self._in_tails,
-                    in_probs,
-                    self._num_nodes,
-                    count,
-                    np.random.default_rng(
-                        np.random.SeedSequence(
-                            entropy=entropy,
-                            spawn_key=base_key + (request, block_id),
-                        )
-                    ),
-                )
-                for block_id, count in task[5]
-            ]
-        parts = [part for result in results for part in result]
+            for index, lo in enumerate(range(0, len(blocks), per_chunk))
+        ]
+        parts = [
+            part
+            for result in self.fan_out(_sample_blocks, chunks, name="rr")
+            for part in result
+        ]
         return _merge_blocks(parts, num_sets)
 
     def sample_index(

@@ -293,10 +293,11 @@ SKETCH_REFRESHES = _REGISTRY.counter(
     "Sketch-bank refreshes applied after streaming deltas",
 )
 
-# -- parallel spread engine ---------------------------------------------
+# -- process pool (Monte-Carlo chunks, RR-set blocks) -------------------
 SIM_CHUNKS = _REGISTRY.counter(
     "repro_sim_chunks_dispatched_total",
-    "Simulation chunks dispatched to the parallel spread pool",
+    "Chunks (Monte-Carlo simulations or RR-set blocks) dispatched to the "
+    "process pool",
 )
 SIM_WORKER_SIMULATIONS = _REGISTRY.counter(
     "repro_sim_worker_simulations_total",
@@ -312,15 +313,17 @@ SIM_POOL_EVENTS = _REGISTRY.counter(
 # -- resilience ---------------------------------------------------------
 RESILIENCE_POOL_REBUILDS = _REGISTRY.counter(
     "repro_resilience_pool_rebuilds_total",
-    "Simulation pools discarded and rebuilt after a worker crash/hang",
+    "Process pools discarded and rebuilt after a worker crash "
+    "(MC chunks and RR blocks)",
 )
 RESILIENCE_CHUNK_RETRIES = _REGISTRY.counter(
     "repro_resilience_chunk_retries_total",
-    "Simulation chunks re-dispatched after a recoverable failure",
+    "Process-pool chunks (MC or RR) re-dispatched after a failed wave",
 )
 RESILIENCE_SEQUENTIAL_FALLBACKS = _REGISTRY.counter(
     "repro_resilience_sequential_fallbacks_total",
-    "Dispatches that degraded to inline execution after retry exhaustion",
+    "Process-pool dispatches (MC or RR) that degraded to inline execution "
+    "after retry exhaustion",
 )
 RESILIENCE_FAULTS_INJECTED = _REGISTRY.counter(
     "repro_resilience_faults_injected_total",
@@ -769,7 +772,7 @@ def record_simulations(count: int) -> None:
 
 
 def record_sim_chunks(count: int) -> None:
-    """Add ``count`` dispatched chunks to the parallel-engine total."""
+    """Add ``count`` chunks dispatched to the process pool."""
     if not STATE.enabled or count <= 0:
         return
     SIM_CHUNKS.inc(count)
@@ -790,7 +793,7 @@ def record_chunk_retries(count: int) -> None:
 
 
 def record_sequential_fallback() -> None:
-    """Count one degradation from pooled to inline simulation."""
+    """Count one degradation from pooled to inline execution."""
     if not STATE.enabled:
         return
     RESILIENCE_SEQUENTIAL_FALLBACKS.inc()

@@ -36,6 +36,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.obs._state import STATE
@@ -109,10 +110,10 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.duration = time.perf_counter() - self.start
         if self._recording:
-            # Inlined Tracer exit path: finished Span objects go straight
-            # into the buffer (they are single-use), and SpanRecords are
-            # materialized lazily at export time — this keeps the
-            # enabled-mode cost per span to a stack pop and a list append.
+            # Finished Span objects go straight into the buffer (they
+            # are single-use), and SpanRecords are materialized lazily
+            # at export time — this keeps the enabled-mode cost per span
+            # to a stack pop and a ring append.
             self._recording = False
             tracer = self._tracer
             stack = getattr(tracer._local, "stack", None)
@@ -125,22 +126,19 @@ class Span:
                     while stack[-1] is not self:
                         stack.pop()
                     stack.pop()
-            records = tracer._records
-            if len(records) < tracer._max_spans:
-                records.append(self)
-            else:
-                tracer._dropped += 1
+            tracer._append(self)
         return False
 
 
 class Tracer:
-    """Collects finished spans into a bounded in-memory buffer.
+    """Keeps the newest finished spans in a bounded ring.
 
     Parameters
     ----------
     max_spans:
-        Buffer capacity; further spans are counted in :attr:`dropped`
-        instead of growing memory without bound.
+        Ring capacity; once full, each new span evicts the oldest one
+        and counts it in :attr:`dropped`, so a long-running process
+        keeps its recent traces without growing memory.
     """
 
     def __init__(self, max_spans: int = 100_000) -> None:
@@ -148,7 +146,7 @@ class Tracer:
             raise ValueError(f"max_spans must be >= 1, got {max_spans}")
         self._max_spans = int(max_spans)
         self._lock = threading.Lock()
-        self._records: list[Span] = []
+        self._records: deque[Span] = deque(maxlen=self._max_spans)
         self._dropped = 0
         self._epoch = time.perf_counter()
         self._ids = itertools.count(1)
@@ -203,10 +201,14 @@ class Tracer:
         was opened while recording was enabled)."""
         span.duration = time.perf_counter() - span.start
         if span.span_id is not None:
-            if len(self._records) < self._max_spans:
-                self._records.append(span)
-            else:
+            self._append(span)
+
+    def _append(self, span: Span) -> None:
+        """Buffer one finished span, evicting the oldest when full."""
+        with self._lock:
+            if len(self._records) == self._max_spans:
                 self._dropped += 1
+            self._records.append(span)
 
     def _stack(self) -> list:
         try:
@@ -235,10 +237,33 @@ class Tracer:
 
     # -- inspection -----------------------------------------------------
     def spans(self) -> list[SpanRecord]:
-        """All recorded spans, in completion order."""
+        """All buffered spans, in completion order."""
+        return self._select(None, None)
+
+    def find(self, name: str) -> list[SpanRecord]:
+        """Buffered spans with this exact name."""
+        return self._select("name", name)
+
+    def find_trace(self, trace_id: str) -> list[SpanRecord]:
+        """All spans stamped with this trace id, in completion order —
+        one request's full tree, including adopted worker spans."""
+        return self._select("trace_id", trace_id)
+
+    def children_of(self, span_id: int) -> list[SpanRecord]:
+        """Direct children of the given span, in completion order."""
+        return self._select("parent_id", span_id)
+
+    def _select(self, attr: str | None, value) -> list[SpanRecord]:
+        """Records of the buffered spans whose ``attr`` equals
+        ``value`` (every span when ``attr`` is ``None``); spans are
+        filtered before any record is built."""
         with self._lock:
             finished = list(self._records)
             epoch = self._epoch
+        if attr is not None:
+            finished = [
+                span for span in finished if getattr(span, attr) == value
+            ]
         return [
             SpanRecord(
                 span.name,
@@ -252,25 +277,6 @@ class Tracer:
                 span.args,
             )
             for span in finished
-        ]
-
-    def find(self, name: str) -> list[SpanRecord]:
-        """Recorded spans with this exact name."""
-        return [record for record in self.spans() if record.name == name]
-
-    def find_trace(self, trace_id: str) -> list[SpanRecord]:
-        """All spans stamped with this trace id, in completion order —
-        one request's full tree, including adopted worker spans."""
-        return [
-            record for record in self.spans() if record.trace_id == trace_id
-        ]
-
-    def children_of(self, span_id: int) -> list[SpanRecord]:
-        """Direct children of the given span, in completion order."""
-        return [
-            record
-            for record in self.spans()
-            if record.parent_id == span_id
         ]
 
     def adopt(
@@ -299,7 +305,6 @@ class Tracer:
         # stamp onto this process's perf_counter timeline.
         offset = time.time() - time.perf_counter()
         id_map: dict = {}
-        adopted = 0
         for entry in payload:
             span = Span(
                 self,
@@ -316,21 +321,18 @@ class Tracer:
             span.thread_id = int(entry.get("pid", 0))
             span.start = float(entry["wall_start"]) - offset
             span.duration = float(entry["duration"])
-            if len(self._records) < self._max_spans:
-                self._records.append(span)
-                adopted += 1
-            else:
-                self._dropped += 1
-        return adopted
+            self._append(span)
+        return len(payload)
 
     @property
     def dropped(self) -> int:
+        """Spans evicted from the full ring since the last clear."""
         return self._dropped
 
     def clear(self) -> None:
         """Drop all records and restart the epoch."""
         with self._lock:
-            self._records = []
+            self._records = deque(maxlen=self._max_spans)
             self._dropped = 0
             self._epoch = time.perf_counter()
             self._local = threading.local()

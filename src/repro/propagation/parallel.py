@@ -1,42 +1,45 @@
-"""Process-parallel Monte-Carlo spread estimation.
+"""One process-pool fan-out for stream-keyed chunks of work.
 
-Monte-Carlo cascades are embarrassingly parallel — each simulation is an
-independent draw — yet they dominate the runtime of every CELF-style
-marginal-gain evaluation and every spread-quality experiment.  This
-module turns ``num_simulations`` into chunks dispatched over a
-persistent process pool while keeping two hard guarantees:
+Two kinds of offline work go to the process-wide worker pool: chunks of
+Monte-Carlo cascades (:class:`ParallelMonteCarloSpread`, the CELF++
+referee's oracle) and blocks of reverse-reachable sets
+(:class:`repro.im.imm.RRSampler`, IMM seed lists and sketch banks).
+Both are written as a list of :class:`Chunk` tasks for a module-level
+kernel over arrays published once, and both go through the one
+:meth:`PooledArrays.fan_out`, which owns everything between "chunk
+tasks" and "their results, in order":
 
-**Determinism.**  Every simulation owns a private RNG stream derived
-from the estimator's root :class:`~numpy.random.SeedSequence`: the
-``i``-th simulation of the ``t``-th ``estimate`` call uses the spawn key
-``root_key + (t, i)``.  Chunk boundaries and worker counts therefore
-never touch the random streams — ``ParallelMonteCarloSpread`` returns
-**bit-identical** estimates for a given ``(seed, num_simulations)``
-whether it runs inline, on 2 workers, or on 16.
+**Inline at one worker.**  ``workers=1`` calls the kernel in the
+parent on the owner's own arrays: no pool, no shared memory.
 
-**One graph serialization per pool.**  The CSR arrays (``indptr``, arc
-heads, per-arc probabilities) are published once per estimator through
-``multiprocessing.shared_memory`` (workers attach by name and cache the
-attachment), falling back to plain pickling when shared memory is
-unavailable.  Per-task payloads are then just a few names, a seed-set
-array and a simulation range.
+**One graph serialization per owner.**  The arrays are published once
+through ``multiprocessing.shared_memory`` (workers attach by name and
+cache the attachment), falling back to plain pickling when shared
+memory is unavailable.  Tasks then carry a few names plus the chunk's
+own arguments.
+
+**Determinism.**  Every kernel derives its random streams from its
+chunk's arguments only — ``(call, sim)`` spawn keys for cascades,
+``(request, block)`` spawn keys for RR sets — never from worker
+identity or scheduling.  Results are therefore **bit-identical** for
+any worker count, chunk layout and recovery path.
+
+**Crash recovery.**  Because a chunk can be re-executed anywhere with
+the same bytes, a broken pool (a dead worker) is discarded and rebuilt
+and only the unfinished chunks are re-dispatched, with
+:class:`~repro.resilience.RetryPolicy` backoff; after the retry budget
+is spent the remaining chunks run inline in the parent (or
+:class:`~repro.errors.PoolBrokenError` is raised when that fallback is
+disabled).  Every recovery event lands on the ``repro_resilience_*``
+metrics, and worker-side chunk spans are adopted into the dispatching
+request's trace.  See ``docs/RESILIENCE.md``.
 
 The worker pool itself is process-wide, keyed by worker count, created
 lazily on first use and torn down atexit (or explicitly via
-:func:`shutdown_pools`).  Estimators are context managers; closing one
+:func:`shutdown_pools`).  Owners are context managers; closing one
 unlinks its shared-memory segments.  See ``docs/PARALLELISM.md`` for the
 lifetime rules and for how this pool composes with the index-point pool
 of :mod:`repro.core.offline`.
-
-**Crash recovery.**  Because chunk RNG streams are derived from
-``(call, sim)`` spawn keys and never from worker identity, a chunk can
-be re-executed anywhere — another worker, a rebuilt pool, or inline in
-the parent — and produce the same bytes.  ``_dispatch`` exploits this:
-a ``BrokenProcessPoolError`` or a hung worker discards the pool,
-rebuilds it, and re-dispatches only the unfinished chunks; after the
-retry budget is spent it degrades to inline execution (the sequential
-Monte-Carlo path) instead of raising.  Every recovery event lands on
-the ``repro_resilience_*`` metrics.  See ``docs/RESILIENCE.md``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,6 +78,7 @@ from repro.workers import (
     default_sim_workers,
     resolve_workers,
 )
+
 
 # ----------------------------------------------------------------------
 # Shared-memory graph payloads
@@ -168,9 +172,9 @@ def active_payload_count() -> int:
 def publish_arrays(arrays, *, prefix: str = "repro-shared") -> _GraphPayload:
     """Publish ``arrays`` for other processes via shared memory.
 
-    The general-purpose entry point to the payload machinery (the
-    simulation pool constructs :class:`_GraphPayload` directly): the
-    returned payload's ``spec`` is a small picklable tuple that any
+    The general-purpose entry point to the payload machinery
+    (:class:`PooledArrays` constructs :class:`_GraphPayload` directly):
+    the returned payload's ``spec`` is a small picklable tuple that any
     process on the machine can resolve with :func:`attach_arrays`,
     attaching the segments zero-copy.  Falls back to pickling the
     arrays into the spec when shared memory is unavailable.  The
@@ -199,9 +203,9 @@ def attach_arrays(spec) -> tuple[np.ndarray, ...]:
 def _payload_arrays(spec) -> tuple[np.ndarray, ...]:
     """Resolve a payload spec into arrays, caching attachments.
 
-    Runs in worker processes (and inline for the ``workers=1`` path,
-    where the parent's own cache is hit).  Shared-memory attachments are
-    kept referenced by the cache entry so the mapping outlives the call.
+    Runs in worker processes and in fleet workers.  Shared-memory
+    attachments are kept referenced by the cache entry so the mapping
+    outlives the call.
     """
     kind, token, detail = spec
     cached = _WORKER_CACHE.get(token)
@@ -231,89 +235,6 @@ def _payload_arrays(spec) -> tuple[np.ndarray, ...]:
             except OSError:  # pragma: no cover - teardown best effort
                 pass
     return entry[0]
-
-
-# ----------------------------------------------------------------------
-# Simulation kernels (shared by the inline path and the workers)
-# ----------------------------------------------------------------------
-
-
-def _simulate_range(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    probs: np.ndarray,
-    seeds: np.ndarray,
-    entropy,
-    call_key: tuple[int, ...],
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """Cascade sizes of simulations ``lo..hi-1`` of one estimate call.
-
-    Each simulation rebuilds its own ``SeedSequence`` from the root
-    entropy and the spawn key ``call_key + (i,)`` — the construction
-    that makes results independent of chunking.
-    """
-    counts = np.empty(hi - lo, dtype=np.float64)
-    for i in range(lo, hi):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=entropy, spawn_key=call_key + (i,)
-            )
-        )
-        active = simulate_cascade(indptr, indices, probs, seeds, rng)
-        counts[i - lo] = active.sum()
-    return counts
-
-
-def _simulate_chunk(task) -> tuple[int, int, int, np.ndarray, dict | None]:
-    """Worker entry point: run one chunk, tagged with the worker pid.
-
-    ``fault`` is the injection directive the parent attached when the
-    active :class:`FaultPlan` fired for this chunk's coordinates:
-    ``("crash", _)`` kills the worker outright (exercising pool-rebuild
-    recovery), ``("error", _)`` raises a retryable exception, and
-    ``("sleep", seconds)`` stalls before computing (exercising the
-    dispatch timeout).  The fault-free path pays one ``is None`` check.
-
-    ``trace`` is the dispatching request's trace id (or ``None`` when
-    no context was bound / observability was off): when present the
-    chunk is timed on the wall clock and a
-    :func:`~repro.obs.tracing.span_payload` rides home with the counts
-    for the parent tracer to adopt — worker-side spans stitching into
-    the parent's cross-process trace.
-    """
-    spec, entropy, call_key, seeds, lo, hi, fault, trace = task
-    if fault is not None:
-        mode, arg = fault
-        if mode == "crash":
-            os._exit(17)
-        if mode == "error":
-            raise InjectedFaultError(
-                f"injected worker fault for chunk [{lo}, {hi})"
-            )
-        if mode == "sleep":
-            time.sleep(arg if arg is not None else 0.5)
-    if trace is not None:
-        wall_start = time.time()
-        tick = time.perf_counter()
-    indptr, indices, probs = _payload_arrays(spec)
-    counts = _simulate_range(
-        indptr, indices, probs, seeds, entropy, call_key, lo, hi
-    )
-    span = None
-    if trace is not None:
-        span = span_payload(
-            "spread.chunk",
-            wall_start,
-            time.perf_counter() - tick,
-            category="simpool",
-            trace_id=trace,
-            lo=lo,
-            hi=hi,
-            simulations=hi - lo,
-        )
-    return os.getpid(), lo, hi, counts, span
 
 
 # ----------------------------------------------------------------------
@@ -386,29 +307,320 @@ def pool_widths() -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
-# The estimator
+# The fan-out
 # ----------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class _ChunkTask:
-    """One dispatchable chunk of a batch: where its counts land.
+class Chunk(NamedTuple):
+    """One task of a fan-out: a kernel's arguments plus where it sits.
 
-    Identity-hashed (``eq=False``) so waves can keep sets of pending
-    tasks without comparing the seed arrays.
+    ``call`` and ``index`` are the chunk's coordinates at the ``chunk``
+    fault site and on its span; ``args`` follow the arrays in the
+    kernel call.  A kernel's result must depend on ``args`` alone —
+    never on the process running it — for recovery to be bit-identical.
     """
 
-    row: int
-    chunk_id: int
-    key: tuple[int, ...]
-    seeds: np.ndarray
-    lo: int
-    hi: int
+    call: int
+    index: int
+    args: tuple
 
 
-class ParallelMonteCarloSpread:
+def _run_chunk(task):
+    """Worker entry point: apply the fault directive, run one chunk.
+
+    ``task`` is ``(spec, kernel, chunk, fault, trace_id, name)``.
+    ``fault`` is the directive the parent attached when the active
+    :class:`FaultPlan` fired for this chunk's coordinates:
+    ``("crash", _)`` kills the worker outright (exercising pool-rebuild
+    recovery), ``("error", _)`` raises a retryable exception, and
+    ``("sleep", seconds)`` stalls before computing.  The fault-free
+    path pays one ``is None`` check.
+
+    When ``trace_id`` is set (a request context was bound with
+    observability on) the chunk is timed on the wall clock and a
+    ``<name>.chunk`` :func:`~repro.obs.tracing.span_payload` rides home
+    with the result for the parent tracer to adopt.
+    """
+    spec, kernel, chunk, fault, trace_id, name = task
+    if fault is not None:
+        mode, arg = fault
+        if mode == "crash":
+            os._exit(17)
+        if mode == "error":
+            raise InjectedFaultError(
+                f"injected worker fault for chunk {chunk.index} of "
+                f"call {chunk.call}"
+            )
+        if mode == "sleep":
+            time.sleep(arg if arg is not None else 0.5)
+    if trace_id is None:
+        return kernel(_payload_arrays(spec), *chunk.args), None
+    wall_start = time.time()
+    tick = time.perf_counter()
+    result = kernel(_payload_arrays(spec), *chunk.args)
+    span = span_payload(
+        f"{name}.chunk",
+        wall_start,
+        time.perf_counter() - tick,
+        category="simpool",
+        trace_id=trace_id,
+        call=chunk.call,
+        chunk=chunk.index,
+    )
+    return result, span
+
+
+class PooledArrays:
+    """Arrays published for the process pool, and the fan-out over them.
+
+    Subclasses hand their kernels' arrays to ``__init__`` and describe
+    each batch of work as :class:`Chunk` tasks for :meth:`fan_out`.
+    The arrays reach shared memory lazily, on the first pooled
+    dispatch; use the owner as a context manager (or call
+    :meth:`close`) to unlink them.  The pool itself is process-wide
+    and survives for the next owner.
+
+    Parameters
+    ----------
+    arrays:
+        The arrays every kernel call receives first (as a tuple).
+    workers:
+        Pool width: a positive int, ``"auto"`` (CPU count), or ``None``
+        to follow the ``REPRO_SIM_WORKERS`` environment default.
+    retry_policy:
+        Recovery budget for broken pools and failed chunks; ``None``
+        uses a short-backoff default whose attempt count follows the
+        ``REPRO_SIM_RETRIES`` environment knob.
+    allow_sequential_fallback:
+        When the retry budget is exhausted, run the unfinished chunks
+        inline in the parent (the default) instead of raising
+        :class:`~repro.errors.PoolBrokenError`.
+    fault_plan:
+        Explicit :class:`~repro.resilience.FaultPlan` for chaos tests;
+        ``None`` follows the process-wide plan (``REPRO_FAULTS``).
+    """
+
+    def __init__(
+        self,
+        arrays: tuple[np.ndarray, ...],
+        workers=None,
+        *,
+        retry_policy: RetryPolicy | None = None,
+        allow_sequential_fallback: bool = True,
+        fault_plan: FaultPlan | None = None,
+    ) -> None:
+        if workers is None:
+            self._workers = default_sim_workers()
+        else:
+            self._workers = resolve_workers(workers, name="workers")
+        self._arrays = tuple(arrays)
+        self._retry_policy = retry_policy
+        self._allow_sequential_fallback = bool(allow_sequential_fallback)
+        self._fault_plan = fault_plan
+        self._payload: _GraphPayload | None = None
+        self._finalizer = None
+        self._closed = False
+
+    @property
+    def workers(self) -> int:
+        """Resolved pool width (1 means fully inline)."""
+        return self._workers
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Unlink the shared-memory segments (idempotent)."""
+        self._closed = True
+        if self._finalizer is not None:
+            self._finalizer()
+            self._finalizer = None
+        self._payload = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _ensure_payload(self) -> _GraphPayload:
+        if self._payload is None:
+            payload = _GraphPayload(self._arrays)
+            # The finalizer guards against owners dropped without
+            # close(): the segments are unlinked when the object dies,
+            # not when the interpreter exits.
+            self._finalizer = weakref.finalize(
+                self, _GraphPayload.release, payload
+            )
+            self._payload = payload
+        return self._payload
+
+    # ------------------------------------------------------------------
+    # Dispatch
+    # ------------------------------------------------------------------
+    def fan_out(
+        self, kernel: Callable, chunks: list[Chunk], *, name: str
+    ) -> list:
+        """``kernel(arrays, *chunk.args)`` for every chunk, in order.
+
+        ``kernel`` must be a module-level function (workers unpickle it
+        by reference).  At one worker the chunks run inline on the
+        owner's arrays.  Otherwise they go to the shared pool in waves:
+        a wave that breaks the pool discards it (the next wave starts a
+        fresh one), failed chunks are re-dispatched after the retry
+        policy's backoff, and once the budget is spent the rest run
+        inline in the parent.  The pooled path is wrapped in a
+        ``<name>.dispatch`` span that adopts the workers'
+        ``<name>.chunk`` spans.
+        """
+        if self._closed:
+            raise RuntimeError(
+                f"{type(self).__name__} is closed; create a new one"
+            )
+        if self._workers == 1:
+            return [kernel(self._arrays, *chunk.args) for chunk in chunks]
+        spec = self._ensure_payload().spec
+        policy = self._retry_policy
+        if policy is None:
+            policy = RetryPolicy(
+                max_attempts=default_retry_attempts(),
+                base_delay=0.05,
+                max_delay=1.0,
+            )
+        plan = (
+            self._fault_plan
+            if self._fault_plan is not None
+            else get_fault_plan()
+        )
+        # Cross-process tracing: when a request context is bound (and
+        # recording is on) the trace id travels inside every task, and
+        # workers send span payloads back with their results.
+        tracer = get_tracer()
+        context = current_context() if STATE.enabled else None
+        trace_id = context.trace_id if context is not None else None
+        results: list = [None] * len(chunks)
+        remote_spans: list[dict] = []
+
+        def wave(pending: list[int], attempt: int) -> list[int]:
+            """Submit ``pending`` once; returns the chunks that failed."""
+            executor = _get_executor(self._workers)
+            futures: dict = {}
+            failed: list[int] = []
+            broken = False
+            try:
+                for i in pending:
+                    fault = None
+                    if plan is not None:
+                        fired = plan.fire(
+                            "chunk",
+                            call=chunks[i].call,
+                            chunk=chunks[i].index,
+                            attempt=attempt,
+                        )
+                        if fired is not None:
+                            fault = (fired.mode, fired.keep)
+                    task = (spec, kernel, chunks[i], fault, trace_id, name)
+                    futures[executor.submit(_run_chunk, task)] = i
+            except (BrokenProcessPool, RuntimeError):
+                # The pool died before accepting the whole wave; what
+                # was not submitted fails over with the broken futures.
+                broken = True
+                failed.extend(pending[len(futures) :])
+            for future, i in futures.items():
+                try:
+                    results[i], span = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    failed.append(i)
+                    continue
+                except (OSError, InjectedFaultError):
+                    # The worker survived: retry on the same pool.
+                    failed.append(i)
+                    continue
+                if span is not None:
+                    remote_spans.append(span)
+            if broken:
+                with _obs.pool_rebuild_span(self._workers):
+                    _discard_executor(self._workers)
+                get_logger("resilience").event(
+                    "simpool.rebuild",
+                    level=logging.WARNING,
+                    workers=self._workers,
+                    failed_chunks=len(failed),
+                    attempt=attempt,
+                )
+            return failed
+
+        with tracer.span(
+            f"{name}.dispatch", category="simpool", chunks=len(chunks)
+        ) as dispatch_span:
+            pending = wave(list(range(len(chunks))), 0)
+            attempt = 0
+            while pending and attempt < policy.max_attempts:
+                attempt += 1
+                _obs.record_chunk_retries(len(pending))
+                policy.sleep_before(attempt - 1)
+                pending = wave(pending, attempt)
+            if pending and not self._allow_sequential_fallback:
+                raise PoolBrokenError(
+                    f"process pool failed {attempt + 1} consecutive times "
+                    f"with {len(pending)} chunks unrecovered; raise the "
+                    "retry budget or enable sequential fallback"
+                )
+            if pending:
+                # The degraded path of last resort: the same kernels on
+                # the same arguments, in the parent, without faults.
+                _obs.record_sequential_fallback()
+            for i in pending:
+                with tracer.span(
+                    f"{name}.chunk",
+                    category="simpool",
+                    call=chunks[i].call,
+                    chunk=chunks[i].index,
+                    inline=True,
+                ):
+                    results[i] = kernel(self._arrays, *chunks[i].args)
+        if remote_spans:
+            tracer.adopt(
+                remote_spans,
+                trace_id=trace_id,
+                parent_id=dispatch_span.span_id,
+            )
+        _obs.record_sim_chunks(len(chunks))
+        return results
+
+
+# ----------------------------------------------------------------------
+# The Monte-Carlo estimator
+# ----------------------------------------------------------------------
+
+
+def _simulate_chunk(
+    arrays, seeds, entropy, call_key: tuple[int, ...], lo: int, hi: int
+) -> tuple[int, np.ndarray]:
+    """Cascade sizes of simulations ``lo..hi-1`` of one estimate call,
+    with the pid of the process that ran them.
+
+    Each simulation rebuilds its own ``SeedSequence`` from the root
+    entropy and the spawn key ``call_key + (i,)`` — the construction
+    that makes results independent of chunking.
+    """
+    indptr, indices, probs = arrays
+    counts = np.empty(hi - lo, dtype=np.float64)
+    for i in range(lo, hi):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(
+                entropy=entropy, spawn_key=call_key + (i,)
+            )
+        )
+        active = simulate_cascade(indptr, indices, probs, seeds, rng)
+        counts[i - lo] = active.sum()
+    return os.getpid(), counts
+
+
+class ParallelMonteCarloSpread(PooledArrays):
     """Drop-in :class:`~repro.propagation.spread.SpreadEstimator` that
-    chunks Monte-Carlo simulations over a persistent process pool.
+    chunks Monte-Carlo simulations over the process-wide pool.
 
     Parameters
     ----------
@@ -418,10 +630,11 @@ class ParallelMonteCarloSpread:
     num_simulations:
         Cascades per ``estimate`` call.
     seed:
-        Root of the per-simulation stream derivation.  The same
-        ``(seed, num_simulations)`` pair yields bit-identical estimates
-        for **any** worker count — including ``workers=1``, which runs
-        inline with no pool at all.
+        Root of the per-simulation stream derivation: the ``i``-th
+        simulation of the ``t``-th ``estimate`` call uses the spawn key
+        ``root_key + (t, i)``.  The same ``(seed, num_simulations)``
+        pair yields bit-identical estimates for **any** worker count —
+        including ``workers=1``, which runs inline with no pool at all.
     workers:
         Pool width: a positive int, ``"auto"`` (CPU count), or ``None``
         to follow the ``REPRO_SIM_WORKERS`` environment default.
@@ -429,27 +642,13 @@ class ParallelMonteCarloSpread:
         Load-balancing granularity — each estimate call is split into
         about ``workers * chunks_per_worker`` chunks.  Has no effect on
         the results, only on scheduling.
-    retry_policy:
-        Recovery budget for broken pools and failed chunks; ``None``
-        uses a short-backoff default whose attempt count follows the
-        ``REPRO_SIM_RETRIES`` environment knob.  Retried chunks are
-        bit-identical to their first attempt (streams are keyed by
-        ``(call, sim)``, not by worker), so recovery never changes
+    retry_policy / allow_sequential_fallback / fault_plan:
+        Pool recovery, as in :class:`PooledArrays`.  Retried chunks are
+        bit-identical to their first attempt, so recovery never changes
         results.
-    allow_sequential_fallback:
-        When the retry budget is exhausted, run the unfinished chunks
-        inline in the parent (the default) instead of raising
-        :class:`~repro.errors.PoolBrokenError`.
-    task_timeout:
-        Seconds to wait for each outstanding chunk before declaring the
-        pool hung and rebuilding it; ``None`` (default) waits forever.
-    fault_plan:
-        Explicit :class:`~repro.resilience.FaultPlan` for chaos tests;
-        ``None`` follows the process-wide plan (``REPRO_FAULTS``).
 
     Use as a context manager (or call :meth:`close`) to unlink the
-    shared-memory graph segments when done; the pool itself is shared
-    process-wide and survives for the next estimator.
+    shared-memory graph segments when done.
     """
 
     def __init__(
@@ -463,7 +662,6 @@ class ParallelMonteCarloSpread:
         chunks_per_worker: int = 4,
         retry_policy: RetryPolicy | None = None,
         allow_sequential_fallback: bool = True,
-        task_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if num_simulations < 1:
@@ -474,44 +672,19 @@ class ParallelMonteCarloSpread:
             raise ValueError(
                 f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
             )
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(
-                f"task_timeout must be positive or None, got {task_timeout}"
-            )
-        if workers is None:
-            self._workers = default_sim_workers()
-        else:
-            self._workers = resolve_workers(
-                workers, name="simulation_workers"
-            )
-        if retry_policy is None:
-            retry_policy = RetryPolicy(
-                max_attempts=default_retry_attempts(),
-                base_delay=0.05,
-                max_delay=1.0,
-                retryable=(
-                    BrokenProcessPool,
-                    TimeoutError,
-                    OSError,
-                    InjectedFaultError,
-                ),
-            )
-        self._retry_policy = retry_policy
-        self._allow_sequential_fallback = bool(allow_sequential_fallback)
-        self._task_timeout = task_timeout
-        self._fault_plan = fault_plan
+        super().__init__(
+            (graph.indptr, graph.indices, graph.item_probabilities(gamma)),
+            workers,
+            retry_policy=retry_policy,
+            allow_sequential_fallback=allow_sequential_fallback,
+            fault_plan=fault_plan,
+        )
         self._num_simulations = int(num_simulations)
         self._chunks_per_worker = int(chunks_per_worker)
-        self._indptr = graph.indptr
-        self._indices = graph.indices
-        self._probs = graph.item_probabilities(gamma)
         root = as_seed_sequence(seed)
         self._entropy = root.entropy
         self._base_key = tuple(root.spawn_key)
         self._calls = 0
-        self._payload: _GraphPayload | None = None
-        self._finalizer = None
-        self._closed = False
 
     # ------------------------------------------------------------------
     @property
@@ -520,50 +693,9 @@ class ParallelMonteCarloSpread:
         return self._num_simulations
 
     @property
-    def workers(self) -> int:
-        """Resolved pool width (1 means fully inline)."""
-        return self._workers
-
-    @property
     def calls(self) -> int:
         """Estimate calls served so far (each consumes one stream key)."""
         return self._calls
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Unlink the shared-memory graph segments (idempotent)."""
-        self._closed = True
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._payload = None
-
-    def __enter__(self) -> "ParallelMonteCarloSpread":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _ensure_payload(self) -> _GraphPayload:
-        if self._closed:
-            raise RuntimeError(
-                "ParallelMonteCarloSpread is closed; create a new "
-                "estimator"
-            )
-        if self._payload is None:
-            payload = _GraphPayload(
-                (self._indptr, self._indices, self._probs)
-            )
-            # The finalizer guards against estimators dropped without
-            # close(): the segments are unlinked when the object dies,
-            # not when the interpreter exits.
-            self._finalizer = weakref.finalize(
-                self, _GraphPayload.release, payload
-            )
-            self._payload = payload
-        return self._payload
 
     # ------------------------------------------------------------------
     # Estimation
@@ -606,29 +738,29 @@ class ParallelMonteCarloSpread:
         ]
         first_call = self._calls
         self._calls += len(arrays)
-        call_keys = [
-            self._base_key + (first_call + offset,)
-            for offset in range(len(arrays))
-        ]
         if self._workers == 1:
-            results = [
-                _simulate_range(
-                    self._indptr,
-                    self._indices,
-                    self._probs,
-                    seeds,
-                    self._entropy,
-                    key,
-                    0,
-                    self._num_simulations,
-                )
-                for seeds, key in zip(arrays, call_keys)
-            ]
-            _obs.record_simulations(
-                self._num_simulations * len(arrays)
+            bounds = [(0, self._num_simulations)]
+        else:
+            bounds = self._chunk_bounds(len(arrays))
+        chunks = [
+            Chunk(
+                call,
+                chunk_id,
+                (seeds, self._entropy, self._base_key + (call,), lo, hi),
             )
-            return results
-        return self._dispatch(arrays, call_keys)
+            for call, seeds in enumerate(arrays, start=first_call)
+            for chunk_id, (lo, hi) in enumerate(bounds)
+        ]
+        done = self.fan_out(_simulate_chunk, chunks, name="spread")
+        if self._workers > 1:
+            for pid, counts in done:
+                _obs.record_worker_simulations(pid, counts.size)
+        _obs.record_simulations(self._num_simulations * len(arrays))
+        step = len(bounds)
+        return [
+            np.concatenate([counts for _, counts in done[row : row + step]])
+            for row in range(0, len(done), step)
+        ]
 
     def _chunk_bounds(self, num_calls: int) -> list[tuple[int, int]]:
         """Simulation ranges for one call, sized to fill the pool.
@@ -649,204 +781,6 @@ class ParallelMonteCarloSpread:
             bounds.append((lo, hi))
             lo = hi
         return bounds
-
-    def _dispatch(self, arrays, call_keys) -> list[np.ndarray]:
-        """Run a batch over the pool, recovering from worker failures.
-
-        Unfinished chunks are re-dispatched (pool rebuilt first when it
-        broke) up to the retry budget, then executed inline — results
-        are bit-identical on every path because the chunk streams never
-        depend on where a chunk runs.
-        """
-        spec = self._ensure_payload().spec
-        bounds = self._chunk_bounds(len(arrays))
-        plan = (
-            self._fault_plan
-            if self._fault_plan is not None
-            else get_fault_plan()
-        )
-        tasks = [
-            _ChunkTask(row, chunk_id, key, seeds, lo, hi)
-            for row, (seeds, key) in enumerate(zip(arrays, call_keys))
-            for chunk_id, (lo, hi) in enumerate(bounds)
-        ]
-        results = [
-            np.empty(self._num_simulations, dtype=np.float64)
-            for _ in arrays
-        ]
-        # Cross-process tracing: when a request context is bound (and
-        # recording is on) the trace id travels inside every task, and
-        # workers send span payloads back with their counts.
-        tracer = get_tracer()
-        context = current_context() if STATE.enabled else None
-        trace_id = context.trace_id if context is not None else None
-        remote_spans: list[dict] = []
-        per_worker: dict[int, int] = {}
-        pending = tasks
-        attempt = 0
-        with tracer.span(
-            "spread.dispatch",
-            category="simpool",
-            chunks=len(tasks),
-            calls=len(arrays),
-        ) as dispatch_span:
-            while pending:
-                pending = self._run_wave(
-                    spec,
-                    pending,
-                    plan,
-                    attempt,
-                    results,
-                    per_worker,
-                    trace_id,
-                    remote_spans,
-                )
-                if not pending:
-                    break
-                attempt += 1
-                if attempt > self._retry_policy.max_attempts:
-                    if not self._allow_sequential_fallback:
-                        raise PoolBrokenError(
-                            f"simulation pool failed {attempt} consecutive "
-                            f"times with {len(pending)} chunks unrecovered; "
-                            "raise the retry budget or enable sequential "
-                            "fallback"
-                        )
-                    _obs.record_sequential_fallback()
-                    self._run_inline(pending, results, per_worker)
-                    pending = []
-                    break
-                _obs.record_chunk_retries(len(pending))
-                self._retry_policy.sleep_before(attempt - 1)
-        if remote_spans:
-            tracer.adopt(
-                remote_spans,
-                trace_id=trace_id,
-                parent_id=dispatch_span.span_id,
-            )
-        _obs.record_sim_chunks(len(tasks))
-        for pid, count in per_worker.items():
-            _obs.record_worker_simulations(pid, count)
-        _obs.record_simulations(self._num_simulations * len(arrays))
-        return results
-
-    def _run_wave(
-        self,
-        spec,
-        tasks,
-        plan,
-        attempt,
-        results,
-        per_worker,
-        trace_id=None,
-        remote_spans=None,
-    ) -> list[_ChunkTask]:
-        """Dispatch ``tasks`` once; returns the chunks needing a retry.
-
-        A broken or hung pool is discarded here (counted as a rebuild)
-        so the next wave's :func:`_get_executor` starts a fresh one.
-        Worker-side span payloads (present when ``trace_id`` is set)
-        accumulate into ``remote_spans`` for the caller to adopt.
-        """
-        executor = _get_executor(self._workers)
-        futures: dict = {}
-        broken = False
-        failed: list[_ChunkTask] = []
-        try:
-            for task in tasks:
-                fault = None
-                if plan is not None:
-                    fired = plan.fire(
-                        "chunk",
-                        call=int(task.key[-1]),
-                        chunk=task.chunk_id,
-                        attempt=attempt,
-                    )
-                    if fired is not None:
-                        fault = (fired.mode, fired.keep)
-                future = executor.submit(
-                    _simulate_chunk,
-                    (
-                        spec,
-                        self._entropy,
-                        task.key,
-                        task.seeds,
-                        task.lo,
-                        task.hi,
-                        fault,
-                        trace_id,
-                    ),
-                )
-                futures[future] = task
-        except (BrokenProcessPool, RuntimeError):
-            # The pool died before accepting the whole wave; everything
-            # not yet submitted fails over to the next wave alongside
-            # whatever the submitted futures report below.
-            broken = True
-            submitted = set(futures.values())
-            failed.extend(t for t in tasks if t not in submitted)
-        for future, task in futures.items():
-            try:
-                pid, lo, hi, counts, span = future.result(
-                    timeout=self._task_timeout
-                )
-            except (BrokenProcessPool, TimeoutError):
-                broken = True
-                failed.append(task)
-                continue
-            except (OSError, InjectedFaultError):
-                # Worker survived but the chunk failed: retry it on the
-                # same pool.
-                failed.append(task)
-                continue
-            results[task.row][lo:hi] = counts
-            per_worker[pid] = per_worker.get(pid, 0) + (hi - lo)
-            if span is not None and remote_spans is not None:
-                remote_spans.append(span)
-        if broken:
-            with _obs.pool_rebuild_span(self._workers):
-                _discard_executor(self._workers)
-            get_logger("resilience").event(
-                "simpool.rebuild",
-                level=logging.WARNING,
-                workers=self._workers,
-                failed_chunks=len(failed),
-                attempt=attempt,
-            )
-        return failed
-
-    def _run_inline(self, tasks, results, per_worker) -> None:
-        """Sequential-fallback execution of ``tasks`` in the parent.
-
-        This is the degraded path of last resort: no pool, no shared
-        memory, no fault injection — just the same ``(call, sim)``
-        streams the workers would have used, so the estimates still
-        come out bit-identical.
-        """
-        pid = os.getpid()
-        tracer = get_tracer()
-        for task in tasks:
-            with tracer.span(
-                "spread.chunk",
-                category="simpool",
-                lo=task.lo,
-                hi=task.hi,
-                inline=True,
-            ):
-                counts = _simulate_range(
-                    self._indptr,
-                    self._indices,
-                    self._probs,
-                    task.seeds,
-                    self._entropy,
-                    task.key,
-                    task.lo,
-                    task.hi,
-                )
-            results[task.row][task.lo : task.hi] = counts
-            per_worker[pid] = per_worker.get(pid, 0) + (
-                task.hi - task.lo
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

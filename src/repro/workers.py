@@ -3,8 +3,9 @@
 Two process-pool levels exist in this package: the *index-point* pool of
 :func:`repro.core.offline.offline_seed_lists_batch` (one task per index
 point during construction) and the *simulation* pool of
-:class:`repro.propagation.parallel.ParallelMonteCarloSpread` (chunks of
-Monte-Carlo cascades within one spread estimate).  Both express their
+:mod:`repro.propagation.parallel` (chunks of Monte-Carlo cascades
+within one spread estimate, and chunks of RR-set blocks within one
+:class:`~repro.im.imm.RRSampler` sample).  Both express their
 worker counts through this module so validation happens exactly once, at
 parse time, with one error message — not deep inside a pool that has
 already spawned processes.
@@ -20,7 +21,8 @@ The environment variable ``REPRO_SIM_WORKERS`` supplies the default
 simulation worker count wherever none is passed explicitly; CI uses it
 to run the whole test suite through the parallel spread engine.
 ``REPRO_SIM_RETRIES`` similarly supplies the default pool-recovery
-retry budget (see ``docs/RESILIENCE.md``).  See ``docs/PARALLELISM.md``
+retry budget of the simulation pool — for Monte-Carlo chunks and RR-set
+blocks alike (see ``docs/RESILIENCE.md``).  See ``docs/PARALLELISM.md``
 for how the two pool levels compose.
 """
 

@@ -232,6 +232,43 @@ class TestSpans:
         assert len(tracer.spans()) == 2
         assert tracer.dropped == 2
 
+    def test_full_buffer_keeps_the_newest_trace(self, observability):
+        tracer = Tracer(max_spans=8)
+        for _ in range(8):
+            with tracer.span("old"):
+                pass
+        manual = tracer.open_span("manual", trace_id="fresh")
+        tracer.close_span(manual)
+        tracer.adopt(
+            [{"name": "remote", "wall_start": 0.0, "duration": 0.1}],
+            trace_id="fresh",
+        )
+        names = [record.name for record in tracer.find_trace("fresh")]
+        assert names == ["manual", "remote"]
+        assert len(tracer.spans()) == 8
+        assert tracer.dropped == 2
+        assert [record.name for record in tracer.spans()][:6] == ["old"] * 6
+
+    def test_lookups_match_a_filtered_export(self, observability):
+        tracer = Tracer()
+        with tracer.span("outer") as outer:
+            with tracer.span("inner"):
+                pass
+            with tracer.span("inner"):
+                pass
+        tracer.close_span(tracer.open_span("other", trace_id="t"))
+        everything = tracer.spans()
+        assert tracer.find("inner") == [
+            r for r in everything if r.name == "inner"
+        ]
+        assert tracer.find_trace("t") == [
+            r for r in everything if r.trace_id == "t"
+        ]
+        assert tracer.children_of(outer.span_id) == [
+            r for r in everything if r.parent_id == outer.span_id
+        ]
+        assert len(tracer.find("inner")) == 2
+
     def test_chrome_trace_round_trip(self, observability):
         _, tracer = observability
         with tracer.span("query", strategy="inflex", k=5):

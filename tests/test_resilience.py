@@ -366,6 +366,37 @@ class TestPoolCrashRecovery:
             np.array_equal(a, b) for a, b in zip(clean, recovered)
         )
 
+    def test_rr_persistent_crashes_degrade_to_sequential(
+        self, small_graph, observability
+    ):
+        # RR chunk 0 crashes on every attempt: the sampler's dispatch
+        # retries, runs out of budget and finishes inline, with the
+        # same sets as a clean inline run.
+        from repro.im.imm import RRSampler
+
+        with fault_plan(FaultPlan()):
+            with RRSampler(small_graph, workers=1) as sampler:
+                clean = sampler.sample(GAMMA4, 1200, seed=9, request=2)
+        plan = FaultPlan(
+            [FaultSpec(site="chunk", mode="crash", match={"chunk": 0}, times=None)]
+        )
+        with fault_plan(plan):
+            with RRSampler(small_graph, workers=2) as sampler:
+                recovered = sampler.sample(GAMMA4, 1200, seed=9, request=2)
+        assert all(
+            np.array_equal(a, b) for a, b in zip(clean, recovered)
+        )
+        assert plan.specs[0].fired >= 2
+        assert _counter(
+            observability, "repro_resilience_pool_rebuilds_total"
+        ) >= 1
+        assert _counter(
+            observability, "repro_resilience_chunk_retries_total"
+        ) >= 1
+        assert _counter(
+            observability, "repro_resilience_sequential_fallbacks_total"
+        ) >= 1
+
     def test_persistent_crashes_degrade_to_sequential(
         self, small_graph, observability
     ):

@@ -775,3 +775,28 @@ class TestCrossProcessTrace:
         assert any(
             chunk.thread_id != dispatch[0].thread_id for chunk in chunks
         )
+
+    def test_rr_worker_chunk_spans_join_the_parent_trace(self, small_graph):
+        from repro.im.imm import RRSampler
+        from repro.propagation.parallel import shutdown_pools
+
+        obs.enable()
+        context = _ctx.new_request_context()
+        gamma = np.full(4, 0.25)
+        try:
+            with RRSampler(small_graph, workers=2) as sampler:
+                with _ctx.bind(context):
+                    sampler.sample(gamma, 600, seed=4)
+        finally:
+            shutdown_pools()
+        spans = obs.get_tracer().find_trace(context.trace_id)
+        dispatch = [s for s in spans if s.name == "rr.dispatch"]
+        chunks = [s for s in spans if s.name == "rr.chunk"]
+        assert len(dispatch) == 1
+        assert chunks, "worker chunk spans were not adopted"
+        assert all(
+            chunk.parent_id == dispatch[0].span_id for chunk in chunks
+        )
+        assert any(
+            chunk.thread_id != dispatch[0].thread_id for chunk in chunks
+        )
