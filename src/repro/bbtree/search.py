@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bbtree.projection import can_prune, project_to_ball
-from repro.bbtree.tree import BBTree, SearchTables
+from repro.bbtree.tree import BBTree, LeafMoments, SearchTables
 from repro.divergence.base import BregmanDivergence, PreparedPoint
 from repro.obs import instruments as _obs
 from repro.stats.anderson_darling import (
@@ -322,53 +322,73 @@ def similar_enough(points, query, *, alpha: float = 0.05) -> bool:
     trivially similar.  Any other input the test cannot run on (an
     ``alpha`` outside (0, 1)) is not similar enough.
 
-    The axis is the top eigenvector of the pooled ``Z x Z`` scatter
-    matrix, and the statistic is summed in plain floats.  Whenever the
-    outcome could differ from the SVD formulation
+    The pooled statistics come from the points' :class:`LeafMoments`
+    (the search reads them from the tree's tables) by a rank-one update
+    for the query, the axis is the top eigenvector of the pooled
+    ``Z x Z`` scatter matrix, and the statistic is summed in floats.
+    Whenever the outcome could differ from the SVD formulation
     (``stats.project_to_principal_axis`` then ``anderson_darling_test``)
     — a value within ``_NEAR`` of a threshold, a small top eigengap, an
     extreme tail — that formulation decides, so the answer is always
     the one it gives.
     """
-    pooled = np.vstack(
-        [
-            np.atleast_2d(np.asarray(points, dtype=np.float64)),
-            np.asarray(query, dtype=np.float64),
-        ]
-    )
-    n = pooled.shape[0]
-    if n < 8:
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    # One point of the leaf's dimension (reshape raises otherwise).
+    q = np.asarray(query, dtype=np.float64).reshape(pts.shape[1])
+    if pts.shape[0] + 1 < 8:
         return False
-    centered = pooled - pooled.mean(axis=0)
-    # The SVD path's own all-coordinates-within-1e-8 check, computed on
-    # the same centered values; a non-finite cloud goes there too.
-    if not (0.0 < alpha < 1.0 and np.abs(centered).max() > 1e-8):
-        return _similar_enough_svd(pooled, alpha)
-    values, vectors = np.linalg.eigh(centered.T @ centered)
+    return _pooled_test(LeafMoments.of(pts), pts, q, alpha)
+
+
+def _pooled_test(
+    leaf: LeafMoments, points: np.ndarray, query: np.ndarray, alpha: float
+) -> bool:
+    """:func:`similar_enough` on the moments of ``points`` (at least 7)."""
+    n = leaf.count + 1
+    offset = query - leaf.mean
+    scatter = leaf.scatter + (offset * (leaf.count / n))[:, np.newaxis] * offset
+    # The SVD path's all-coordinates-within-1e-8 check, made sufficient:
+    # a trace above Z * n * t^2 puts some pooled value farther than t
+    # from the pooled mean.  Clouds this check cannot clear, and
+    # non-finite ones, go to the SVD path.
+    trace = scatter.trace()
+    floor = offset.size * n * (1e-8 * (1.0 + _NEAR)) ** 2
+    if not (0.0 < alpha < 1.0 and floor < trace < math.inf):
+        return _svd_decides(points, query, alpha)
+    values, vectors = np.linalg.eigh(scatter)
     if values.size > 1 and values[-1] - values[-2] <= _MIN_GAP * values[-1]:
-        return _similar_enough_svd(pooled, alpha)
-    projected = sorted((centered @ vectors[:, -1]).tolist())
+        return _svd_decides(points, query, alpha)
+    # Deviations from the mean do not move with the origin, so project
+    # the leaf-centered points and the query offset as they are.
+    axis = vectors[:, -1]
+    projected = (leaf.centered @ axis).tolist()
+    projected.append(float(offset @ axis))
+    projected.sort()
     mean = sum(projected) / n
     deviations = [value - mean for value in projected]
     squares = sum(d * d for d in deviations)
     if squares <= n * (1e-8 * (1.0 + _NEAR)) ** 2:
-        return _similar_enough_svd(pooled, alpha)
+        return _svd_decides(points, query, alpha)
     # Standardize by the ddof=1 deviation; F(x) = erfc(-x / sqrt 2) / 2.
-    scale = math.sqrt(0.5 * (n - 1) / squares)
-    cdf = [0.5 * math.erfc(-d * scale) for d in deviations]
+    scale = -math.sqrt(0.5 * (n - 1) / squares)
+    cdf = [0.5 * math.erfc(d * scale) for d in deviations]
     if cdf[0] < _MIN_TAIL or 1.0 - cdf[-1] < _MIN_TAIL:
-        return _similar_enough_svd(pooled, alpha)
+        return _svd_decides(points, query, alpha)
     total = sum(
-        (2 * i + 1) * (math.log(cdf[i]) + math.log(1.0 - cdf[n - 1 - i]))
-        for i in range(n)
+        weight * math.log(low * (1.0 - high))
+        for weight, low, high in zip(range(1, 2 * n, 2), cdf, reversed(cdf))
     )
     corrected = corrected_statistic(-n - total / n, n)
     p_value = anderson_darling_p_value(corrected)
     if abs(p_value - alpha) <= _NEAR * alpha or any(
         abs(corrected - cut) <= _NEAR * cut for cut in _P_VALUE_CUTS
     ):
-        return _similar_enough_svd(pooled, alpha)
+        return _svd_decides(points, query, alpha)
     return p_value >= alpha
+
+
+def _svd_decides(points: np.ndarray, query: np.ndarray, alpha: float) -> bool:
+    return _similar_enough_svd(np.vstack([points, query]), alpha)
 
 
 def _similar_enough_svd(pooled: np.ndarray, alpha: float) -> bool:
@@ -471,10 +491,13 @@ def inflex_search(
         ids.append(_leaf_ids(tables, leaf))
         divs.append(leaf_divs)
         delta = max(delta, float(leaf_divs.max()))
-        if use_ad_test:
+        if use_ad_test and leaf_divs.size >= 7:
             start, stop = tables.point_start[leaf], tables.point_stop[leaf]
-            if similar_enough(
-                tables.raw_points[start:stop], q, alpha=ad_alpha
+            if _pooled_test(
+                tables.leaf_moments[leaf],
+                tables.raw_points[start:stop],
+                q,
+                ad_alpha,
             ):
                 stopped_early = True
                 break

@@ -12,7 +12,9 @@ Bregman ball ``B(mu, R)`` covering all points of its subtree, with
 Searches do not walk the node objects: :class:`SearchTables` lays the
 finished tree out once as arrays (node centers with each node's child
 slice, leaf populations as slices of one leaf-ordered point matrix),
-with every per-point quantity a query would otherwise recompute.
+with every per-point quantity a query would otherwise recompute — the
+leaf moments of the Anderson--Darling stopping test
+(:class:`LeafMoments`) included.
 """
 
 from __future__ import annotations
@@ -61,6 +63,53 @@ class BBTreeNode:
 
 
 @dataclass(frozen=True)
+class LeafMoments:
+    """One leaf population's moments, as the stopping test pools them.
+
+    The Anderson--Darling test of Algorithm 1 pools the query with the
+    leaf's points.  Pooling one more point is a rank-one update of
+    these moments, so a visited leaf is never re-stacked or
+    re-centered: with ``d = query - mean`` and ``n = count + 1`` the
+    pooled mean is ``mean + d / n`` and the pooled scatter is
+    ``scatter + (count / n) d d^T``.
+
+    Attributes
+    ----------
+    count:
+        Number of points.
+    mean:
+        Their mean.
+    centered:
+        The points minus ``mean``, one row each, in leaf order.
+    scatter:
+        ``centered.T @ centered``.
+    bounds:
+        Per coordinate, the smallest and the largest centered value
+        (a ``(2, Z)`` array): the farthest any point sits from a mean
+        along that coordinate is reached at one of them.
+    """
+
+    count: int
+    mean: np.ndarray
+    centered: np.ndarray
+    scatter: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def of(cls, points: np.ndarray) -> "LeafMoments":
+        """The moments of a non-empty ``(count, Z)`` float matrix."""
+        mean = points.mean(axis=0)
+        centered = points - mean
+        return cls(
+            count=int(points.shape[0]),
+            mean=mean,
+            centered=centered,
+            scatter=centered.T @ centered,
+            bounds=np.stack([centered.min(axis=0), centered.max(axis=0)]),
+        )
+
+
+@dataclass(frozen=True)
 class SearchTables:
     """The bb-tree as flat arrays, built once per tree.
 
@@ -100,6 +149,9 @@ class SearchTables:
     raw_points:
         The points in leaf order as given (the Anderson--Darling test
         pools the stored coordinates).
+    leaf_moments:
+        Per node, the :class:`LeafMoments` of its ``raw_points`` block
+        (``None`` for an inner node).
     """
 
     child_start: list[int]
@@ -115,6 +167,7 @@ class SearchTables:
     points: np.ndarray
     point_generator: np.ndarray
     raw_points: np.ndarray
+    leaf_moments: list[LeafMoments | None]
 
     @classmethod
     def from_root(
@@ -172,6 +225,12 @@ class SearchTables:
             points=prepared,
             point_generator=point_generator,
             raw_points=raw_points,
+            leaf_moments=[
+                LeafMoments.of(raw_points[start:stop])
+                if node.is_leaf
+                else None
+                for start, stop, node in zip(point_start, point_stop, nodes)
+            ],
         )
 
 

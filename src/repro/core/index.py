@@ -38,7 +38,7 @@ from repro.bbtree.search import (
 )
 from repro.bbtree.tree import BBTree
 from repro.clustering.kmeanspp import bregman_kmeans
-from repro.core.aggregation import aggregate_seed_lists
+from repro.core.aggregation import aggregate_rankings
 from repro.core.config import InflexConfig
 from repro.core.offline import offline_seed_list, offline_seed_lists_batch
 from repro.core.query import QueryTiming, TimAnswer, TimQuery
@@ -48,7 +48,7 @@ from repro.graph.topic_graph import TopicGraph
 from repro.im.seed_list import SeedList
 from repro.obs import instruments as _obs
 from repro.obs.tracing import get_tracer
-from repro.ranking.copeland import ranking_rows
+from repro.ranking.copeland import RankingTable
 from repro.ranking.weights import importance_weights, select_neighbors
 from repro.rng import resolve_rng, spawn_rngs
 from repro.simplex.dirichlet import Dirichlet, fit_dirichlet_mle
@@ -149,8 +149,8 @@ class InflexIndex:
         self._graph = graph
         self._points = points
         self._seed_lists = list(seed_lists)
-        # The lists as one padded (h, l) array: a query aggregates rows.
-        self._seed_rows = ranking_rows(self._seed_lists)
+        # The lists by matrix column: a query aggregates rows of it.
+        self._rankings = RankingTable(self._seed_lists)
         self._config = config
         self._dirichlet = dirichlet
         self._divergence = KLDivergence()
@@ -363,19 +363,31 @@ class InflexIndex:
             deadline_ms = self._config.deadline_ms
         deadline = resolve_deadline(deadline_ms)
         tim_query = TimQuery(np.asarray(gamma, dtype=np.float64), k)
-        if tim_query.num_topics != self._graph.num_topics:
+        self._check_query(tim_query.num_topics, strategy)
+        answer = self._evaluate(tim_query.gamma, k, strategy, deadline)
+        _obs.record_query(strategy, answer)
+        return answer
+
+    def _check_query(self, num_topics: int, strategy: str) -> None:
+        if num_topics != self._graph.num_topics:
             raise QueryError(
-                f"query has {tim_query.num_topics} topics, index has "
+                f"query has {num_topics} topics, index has "
                 f"{self._graph.num_topics}"
             )
         if strategy not in STRATEGIES:
             raise QueryError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
+
+    def _evaluate(
+        self, gamma: np.ndarray, k: int, strategy: str, deadline
+    ) -> TimAnswer:
+        """Answer ``Q(gamma, k)`` for a validated ``gamma`` and
+        ``strategy``; the caller records the answer's metrics."""
         if strategy == "sketch":
-            return self._sketch_query(tim_query)
+            return self._sketch_query(gamma, k)
         config = self._config
-        query_point = smooth(tim_query.gamma)
+        query_point = smooth(gamma)
         tracer = get_tracer()
 
         with tracer.span("query", strategy=strategy, k=k):
@@ -384,10 +396,11 @@ class InflexIndex:
                 result = self._search(query_point, strategy)
             if result.stats.epsilon_match:
                 match_id = int(result.indices[0])
-                seeds = self._seed_lists[match_id].top(k)
-                answer = TimAnswer(
+                return TimAnswer(
                     seeds=SeedList(
-                        seeds.nodes, (), algorithm=f"{strategy}:exact"
+                        self._seed_lists[match_id].nodes[:k],
+                        (),
+                        algorithm=f"{strategy}:exact",
                     ),
                     strategy=strategy,
                     neighbor_ids=(match_id,),
@@ -397,13 +410,12 @@ class InflexIndex:
                     timing=QueryTiming(search=search_span.duration),
                     epsilon_match=True,
                 )
-                _obs.record_query(strategy, answer)
-                return answer
 
             if deadline is not None and deadline.expired():
                 return self._degraded_answer(
                     strategy,
-                    tim_query,
+                    gamma,
+                    k,
                     result,
                     QueryTiming(search=search_span.duration),
                 )
@@ -421,7 +433,8 @@ class InflexIndex:
                 # so answer from composed sketches instead.
                 return self._sketch_fallback(
                     strategy,
-                    tim_query,
+                    gamma,
+                    k,
                     result,
                     reason="distance",
                     timing=QueryTiming(search=search_span.duration),
@@ -448,7 +461,6 @@ class InflexIndex:
                 else:
                     keep = len(result)
             kept_ids = result.indices[:keep]
-            kept_divs = result.divergences[:keep]
             kept_weights = weights[:keep]
 
             if deadline is not None and deadline.expired():
@@ -456,7 +468,8 @@ class InflexIndex:
                 # dominates query cost; skip it once over budget.
                 return self._degraded_answer(
                     strategy,
-                    tim_query,
+                    gamma,
+                    k,
                     result,
                     QueryTiming(
                         search=search_span.duration,
@@ -478,19 +491,20 @@ class InflexIndex:
                     # back to unweighted aggregation rather than
                     # dividing by a zero total weight.
                     aggregation_weights = None
-                seeds = aggregate_seed_lists(
-                    self._seed_rows[kept_ids],
+                ranked = aggregate_rankings(
+                    self._rankings,
+                    kept_ids,
                     k,
                     aggregator=config.aggregator,
                     weights=aggregation_weights,
                     apply_local_kemenization=config.local_kemenization,
                 )
-            answer = TimAnswer(
-                seeds=SeedList(seeds.nodes, (), algorithm=strategy),
+            return TimAnswer(
+                seeds=SeedList(tuple(ranked), (), algorithm=strategy),
                 strategy=strategy,
-                neighbor_ids=tuple(int(i) for i in kept_ids),
-                neighbor_divergences=tuple(float(d) for d in kept_divs),
-                neighbor_weights=tuple(float(w) for w in kept_weights),
+                neighbor_ids=tuple(kept_ids.tolist()),
+                neighbor_divergences=tuple(result.divergences[:keep].tolist()),
+                neighbor_weights=tuple(kept_weights.tolist()),
                 search_stats=result.stats,
                 timing=QueryTiming(
                     search=search_span.duration,
@@ -499,13 +513,12 @@ class InflexIndex:
                 ),
                 epsilon_match=False,
             )
-            _obs.record_query(strategy, answer)
-            return answer
 
     def _degraded_answer(
         self,
         strategy: str,
-        tim_query: TimQuery,
+        gamma: np.ndarray,
+        k: int,
         result: SearchResult,
         timing: QueryTiming,
     ) -> TimAnswer:
@@ -523,14 +536,14 @@ class InflexIndex:
         _obs.record_deadline_expired("query")
         if self._sketches is not None:
             return self._sketch_fallback(
-                strategy, tim_query, result, reason="deadline",
-                timing=timing,
+                strategy, gamma, k, result, reason="deadline", timing=timing
             )
         nearest = int(result.indices[0])
-        seeds = self._seed_lists[nearest].top(tim_query.k)
-        answer = TimAnswer(
+        return TimAnswer(
             seeds=SeedList(
-                seeds.nodes, (), algorithm=f"{strategy}:degraded"
+                self._seed_lists[nearest].nodes[:k],
+                (),
+                algorithm=f"{strategy}:degraded",
             ),
             strategy=strategy,
             neighbor_ids=(nearest,),
@@ -542,8 +555,6 @@ class InflexIndex:
             degraded=True,
             reason="deadline",
         )
-        _obs.record_query(strategy, answer)
-        return answer
 
     # ------------------------------------------------------------------
     # Sketch strategy (see repro.sketches and docs/SKETCHES.md)
@@ -582,25 +593,18 @@ class InflexIndex:
         )
         return seeds, timing
 
-    def _sketch_query(self, tim_query: TimQuery) -> TimAnswer:
+    def _sketch_query(self, gamma: np.ndarray, k: int) -> TimAnswer:
         """The ``strategy="sketch"`` path: no retrieval, no aggregation."""
         self._require_sketches()
-        with get_tracer().span(
-            "query", strategy="sketch", k=tim_query.k
-        ):
-            seeds, timing = self._sketch_seeds(
-                tim_query.gamma, tim_query.k, algorithm="sketch"
-            )
-            answer = TimAnswer(
-                seeds=seeds, strategy="sketch", timing=timing
-            )
-            _obs.record_query("sketch", answer)
-            return answer
+        with get_tracer().span("query", strategy="sketch", k=k):
+            seeds, timing = self._sketch_seeds(gamma, k, algorithm="sketch")
+            return TimAnswer(seeds=seeds, strategy="sketch", timing=timing)
 
     def _sketch_fallback(
         self,
         strategy: str,
-        tim_query: TimQuery,
+        gamma: np.ndarray,
+        k: int,
         result: SearchResult,
         *,
         reason: str,
@@ -615,9 +619,9 @@ class InflexIndex:
         """
         _obs.record_sketch_fallback(reason)
         seeds, sketch_timing = self._sketch_seeds(
-            tim_query.gamma, tim_query.k, algorithm="sketch:fallback"
+            gamma, k, algorithm="sketch:fallback"
         )
-        answer = TimAnswer(
+        return TimAnswer(
             seeds=seeds,
             strategy=strategy,
             neighbor_ids=(int(result.indices[0]),),
@@ -633,8 +637,6 @@ class InflexIndex:
             degraded=True,
             reason=reason,
         )
-        _obs.record_query(strategy, answer)
-        return answer
 
     def stats(self) -> dict:
         """Operator summary of the index.
@@ -688,19 +690,25 @@ class InflexIndex:
 
         deadline = resolve_deadline(deadline_ms)
         rows = as_distribution_matrix(np.atleast_2d(np.asarray(gammas)))
+        if k < 1:
+            raise QueryError(f"query k must be >= 1, got {k}")
+        self._check_query(rows.shape[1], strategy)
+        answers = []
         with get_tracer().span(
             "query_batch", strategy=strategy, size=int(rows.shape[0])
         ):
-            answers = [
-                self.query(
+            for row in rows:
+                answer = self._evaluate(
                     row,
                     k,
-                    strategy=strategy,
-                    deadline_ms=deadline,
+                    strategy,
+                    deadline
+                    if deadline is not None
+                    else resolve_deadline(self._config.deadline_ms),
                 )
-                for row in rows
-            ]
-        _obs.record_batch(strategy, answers)
+                _obs.record_query(strategy, answer, batched=True)
+                answers.append(answer)
+        _obs.record_batch(strategy, len(answers))
         return answers
 
     def memory_footprint(self) -> int:

@@ -194,7 +194,11 @@ def load_index(path, graph: TopicGraph, *, fault_plan=None) -> InflexIndex:
     """
     source = Path(path)
     try:
-        with np.load(source, allow_pickle=False) as data:
+        # np.load on a path leaves its own handle open when the zip
+        # reader fails mid-open; this handle is closed on every path.
+        with open(source, "rb") as handle, np.load(
+            handle, allow_pickle=False
+        ) as data:
             raw = {name: data[name] for name in data.files}
     except _READ_ERRORS as exc:
         _obs.record_corrupt_artifact("index")

@@ -33,7 +33,7 @@ def save_graph(graph: TopicGraph, path) -> None:
 
 def load_graph(path) -> TopicGraph:
     """Load a graph previously written by :func:`save_graph`."""
-    with np.load(Path(path)) as data:
+    with open(Path(path), "rb") as handle, np.load(handle) as data:
         version = int(data["format_version"])
         if version != _FORMAT_VERSION:
             raise InvalidGraphError(

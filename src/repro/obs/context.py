@@ -36,7 +36,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: The active request context of the current task/thread (or ``None``).
 _CURRENT: contextvars.ContextVar["RequestContext | None"] = (
@@ -81,9 +81,10 @@ class RequestContext:
         """This context re-parented under ``span`` (a
         :class:`~repro.obs.tracing.Span`); unchanged when the span was
         not recorded (observability off)."""
-        if getattr(span, "span_id", None) is None:
+        span_id = getattr(span, "span_id", None)
+        if span_id is None:
             return self
-        return replace(self, parent_span_id=span.span_id)
+        return RequestContext(self.trace_id, self.request_id, span_id)
 
     def to_wire(self) -> dict:
         """A picklable/JSON-able dict for process-boundary transport."""

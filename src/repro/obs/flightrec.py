@@ -58,7 +58,10 @@ class FlightRecord:
     ``aggregation``) to seconds; ``status`` is the HTTP status code (or
     0 for CLI-originated requests).  ``spans`` is populated only on
     slow-ring entries: a list of span dicts (name, start, duration,
-    span_id, parent_id) forming the request's full tree.
+    span_id, parent_id) forming the request's full tree.  A record may
+    carry the query's ``gamma`` instead of its ``fingerprint``: the
+    fingerprint is then computed when the record is listed, not on the
+    request path.
     """
 
     request_id: str
@@ -79,14 +82,18 @@ class FlightRecord:
     timings: dict = field(default_factory=dict)
     slow: bool = False
     spans: list = field(default_factory=list)
+    gamma: object = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         """A JSON-friendly dict (used by the debug routes)."""
+        fingerprint = self.fingerprint
+        if not fingerprint and self.gamma is not None:
+            fingerprint = gamma_fingerprint(self.gamma)
         return {
             "request_id": self.request_id,
             "trace_id": self.trace_id,
             "route": self.route,
-            "fingerprint": self.fingerprint,
+            "fingerprint": fingerprint,
             "k": self.k,
             "strategy": self.strategy,
             "status": self.status,

@@ -431,8 +431,10 @@ def record_search(kind: str, stats) -> None:
         early.inc()
 
 
-def record_query(strategy: str, answer) -> None:
-    """Fold one answered TIM query into the registry."""
+def record_query(strategy: str, answer, *, batched: bool = False) -> None:
+    """Fold one answered TIM query into the registry; ``batched``
+    answers (rows of ``query_batch``) also add their search stats to
+    the batch totals."""
     if not STATE.enabled:
         return
     if answer.degraded:
@@ -453,27 +455,29 @@ def record_query(strategy: str, answer) -> None:
     _PHASE_AGGREGATION.observe(timing.aggregation)
     _PHASE_TOTAL.observe(timing.total)
     QUERY_NEIGHBORS_USED.observe(answer.num_neighbors_used)
+    stats = answer.search_stats
+    if batched and stats is not None:
+        BATCH_LEAVES_VISITED.inc(stats.leaves_visited)
+        BATCH_DIVERGENCE_COMPUTATIONS.inc(stats.divergence_computations)
+        BATCH_NODES_PRUNED.inc(stats.nodes_pruned)
+        BATCH_EPSILON_MATCHES.inc(int(stats.epsilon_match))
 
 
-def record_batch(strategy: str, answers) -> None:
-    """Fold the per-batch totals of ``query_batch`` into the registry."""
+_BATCH_COUNTERS: dict = {}
+
+
+def record_batch(strategy: str, size: int) -> None:
+    """Count one ``query_batch`` call of ``size`` rows (their search
+    stats arrive through :func:`record_query`)."""
     if not STATE.enabled:
         return
-    QUERY_BATCHES.labels(strategy=strategy).inc()
-    QUERY_BATCH_SIZE.observe(len(answers))
-    leaves = computations = pruned = epsilon = 0
-    for answer in answers:
-        stats = answer.search_stats
-        if stats is None:
-            continue
-        leaves += stats.leaves_visited
-        computations += stats.divergence_computations
-        pruned += stats.nodes_pruned
-        epsilon += int(stats.epsilon_match)
-    BATCH_LEAVES_VISITED.inc(leaves)
-    BATCH_DIVERGENCE_COMPUTATIONS.inc(computations)
-    BATCH_NODES_PRUNED.inc(pruned)
-    BATCH_EPSILON_MATCHES.inc(epsilon)
+    counter = _BATCH_COUNTERS.get(strategy)
+    if counter is None:
+        counter = _BATCH_COUNTERS[strategy] = QUERY_BATCHES.labels(
+            strategy=strategy
+        )
+    counter.inc()
+    QUERY_BATCH_SIZE.observe(size)
 
 
 def record_cache_hit(entries: int) -> None:
@@ -636,17 +640,32 @@ def set_serving_load(inflight: int, queue_depth: int) -> None:
     SERVING_QUEUE_DEPTH.set(queue_depth)
 
 
-@contextlib.contextmanager
-def serving_batch_span(size: int, waited_s: float):
-    """Span + histograms around one micro-batch dispatch.
+def serving_batch_open(size: int, context):
+    """Open the span of one micro-batch dispatch.
 
-    ``waited_s`` is the batching-window wait (first enqueue to
-    dispatch); the execution itself is timed by the span.
+    The dispatch crosses to the executor thread and back, so the span
+    is managed by hand (closed by :func:`serving_batch_close`) and
+    parented explicitly under ``context`` (the leader's
+    :class:`~repro.obs.context.RequestContext`, or ``None``).
     """
-    with get_tracer().span(
-        "serving.batch", category="serving", size=size
-    ) as span:
-        yield span
+    if context is None:
+        return get_tracer().open_span(
+            "serving.batch", category="serving", size=size
+        )
+    return get_tracer().open_span(
+        "serving.batch",
+        category="serving",
+        trace_id=context.trace_id,
+        parent_id=context.parent_span_id,
+        size=size,
+    )
+
+
+def serving_batch_close(span, size: int, waited_s: float) -> None:
+    """Close a :func:`serving_batch_open` span and fold the batch into
+    the histograms.  ``waited_s`` is the batching-window wait (first
+    enqueue to dispatch); the execution itself is timed by the span."""
+    get_tracer().close_span(span)
     if STATE.enabled:
         SERVING_BATCH_SIZE.observe(size)
         SERVING_BATCH_WAIT_SECONDS.observe(waited_s)

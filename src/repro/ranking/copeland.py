@@ -41,6 +41,121 @@ def ranking_rows(rankings) -> np.ndarray:
     return rows
 
 
+#: Lists whose weights one subset-sum table adds up (a table of
+#: ``2**lists`` sums); any further lists are added one at a time.
+_TABLE_LISTS = 12
+
+
+class RankingTable:
+    """Rankings addressed by columns of the sorted union of their nodes.
+
+    Built once from rankings (or their :func:`ranking_rows` array); the
+    INFLEX index builds one over its seed lists and aggregates subsets
+    of them per query, so a query maps nodes to matrix columns through
+    this table instead of sorting its lists' nodes again.
+
+    Attributes
+    ----------
+    rows:
+        The :func:`ranking_rows` array.
+    nodes:
+        The sorted union of the ranked nodes and ``extra_nodes``.
+    columns:
+        ``rows`` with each node replaced by its index in ``nodes`` and
+        each pad by ``nodes.size`` (a spare column).
+    """
+
+    def __init__(self, rankings, *, extra_nodes=()) -> None:
+        rows = (
+            rankings
+            if isinstance(rankings, np.ndarray)
+            else ranking_rows(rankings)
+        )
+        present = rows >= 0
+        ranked = rows[present]
+        self.rows = rows
+        self.nodes = np.unique(
+            np.concatenate([ranked, np.asarray(extra_nodes, dtype=np.int64)])
+        )
+        self.columns = np.full(rows.shape, self.nodes.size, dtype=np.intp)
+        self.columns[present] = np.searchsorted(self.nodes, ranked)
+
+    def preferences(
+        self, ids=None, weights=None
+    ) -> tuple[np.ndarray, list[int]]:
+        """The :func:`pairwise_preference_matrix` of rows ``ids`` (all
+        rows when ``None``), in that order, over the union of their
+        nodes (every node of the table when ``ids`` is ``None``).
+
+        ``weights`` (one per selected row, or ``None`` for unit
+        weights) are used as given: finite, non-negative, with a
+        positive sum, as :func:`pairwise_preference_matrix` checks.
+        """
+        if ids is None:
+            columns = self.columns
+            universe = self.nodes
+        else:
+            columns = self.columns[ids]
+            # Renumber the columns these rows use, in node order; the
+            # spare column stays last.
+            used = np.zeros(self.nodes.size + 1, dtype=bool)
+            used[columns] = True
+            used[-1] = False
+            universe = self.nodes[used[:-1]]
+            renumber = np.cumsum(used) - 1
+            renumber[-1] = universe.size
+            columns = renumber[columns]
+        count, length = columns.shape
+        # One (lists x union) rank array.  Absent nodes sit at a
+        # sentinel behind every position, so "rank(v) < rank(v')" is
+        # exactly the present-beats-absent rule and absent-vs-absent
+        # pairs tie; pads land in the spare column, cut off after.
+        dtype = np.min_scalar_type(length)
+        ranks = np.full((count, universe.size + 1), length, dtype=dtype)
+        ranks[np.arange(count)[:, np.newaxis], columns] = np.arange(
+            length, dtype=dtype
+        )
+        ranks = ranks[:, :-1]
+        w = (
+            [1.0] * count
+            if weights is None
+            else np.asarray(weights, dtype=np.float64).tolist()
+        )
+        return _weighted_preferences(ranks, w), universe.tolist()
+
+
+def _weighted_preferences(ranks: np.ndarray, weights: list[float]) -> np.ndarray:
+    """``P[a, b]``: the weights of the lists with ``rank[a] < rank[b]``,
+    added list by list in input order.
+
+    Copeland's exact ``P == P.T`` tie test depends on that order.  An
+    entry's value is the in-order sum over the subset of lists that
+    prefer ``a``, so the first lists are read as one subset code per
+    entry (bit ``i``: list ``i`` prefers) and looked up in a table of
+    every subset's in-order sum; lists past the table are added one at a
+    time.
+    """
+    head = min(len(weights), _TABLE_LISTS)
+    prefers = ranks[:head, :, np.newaxis] < ranks[:head, np.newaxis, :]
+    bits = np.left_shift(1, np.arange(head, dtype=np.uint16))
+    code = (prefers.view(np.uint8) * bits[:, np.newaxis, np.newaxis]).sum(
+        axis=0, dtype=np.uint16
+    )
+    # sums[m] adds the weights of the set bits of m, lowest bit first.
+    sums = np.zeros(1 << head)
+    for bit, weight in enumerate(weights[:head]):
+        sums[1 << bit : 2 << bit] = sums[: 1 << bit] + weight
+    matrix = sums.take(code)
+    for weight, rank in zip(weights[head:], ranks[head:]):
+        np.add(
+            matrix,
+            weight,
+            out=matrix,
+            where=rank[:, np.newaxis] < rank[np.newaxis, :],
+        )
+    return matrix
+
+
 def pairwise_preference_matrix(
     rankings, *, weights=None, extra_nodes=()
 ) -> tuple[np.ndarray, list[int]]:
@@ -53,43 +168,27 @@ def pairwise_preference_matrix(
     them and prefers any node it ranks over them).  ``rankings`` is a
     sequence of rankings or their :func:`ranking_rows` array.
     """
-    rows = (
-        rankings
-        if isinstance(rankings, np.ndarray)
-        else ranking_rows(rankings)
-    )
-    w = _prepare_weights(weights, rows.shape[0])
-    present = rows >= 0
-    universe = np.unique(
-        np.concatenate(
-            [rows[present], np.asarray(extra_nodes, dtype=np.int64)]
-        )
-    )
-    # One (lists x union) rank array.  Absent nodes sit at a sentinel
-    # behind every position, so "rank(v) < rank(v')" is exactly the
-    # present-beats-absent rule and absent-vs-absent pairs tie.
-    columns = np.searchsorted(universe, rows)
-    ranks = np.full((rows.shape[0], universe.size), rows.shape[1])
-    list_of, position = np.nonzero(present)
-    ranks[list_of, columns[list_of, position]] = position
-    matrix = np.zeros((universe.size, universe.size))
-    # Accumulate list by list, in input order: Copeland's exact
-    # P == P.T tie test depends on the summation order.  A list adds
-    # its weight only to the rows of the nodes it ranks (row j: every
-    # node behind position j); the entries it skips are the ones the
-    # full (rank < rank) product would add 0.0 to.
-    behind = np.arange(rows.shape[1])[:, np.newaxis]
-    for weight, rank, row_columns, length in zip(
-        w.tolist(), ranks, columns, present.sum(axis=1).tolist()
-    ):
-        matrix[row_columns[:length]] += weight * (rank > behind[:length])
-    return matrix, universe.tolist()
+    table = RankingTable(rankings, extra_nodes=extra_nodes)
+    w = _prepare_weights(weights, table.rows.shape[0])
+    return table.preferences(weights=w)
 
 
-def _copeland_score_array(matrix: np.ndarray) -> np.ndarray:
-    wins = (matrix > matrix.T).sum(axis=1).astype(np.float64)
-    ties = ((matrix == matrix.T).sum(axis=1) - 1).astype(np.float64)
-    return wins + 0.5 * ties
+def preference_outcomes(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(P > P.T, P == P.T)``: who beats whom, and the exact ties —
+    all Copeland and Local Kemenization read of the matrix."""
+    transposed = matrix.T
+    return matrix > transposed, matrix == transposed
+
+
+def _scores(beats: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    # A win scores 1, an exact tie with another node 1/2.
+    return beats.sum(axis=1) + 0.5 * (ties.sum(axis=1) - 1)
+
+
+def copeland_columns(beats: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """Matrix columns in Copeland order, from :func:`preference_outcomes`:
+    descending score, tied scores in column (node id) order."""
+    return np.argsort(-_scores(beats, ties), kind="stable")
 
 
 def copeland_scores(rankings, *, weights=None) -> dict[int, float]:
@@ -101,7 +200,7 @@ def copeland_scores(rankings, *, weights=None) -> dict[int, float]:
     list reversal).
     """
     matrix, universe = pairwise_preference_matrix(rankings, weights=weights)
-    scores = _copeland_score_array(matrix)
+    scores = _scores(*preference_outcomes(matrix))
     return {node: float(scores[i]) for i, node in enumerate(universe)}
 
 
@@ -111,7 +210,7 @@ def copeland_order(matrix: np.ndarray, universe: list[int]) -> list[int]:
     Descending score; ties break toward the lower node id (``universe``
     is sorted, so a stable sort keeps tied nodes in id order).
     """
-    order = np.argsort(-_copeland_score_array(matrix), kind="stable")
+    order = copeland_columns(*preference_outcomes(matrix))
     return [universe[i] for i in order.tolist()]
 
 

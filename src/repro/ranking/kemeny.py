@@ -56,21 +56,40 @@ def kemenize(ordering, matrix: np.ndarray, universe: list[int]) -> list[int]:
     predecessor iff ``P[below, above] > P[above, below]``.
     """
     position = {node: i for i, node in enumerate(universe)}
-    order = [position[node] for node in ordering]
-    # One vectorized comparison; the pass then makes about one lookup
-    # per element, far fewer than a Python copy of the matrix costs.
-    beats = matrix > matrix.T
-    for start in range(1, len(order)):
-        i = start
-        while i > 0:
-            above = order[i - 1]
-            below = order[i]
-            if beats[below, above]:
-                order[i - 1], order[i] = below, above
-                i -= 1
-            else:
-                break
+    order = kemenize_columns(
+        [position[node] for node in ordering], matrix > matrix.T
+    )
     return [universe[i] for i in order]
+
+
+def kemenize_columns(order: list[int], beats: np.ndarray) -> list[int]:
+    """:func:`kemenize` on matrix columns: ``order`` lists columns, and
+    ``beats[a, b]`` is ``P[a, b] > P[b, a]``.  Returns a new list."""
+    order = list(order)
+    if len(order) < 2:
+        return order
+    # The pass moves the element at position s only if it beats the one
+    # above it, and moving it changes nothing past s.  So until a move,
+    # and again after any position that moved nothing, position s sees
+    # the pair it started with: only the starting pairs that would move
+    # (and each position right after a move) need a turn.
+    flagged = (np.flatnonzero(beats[order[1:], order[:-1]]) + 1).tolist()
+    flagged.append(len(order))
+    upcoming = iter(flagged)
+    start = next(upcoming)
+    while start < len(order):
+        i = start
+        while i > 0 and beats[order[i], order[i - 1]]:
+            order[i - 1], order[i] = order[i], order[i - 1]
+            i -= 1
+        if i < start:
+            start += 1
+        else:
+            passed = start
+            start = next(upcoming)
+            while start <= passed:
+                start = next(upcoming)
+    return order
 
 
 def brute_force_kemeny(

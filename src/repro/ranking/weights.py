@@ -101,11 +101,11 @@ def select_neighbors(
         raise ValueError(f"threshold must be positive, got {threshold}")
     min_neighbors = max(1, int(min_neighbors))
     running_sum = 0.0
-    for t in range(1, w.size + 1):
-        running_sum += w[t - 1]
+    # Python floats: the same IEEE arithmetic as numpy scalars, cheaper.
+    for t, weight in enumerate(w.tolist(), 1):
+        running_sum += weight
         if t <= min_neighbors or running_sum <= 0:
             continue
-        normalized_t = w[t - 1] / running_sum
-        if (1.0 / t) - normalized_t >= threshold:
+        if (1.0 / t) - weight / running_sum >= threshold:
             return t - 1
     return int(w.size)

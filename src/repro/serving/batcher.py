@@ -1,40 +1,45 @@
 """Micro-batching of concurrent queries into ``query_batch`` calls.
 
-Each admitted request becomes a :class:`BatchItem` on a bounded asyncio
-queue.  A single collector task opens a batching *window* when the
-first item arrives — at most ``max_batch_size`` items or
-``max_wait_s`` seconds, whichever closes first — then hands the batch
-to an executor callable that runs
-:meth:`~repro.core.index.InflexIndex.query_batch` off the event loop.
-The collector only pulls the next batch once the previous dispatch
-finished, so everything queued while the executor was busy leaves
-together even with no window at all.
+Each admitted request becomes a :class:`BatchItem` on a bounded queue.
+When the first item arrives at an idle batcher a batching *window*
+opens — at most ``max_batch_size`` items or ``max_wait_s`` seconds,
+whichever closes first — and the window's items go to an executor
+thread that runs :meth:`~repro.core.index.InflexIndex.query_batch` off
+the event loop.  The next window opens only once that batch finished,
+so everything queued while the executor was busy leaves together even
+with no window at all.
 
-The default window is 0: a lone request dispatches at once, and a
-burst still coalesces behind a busy executor.  A positive window only
-pays off when grouping amortizes compute, and ``query_batch`` costs
-about as much per query as a lone ``query`` (``batch_ms_per_query`` ≈
-``query_ms`` in the repo benchmark), so below ``max_batch_size``
-concurrent clients a window never fills and every dispatch would wait
-it out with the CPU idle.
+The default window is 0: a lone request dispatches on the next loop
+turn, and a burst still coalesces behind a busy executor.  A positive
+window only pays off when grouping amortizes compute, and
+``query_batch`` costs about as much per query as a lone ``query``
+(``batch_ms_per_query`` ≈ ``query_ms`` in the repo benchmark), so below
+``max_batch_size`` concurrent clients a window never fills and every
+dispatch would wait it out with the CPU idle.
 
 Items in one window may carry different ``(k, strategy)`` pairs;
-``query_batch`` takes one of each, so the collector partitions the
-window into per-``(k, strategy)`` groups and dispatches each group as
-its own call.  Deadline policy: a group shares the *tightest* remaining
-member deadline, so one slow query can degrade (PR 3's machinery)
+``query_batch`` takes one of each, so a window is partitioned into
+per-``(k, strategy)`` groups, dispatched one after another.  Deadline
+policy (applied by the ``run`` callable): a group shares the
+*tightest* remaining member deadline, so one slow query can degrade
 rather than hold co-batched requests past their budgets.
+
+The hand-off costs the event loop two callbacks per group: the
+executor thread posts the group's outcome back with one
+``call_soon_threadsafe``, and that callback settles every waiter's
+future and dispatches what comes next — no collector task, and no
+``concurrent.futures.Future`` wrapped into an asyncio one.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.obs import context as _ctx
 from repro.obs import instruments as _obs
-from repro.resilience.deadline import Deadline
 
 
 class QueueFullError(RuntimeError):
@@ -59,7 +64,7 @@ class BatchItem:
     gamma: object
     k: int
     strategy: str
-    deadline: Deadline | None
+    deadline: object
     future: asyncio.Future = field(repr=False)
     enqueued_at: float = 0.0
     ctx: object = None
@@ -95,24 +100,29 @@ class BatcherStats:
 
 
 class MicroBatcher:
-    """Bounded-queue micro-batcher feeding an executor callable.
+    """Bounded-queue micro-batcher feeding an executor thread.
 
     Parameters
     ----------
-    execute:
-        Async callable ``execute(items: list[BatchItem]) -> list`` run
-        per dispatched group; its results are delivered to the items'
-        futures in order.  All items of one call share a ``group_key``.
+    run:
+        Blocking callable ``run(items: list[BatchItem]) -> list`` run
+        on the executor thread per dispatched group, under the batch
+        leader's request context; its results are delivered to the
+        items' futures in order, and an exception it raises to all of
+        them.  All items of one call share a ``group_key``.
     max_batch_size / max_wait_s:
         The batching window (see module docstring).
     max_queue_depth:
         Hard bound on queued items; :meth:`submit` raises
         :class:`QueueFullError` beyond it.
+
+    Every method runs on the event loop thread; only ``run`` runs on
+    the executor.
     """
 
     def __init__(
         self,
-        execute,
+        run,
         *,
         max_batch_size: int = 32,
         max_wait_s: float = 0.0,
@@ -124,94 +134,118 @@ class MicroBatcher:
             )
         if max_wait_s < 0:
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
-        self._execute = execute
+        self._run = run
         self._max_batch_size = int(max_batch_size)
         self._max_wait_s = float(max_wait_s)
-        self._queue: asyncio.Queue[BatchItem] = asyncio.Queue(
-            maxsize=max_queue_depth
-        )
-        self._task: asyncio.Task | None = None
+        self._max_queue_depth = int(max_queue_depth)
+        self._pending: deque[BatchItem] = deque()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._executor = None
+        #: The window's groups still to dispatch, while a batch is out.
+        self._groups: deque[list[BatchItem]] | None = None
+        self._waited = 0.0
+        self._timer: asyncio.TimerHandle | None = None
+        self._flush_soon = False
         self._stopping = False
+        self._idle: asyncio.Future | None = None
         self.stats = BatcherStats()
 
     @property
     def depth(self) -> int:
         """Items currently waiting in the queue."""
-        return self._queue.qsize()
+        return len(self._pending)
 
-    def start(self) -> None:
-        """Start the collector task on the running loop."""
-        if self._task is None:
-            self._stopping = False
-            self._task = asyncio.get_running_loop().create_task(
-                self._run(), name="repro-serving-batcher"
-            )
+    def start(self, executor) -> None:
+        """Dispatch on the running loop to ``executor`` (a
+        :class:`concurrent.futures.Executor`; one worker thread keeps
+        batches in submit order with the executor's other work)."""
+        self._loop = asyncio.get_running_loop()
+        self._executor = executor
+        self._stopping = False
+        if self._pending:
+            self._arm()
 
     def submit(self, item: BatchItem) -> None:
         """Enqueue one item (non-blocking; its future gets the answer)."""
         if self._stopping:
             raise QueueFullError("batcher is draining")
-        item.enqueued_at = time.monotonic()
-        try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull as exc:
+        if len(self._pending) >= self._max_queue_depth:
             raise QueueFullError(
-                f"micro-batch queue is full ({self._queue.maxsize})"
-            ) from exc
+                f"micro-batch queue is full ({self._max_queue_depth})"
+            )
+        item.enqueued_at = time.monotonic()
+        self._pending.append(item)
+        if self._loop is not None:
+            self._arm()
 
     async def drain(self) -> None:
-        """Flush queued items, dispatch them, then stop the collector.
+        """Dispatch every queued item, wait for the batch in flight,
+        then stop.
 
         Every item submitted before the call is guaranteed a result
         (or an exception) on its future; later submits are refused.
         """
         self._stopping = True
-        await self._queue.join()
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
+        if self._loop is not None and self._pending:
+            self._arm()  # no window while draining
+        while self._loop is not None and (
+            self._groups is not None or self._pending
+        ):
+            self._idle = self._loop.create_future()
+            await self._idle
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
-    async def _collect_window(self) -> list[BatchItem]:
-        """Block for the first item, then fill the window."""
-        first = await self._queue.get()
-        batch = [first]
-        window_closes = time.monotonic() + self._max_wait_s
-        while len(batch) < self._max_batch_size:
-            remaining = window_closes - time.monotonic()
-            if remaining <= 0:
-                # Window elapsed: take whatever is already queued (free
-                # coalescing), but wait no further.
-                try:
-                    batch.append(self._queue.get_nowait())
-                    continue
-                except asyncio.QueueEmpty:
-                    break
-            try:
-                batch.append(
-                    await asyncio.wait_for(self._queue.get(), remaining)
-                )
-            except asyncio.TimeoutError:
-                break
-        return batch
+    # ------------------------------------------------------------------
+    # Windows (event loop)
+    # ------------------------------------------------------------------
+    def _arm(self) -> None:
+        """Make sure the queued items leave once the window closes."""
+        if self._groups is not None or self._flush_soon:
+            return
+        if (
+            self._max_wait_s <= 0
+            or self._stopping
+            or len(self._pending) >= self._max_batch_size
+        ):
+            if self._timer is not None:
+                self._timer.cancel()
+                self._timer = None
+            # Next loop turn: what is submitted in this one joins.
+            self._flush_soon = True
+            self._loop.call_soon(self._flush)
+        elif self._timer is None:
+            self._timer = self._loop.call_later(self._max_wait_s, self._flush)
 
-    async def _run(self) -> None:
-        while True:
-            batch = await self._collect_window()
-            waited = time.monotonic() - batch[0].enqueued_at
-            # Partition by (k, strategy): query_batch takes one of each.
-            groups: dict[tuple, list[BatchItem]] = {}
-            for item in batch:
-                groups.setdefault(item.group_key, []).append(item)
-            for group in groups.values():
-                await self._dispatch(group, waited)
-            for _ in batch:
-                self._queue.task_done()
+    def _flush(self) -> None:
+        """Close the window: dispatch its groups, one after another."""
+        self._flush_soon = False
+        self._timer = None
+        if self._groups is not None or not self._pending:
+            return
+        batch = [
+            self._pending.popleft()
+            for _ in range(min(self._max_batch_size, len(self._pending)))
+        ]
+        self._waited = time.monotonic() - batch[0].enqueued_at
+        # Partition by (k, strategy): query_batch takes one of each.
+        groups: dict[tuple, list[BatchItem]] = {}
+        for item in batch:
+            groups.setdefault(item.group_key, []).append(item)
+        self._groups = deque(groups.values())
+        self._dispatch_next()
 
-    async def _dispatch(self, group: list[BatchItem], waited: float) -> None:
+    def _dispatch_next(self) -> None:
+        """Hand the next group to the executor, or end the batch."""
+        if not self._groups:
+            self._groups = None
+            if self._pending:
+                self._arm()
+            elif self._idle is not None and not self._idle.done():
+                self._idle.set_result(None)
+            return
+        group = self._groups.popleft()
         self.stats.batches_total += 1
         self.stats.items_total += len(group)
         self.stats.max_batch_size = max(
@@ -221,30 +255,46 @@ class MicroBatcher:
         for item in group:
             item.batch_id = batch_id
         leader_ctx = group[0].ctx
+        span = _obs.serving_batch_open(len(group), leader_ctx)
+        # Executor-side spans open under the batch span, in the
+        # leader's trace.
+        context = None if leader_ctx is None else leader_ctx.child_of(span)
+        loop = self._loop
+        run = self._run
+
+        def work() -> None:  # on the executor thread
+            with _ctx.bind(context):
+                try:
+                    outcome = run(group)
+                except Exception as exc:
+                    outcome = exc
+            loop.call_soon_threadsafe(self._finish, group, span, outcome)
+
         try:
-            with _ctx.bind(leader_ctx):
-                with _obs.serving_batch_span(len(group), waited) as span:
-                    with _ctx.bind_child_of(span):
-                        results = await self._execute(group)
-            if len(results) != len(group):
-                raise RuntimeError(
-                    f"batch executor returned {len(results)} results "
-                    f"for {len(group)} items"
-                )
-        except asyncio.CancelledError:
+            self._executor.submit(work)
+        except RuntimeError as exc:  # the executor was shut down
+            self._finish(group, span, exc)
+
+    def _finish(self, group: list[BatchItem], span, outcome) -> None:
+        """Settle one group's futures (event loop), then go on."""
+        _obs.serving_batch_close(span, len(group), self._waited)
+        if not isinstance(outcome, BaseException) and len(outcome) != len(
+            group
+        ):
+            outcome = RuntimeError(
+                f"batch executor returned {len(outcome)} results "
+                f"for {len(group)} items"
+            )
+        if isinstance(outcome, BaseException):
             for item in group:
                 if not item.future.done():
-                    item.future.cancel()
-            raise
-        except Exception as exc:
-            for item in group:
-                if not item.future.done():
-                    item.future.set_exception(exc)
+                    item.future.set_exception(outcome)
                     # Futures abandoned by cancelled waiters would warn
                     # "exception never retrieved" at GC; touching it
                     # here keeps shutdown logs clean.
                     item.future.exception()
         else:
-            for item, result in zip(group, results):
+            for item, result in zip(group, outcome):
                 if not item.future.done():
                     item.future.set_result(result)
+        self._dispatch_next()

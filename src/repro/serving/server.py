@@ -137,7 +137,7 @@ class QueryServer(HttpFront):
             ttl_seconds=self.config.cache_ttl_s,
         )
         self.batcher = MicroBatcher(
-            self._execute_batch,
+            self._run_batch,
             max_batch_size=self.config.max_batch_size,
             max_wait_s=self.config.max_batch_wait_s,
             max_queue_depth=self.config.max_queue_depth,
@@ -193,7 +193,7 @@ class QueryServer(HttpFront):
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serving-query"
         )
-        self.batcher.start()
+        self.batcher.start(self._executor)
         self._started_at = time.monotonic()
 
     async def _shutdown(self, grace_ends: float) -> None:
@@ -207,12 +207,11 @@ class QueryServer(HttpFront):
             self._planner = None
 
     # ------------------------------------------------------------------
-    # Query execution (runs on the event loop; math on the executor)
+    # Query execution (the loop hands batches to the executor thread)
     # ------------------------------------------------------------------
-    async def _execute_batch(self, items: list[BatchItem]) -> list:
-        """Run one homogeneous group through ``query_batch`` off-loop."""
+    def _run_batch(self, items: list[BatchItem]) -> list:
+        """Answer one homogeneous group (on the executor thread)."""
         k, strategy = items[0].group_key
-        gammas = [item.gamma for item in items]
         # Tightest-member deadline: the whole group degrades together
         # rather than one member holding the rest past budget.
         remaining = [
@@ -220,22 +219,15 @@ class QueryServer(HttpFront):
             for item in items
             if item.deadline is not None
         ]
-        deadline = Deadline(min(remaining)) if remaining else None
-
-        def run() -> list:
-            answers = self.index.query_batch(
-                gammas, k, strategy=strategy, deadline_ms=deadline
-            )
-            for item, answer in zip(items, answers):
-                self.cache.store(item.key, answer)
-            return answers
-
-        # run_in_executor does not propagate contextvars; wrap captures
-        # the batch-dispatch context here (the leader's trace, parented
-        # at the batch span) so executor-side spans stitch into it.
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, _ctx.wrap(run)
+        answers = self.index.query_batch(
+            [item.gamma for item in items],
+            k,
+            strategy=strategy,
+            deadline_ms=Deadline(min(remaining)) if remaining else None,
         )
+        for item, answer in zip(items, answers):
+            self.cache.store(item.key, answer)
+        return answers
 
     async def _answer_query(
         self,
@@ -248,7 +240,7 @@ class QueryServer(HttpFront):
         """The cache -> singleflight -> batcher pipeline for one query.
 
         ``info``, when given, is filled with the query's flight-recorder
-        fields (fingerprint, outcome flags, per-phase timings, batch id).
+        fields (gamma, outcome flags, per-phase timings, batch id).
         """
         key = self.cache.canonical_key(gamma, k, strategy)
         cached = self.cache.lookup(key)
@@ -307,7 +299,7 @@ class QueryServer(HttpFront):
         """Populate one query's flight-recorder fields from its answer."""
         timing = answer.timing
         info.update(
-            fingerprint=gamma_fingerprint(gamma),
+            gamma=gamma,
             k=k,
             strategy=strategy,
             cache_hit=payload["cache_hit"],
@@ -340,7 +332,6 @@ class QueryServer(HttpFront):
             elapsed, error=status >= 500, degraded=degraded
         )
         _obs.record_slo_verdicts(verdicts)
-        _obs.publish_slo_status(self.slo.status())
         if shed:
             self._log.event(
                 "request.shed", level=logging.WARNING, route=path
@@ -350,6 +341,7 @@ class QueryServer(HttpFront):
             trace_id=context.trace_id,
             route=path,
             fingerprint=info.get("fingerprint", ""),
+            gamma=info.get("gamma"),
             k=int(info.get("k", 0)),
             strategy=info.get("strategy", ""),
             status=status,
@@ -439,7 +431,16 @@ class QueryServer(HttpFront):
             spans.append(entry)
         return 200, json_body({"trace_id": trace_id, "spans": spans}), None
 
+    def _slo_status(self) -> dict:
+        """The SLO monitor's status, pushed into the ``repro_slo_*``
+        gauges on the way: they are refreshed when ``/metrics``,
+        ``/stats`` or ``/healthz`` is read, not on every request."""
+        status = self.slo.status()
+        _obs.publish_slo_status(status)
+        return status
+
     async def _handle_metrics(self, request: HttpRequest, info: dict):
+        self._slo_status()
         return 200, get_registry().to_prometheus().encode("utf-8"), None
 
     async def _handle_stats(self, request: HttpRequest, info: dict):
@@ -451,7 +452,7 @@ class QueryServer(HttpFront):
     async def _handle_healthz(self, request: HttpRequest, info: dict):
         if self._draining:
             return 503, json_body({"status": "draining"}), None
-        slo = self.slo.status()
+        slo = self._slo_status()
         breached = [
             name
             for name, detail in slo["objectives"].items()
@@ -532,7 +533,7 @@ class QueryServer(HttpFront):
             return
         first = filled[0]
         info.update(
-            fingerprint=first.get("fingerprint", ""),
+            gamma=first.get("gamma"),
             k=first.get("k", 0),
             strategy=first.get("strategy", ""),
             timings=first.get("timings", {}),
@@ -710,7 +711,7 @@ class QueryServer(HttpFront):
                 "total": self.flight.total,
                 "slow_total": self.flight.slow_total,
             },
-            "slo": self.slo.status(),
+            "slo": self._slo_status(),
             "degraded_reasons": dict(self._degraded_reasons),
         }
         if self.index.sketches is not None:

@@ -13,6 +13,8 @@ treatment in the importance-weighting formula (Eq. 9).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.simplex.vectors import MACHINE_EPS, smooth
@@ -54,13 +56,15 @@ def symmetrized_kl(p, q, *, eps: float = MACHINE_EPS) -> float:
     return 0.5 * (kl_divergence(p, q, eps=eps) + kl_divergence(q, p, eps=eps))
 
 
+@functools.lru_cache(maxsize=64)
 def kl_max_bound(num_topics: int, *, eps: float = MACHINE_EPS) -> float:
     """Empirical upper bound of the KL divergence on the simplex.
 
     Following the paper, this is the divergence between two *corners* of
     the ``(Z-1)``-simplex after machine-epsilon smoothing.  It is the
     normalization constant ``KL_max`` in the importance-weighting
-    function (Eq. 9).
+    function (Eq. 9).  A constant of its arguments, computed once per
+    pair (every query's weights need it).
     """
     if num_topics < 2:
         raise ValueError(f"need at least 2 topics, got {num_topics}")

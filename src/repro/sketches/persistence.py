@@ -83,7 +83,9 @@ def load_sketches(path, *, fault_plan=None) -> SketchBank:
     """
     source = Path(path)
     try:
-        with np.load(source, allow_pickle=False) as data:
+        with open(source, "rb") as handle, np.load(
+            handle, allow_pickle=False
+        ) as data:
             raw = {name: data[name] for name in data.files}
     except _READ_ERRORS as exc:
         _obs.record_corrupt_artifact("sketches")

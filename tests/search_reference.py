@@ -19,13 +19,23 @@ checks.
   ``anderson_darling_test``;
 * :func:`pairwise_preference_matrix` adds each list's full
   ``weight * (rank < rank)`` product, and :func:`aggregate_seed_lists`
-  re-lists the seed lists for it on every call.
+  re-lists the seed lists for it on every call, then runs
+  :func:`copeland_order` (scores from their own ``P > P.T`` and
+  ``P == P.T``) and :func:`kemenize` (a dict from nodes to columns and
+  the full insertion pass).
+
+The kernels the leaf-moment and subset-sum kernels replaced are kept
+too, as their own oracles: :func:`eigh_similar_enough` (the pooled
+points re-stacked and re-centered on every call, the axis from ``eigh``
+of their scatter) and :func:`row_preference_matrix` (each row list
+adding its weight to the rows of the nodes it ranks).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from itertools import chain
 
 import numpy as np
@@ -35,11 +45,12 @@ from repro.bbtree.search import SearchResult, SearchStats
 from repro.bbtree.tree import BBTree, BBTreeNode
 from repro.im.seed_list import SeedList
 from repro.ranking.borda import _prepare_lists, _prepare_weights, borda_aggregation
-from repro.ranking.copeland import copeland_order
-from repro.ranking.kemeny import kemenize
+from repro.ranking.copeland import ranking_rows
 from repro.ranking.mc4 import mc4_order
 from repro.stats.anderson_darling import (
+    anderson_darling_p_value,
     anderson_darling_test,
+    corrected_statistic,
     project_to_principal_axis,
 )
 
@@ -488,6 +499,121 @@ def pairwise_preference_matrix(
     return matrix, universe.tolist()
 
 
+def _copeland_score_array(matrix: np.ndarray) -> np.ndarray:
+    wins = (matrix > matrix.T).sum(axis=1).astype(np.float64)
+    ties = ((matrix == matrix.T).sum(axis=1) - 1).astype(np.float64)
+    return wins + 0.5 * ties
+
+
+def copeland_order(matrix: np.ndarray, universe: list[int]) -> list[int]:
+    """Descending Copeland score, ties toward the lower node id."""
+    order = np.argsort(-_copeland_score_array(matrix), kind="stable")
+    return [universe[i] for i in order.tolist()]
+
+
+def kemenize(ordering, matrix: np.ndarray, universe: list[int]) -> list[int]:
+    """Local Kemenization: the full bubble-up pass over ``ordering``."""
+    position = {node: i for i, node in enumerate(universe)}
+    order = [position[node] for node in ordering]
+    beats = matrix > matrix.T
+    for start in range(1, len(order)):
+        i = start
+        while i > 0:
+            above = order[i - 1]
+            below = order[i]
+            if beats[below, above]:
+                order[i - 1], order[i] = below, above
+                i -= 1
+            else:
+                break
+    return [universe[i] for i in order]
+
+
+def row_preference_matrix(
+    rankings, *, weights=None, extra_nodes=()
+) -> tuple[np.ndarray, list[int]]:
+    """The preference matrix over a :func:`ranking_rows` array: each
+    list adds its weight to the rows of the nodes it ranks, in input
+    order."""
+    rows = (
+        rankings
+        if isinstance(rankings, np.ndarray)
+        else ranking_rows(rankings)
+    )
+    w = _prepare_weights(weights, rows.shape[0])
+    present = rows >= 0
+    universe = np.unique(
+        np.concatenate(
+            [rows[present], np.asarray(extra_nodes, dtype=np.int64)]
+        )
+    )
+    columns = np.searchsorted(universe, rows)
+    ranks = np.full((rows.shape[0], universe.size), rows.shape[1])
+    list_of, position = np.nonzero(present)
+    ranks[list_of, columns[list_of, position]] = position
+    matrix = np.zeros((universe.size, universe.size))
+    behind = np.arange(rows.shape[1])[:, np.newaxis]
+    for weight, rank, row_columns, length in zip(
+        w.tolist(), ranks, columns, present.sum(axis=1).tolist()
+    ):
+        matrix[row_columns[:length]] += weight * (rank > behind[:length])
+    return matrix, universe.tolist()
+
+
+#: The eigh path's near-threshold band, eigengap and tail floor.
+_NEAR = 1e-6
+_MIN_GAP = 1e-4
+_MIN_TAIL = 1e-7
+_P_VALUE_CUTS = (0.2, 0.34, 0.6)
+
+
+def eigh_similar_enough(points, query, *, alpha: float = 0.05) -> bool:
+    """The stopping test on the re-stacked pooled points: the axis from
+    ``eigh`` of their scatter, the statistic in plain floats, and the
+    SVD test near any threshold."""
+    pooled = np.vstack(
+        [
+            np.atleast_2d(np.asarray(points, dtype=np.float64)),
+            np.asarray(query, dtype=np.float64),
+        ]
+    )
+    n = pooled.shape[0]
+    if n < 8:
+        return False
+    centered = pooled - pooled.mean(axis=0)
+    if not (0.0 < alpha < 1.0 and np.abs(centered).max() > 1e-8):
+        return _svd_similar(pooled, alpha)
+    values, vectors = np.linalg.eigh(centered.T @ centered)
+    if values.size > 1 and values[-1] - values[-2] <= _MIN_GAP * values[-1]:
+        return _svd_similar(pooled, alpha)
+    projected = sorted((centered @ vectors[:, -1]).tolist())
+    mean = sum(projected) / n
+    deviations = [value - mean for value in projected]
+    squares = sum(d * d for d in deviations)
+    if squares <= n * (1e-8 * (1.0 + _NEAR)) ** 2:
+        return _svd_similar(pooled, alpha)
+    scale = math.sqrt(0.5 * (n - 1) / squares)
+    cdf = [0.5 * math.erfc(-d * scale) for d in deviations]
+    if cdf[0] < _MIN_TAIL or 1.0 - cdf[-1] < _MIN_TAIL:
+        return _svd_similar(pooled, alpha)
+    total = sum(
+        (2 * i + 1) * (math.log(cdf[i]) + math.log(1.0 - cdf[n - 1 - i]))
+        for i in range(n)
+    )
+    corrected = corrected_statistic(-n - total / n, n)
+    p_value = anderson_darling_p_value(corrected)
+    if abs(p_value - alpha) <= _NEAR * alpha or any(
+        abs(corrected - cut) <= _NEAR * cut for cut in _P_VALUE_CUTS
+    ):
+        return _svd_similar(pooled, alpha)
+    return p_value >= alpha
+
+
+def _svd_similar(pooled: np.ndarray, alpha: float) -> bool:
+    points = pooled[:-1]
+    return similar_enough(points, pooled[-1], alpha=alpha)
+
+
 _MATRIX_AGGREGATORS = {"copeland": copeland_order, "mc4": mc4_order}
 _AGGREGATORS = ("borda", *_MATRIX_AGGREGATORS)
 
@@ -550,3 +676,19 @@ def aggregate_seed_lists(
     return SeedList(
         tuple(ranked[:k]), (), algorithm=f"aggregation:{aggregator}"
     )
+
+
+def select_neighbors(weights, *, threshold: float) -> int:
+    """The gap rule of automatic neighbor selection, over numpy
+    scalars: keep lists until ``1/t`` minus the ``t``-th normalized
+    weight reaches ``threshold``."""
+    w = np.asarray(weights, dtype=np.float64)
+    running_sum = 0.0
+    for t in range(1, w.size + 1):
+        running_sum += w[t - 1]
+        if t <= 1 or running_sum <= 0:
+            continue
+        normalized_t = w[t - 1] / running_sum
+        if (1.0 / t) - normalized_t >= threshold:
+            return t - 1
+    return int(w.size)

@@ -9,15 +9,35 @@ Inputs cover overlapping lists over a small node range, disjoint lists,
 single lists, and weights that are absent, equal, small integers (which
 force exact Copeland ties), tenths (whose sums tie or not depending on
 the order they are added in) or random floats.
+
+``TestQueryMatchesReferenceKernels`` checks the whole served path:
+:meth:`InflexIndex.query` for ``inflex``, ``exact-knn`` and
+``approx-knn-sel`` against an answer assembled from the kernels the
+index used to run (``tests/search_reference.py``): node-walking
+searches with the SVD stopping test, a leaf-by-leaf exact scan, the gap
+rule over numpy scalars, and the list-based preference matrix with
+Copeland and the full Local Kemenization pass.
 """
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import tests.search_reference as ref
+from repro.bbtree import SearchResult, SearchStats
+from repro.core import InflexConfig, InflexIndex
 from repro.core.aggregation import aggregate_seed_lists
+from repro.graph import interest_topic_graph
 from repro.im import SeedList
-from repro.ranking import borda_scores, brute_force_kemeny, copeland_scores
+from repro.ranking import (
+    borda_scores,
+    brute_force_kemeny,
+    copeland_scores,
+    importance_weights,
+)
 from repro.ranking.kemeny import TIE_TOLERANCE
+from repro.simplex.kl import kl_max_bound
+from repro.simplex.vectors import smooth
 
 
 def _prefers(first, second, lists, weights):
@@ -248,3 +268,148 @@ class TestKemenyOracle:
         assert _aggregate(lists, weights, "copeland") == brute_force_kemeny(
             lists, weights=weights
         )
+
+
+# ----------------------------------------------------------------------
+# The served query path against the replaced kernels
+# ----------------------------------------------------------------------
+def _exact_scan(tree, query, k) -> SearchResult:
+    """The K nearest by a leaf-by-leaf scan, ties toward the lower id."""
+    divs = np.empty(tree.num_points)
+    for leaf in tree.leaves():
+        divs[leaf.point_ids] = ref.reference_divergence_to_point(
+            tree.divergence, tree.points[leaf.point_ids], query
+        )
+    order = np.lexsort((np.arange(tree.num_points), divs))[:k]
+    stats = SearchStats(
+        leaves_visited=tree.num_leaves(),
+        divergence_computations=tree.num_points,
+        nodes_pruned=0,
+        epsilon_match=False,
+        stopped_early=False,
+    )
+    return SearchResult(order, divs[order], stats)
+
+
+def _reference_answer(index, gamma, k, strategy) -> tuple:
+    config = index.config
+    tree = index.tree
+    query = smooth(np.asarray(gamma, dtype=np.float64))
+    knn = min(config.knn, index.num_index_points)
+    if strategy == "inflex":
+        result = ref.inflex_search(
+            tree,
+            query,
+            epsilon=config.epsilon,
+            ad_alpha=config.ad_alpha,
+            max_leaves=config.max_leaves,
+        )
+    elif strategy == "exact-knn":
+        result = _exact_scan(tree, query, knn)
+    else:
+        result = ref.leaf_limited_search(
+            tree, query, knn, max_leaves=config.max_leaves
+        )
+    lists = index.seed_lists
+    if result.stats.epsilon_match:
+        match = int(result.indices[0])
+        return (
+            lists[match].nodes[:k],
+            (match,),
+            result.divergences[:1].tobytes(),
+            np.ones(1).tobytes(),
+            result.stats,
+        )
+    if strategy == "inflex":
+        result = result.top(min(config.knn, len(result)))
+    weights = importance_weights(
+        result.divergences,
+        index.graph.num_topics,
+        kl_max=kl_max_bound.__wrapped__(
+            index.graph.num_topics, eps=config.weight_bound_eps
+        ),
+    )
+    keep = (
+        ref.select_neighbors(weights, threshold=config.selection_threshold)
+        if strategy != "exact-knn"
+        else len(result)
+    )
+    kept = weights[:keep] if config.weighted else None
+    if kept is not None and kept.sum() <= 0:
+        kept = None
+    seeds = ref.aggregate_seed_lists(
+        [lists[i].nodes for i in result.indices[:keep].tolist()],
+        k,
+        aggregator=config.aggregator,
+        weights=kept,
+        apply_local_kemenization=config.local_kemenization,
+    )
+    return (
+        seeds.nodes,
+        tuple(result.indices[:keep].tolist()),
+        result.divergences[:keep].tobytes(),
+        weights[:keep].tobytes(),
+        result.stats,
+    )
+
+
+def _served_answer(answer) -> tuple:
+    return (
+        answer.seeds.nodes,
+        answer.neighbor_ids,
+        np.asarray(answer.neighbor_divergences, dtype=np.float64).tobytes(),
+        np.asarray(answer.neighbor_weights, dtype=np.float64).tobytes(),
+        answer.search_stats,
+    )
+
+
+class TestQueryMatchesReferenceKernels:
+    @settings(
+        max_examples=max(5, settings.default.max_examples // 4),
+        deadline=None,
+    )
+    @given(
+        st.integers(0, 2**16),
+        st.integers(8, 120),
+        st.integers(2, 6),
+        st.integers(1, 16),
+        st.sampled_from(["copeland", "borda", "mc4"]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 12),
+    )
+    def test_answers_match(
+        self, seed, h, z, knn, aggregator, weighted, kemenization, k
+    ):
+        rng = np.random.default_rng(seed)
+        graph = interest_topic_graph(60, z, topics_per_node=1, seed=seed)
+        lists = [
+            SeedList(tuple(rng.permutation(60)[: rng.integers(1, 13)]))
+            for _ in range(h)
+        ]
+        config = InflexConfig(
+            num_index_points=2,
+            num_dirichlet_samples=10,
+            seed_list_length=12,
+            knn=knn,
+            leaf_size=8,
+            aggregator=aggregator,
+            weighted=weighted,
+            local_kemenization=kemenization,
+            seed=seed,
+        )
+        index = InflexIndex(
+            graph, rng.dirichlet(np.full(z, 0.5), h), lists, config
+        )
+        stored = index.index_points[rng.integers(h)]
+        gammas = [
+            *rng.dirichlet(np.full(z, 0.5), 4),
+            stored,
+            np.eye(z)[rng.integers(z)],
+        ]
+        for strategy in ("inflex", "exact-knn", "approx-knn-sel"):
+            for gamma in gammas:
+                served = index.query(gamma, k, strategy=strategy)
+                assert _served_answer(served) == _reference_answer(
+                    index, gamma, k, strategy
+                )

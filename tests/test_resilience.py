@@ -535,6 +535,42 @@ class TestPersistenceIntegrity:
             load_index(truncated, small_graph)
         assert "truncated.npz" in str(excinfo.value)
 
+    @pytest.mark.skipif(
+        not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd"
+    )
+    def test_truncated_artifacts_leave_no_descriptor_open(
+        self, small_graph, small_saved_index, tmp_path
+    ):
+        """Each loader closes the file it opened when the archive turns
+        out truncated, while the exception (and its traceback) is still
+        alive."""
+        from repro.core import SketchConfig
+        from repro.graph import load_graph, save_graph
+        from repro.sketches import SketchBank, load_sketches, save_sketches
+
+        _, index_path = small_saved_index
+        graph_path = tmp_path / "graph.npz"
+        save_graph(small_graph, graph_path)
+        bank_path = tmp_path / "bank.npz"
+        save_sketches(
+            SketchBank.build(small_graph, SketchConfig(num_sets=20, seed=3)),
+            bank_path,
+        )
+        loaders = [
+            (index_path, lambda path: load_index(path, small_graph)),
+            (bank_path, load_sketches),
+            (graph_path, load_graph),
+        ]
+        for source, load in loaders:
+            truncated = tmp_path / f"truncated-{source.name}"
+            truncated.write_bytes(source.read_bytes()[:120])
+            before = len(list(Path("/proc/self/fd").iterdir()))
+            with pytest.raises(Exception) as excinfo:
+                load(truncated)
+            assert len(list(Path("/proc/self/fd").iterdir())) == before, (
+                f"{source.name}: {excinfo.value!r}"
+            )
+
     def test_garbage_file_raises_corrupt_artifact(
         self, small_graph, tmp_path
     ):

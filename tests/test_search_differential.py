@@ -9,15 +9,17 @@ Every kernel must reproduce the reference bit for bit:
   :class:`SearchStats` on random trees — KL and the other Bregman
   divergences, learned and fixed branching, duplicated points —
   for random, epsilon-match and far queries;
-* :func:`similar_enough` (eigh axis, float statistic, near-tie
-  fallback) decides as the SVD test does, on leaves and on clouds
-  built to be degenerate: equal top eigenvalues, spreads near the
-  1e-8 checks, duplicated points;
+* :func:`similar_enough` (leaf moments, eigh axis, float statistic,
+  near-tie fallback) decides as the SVD test does, on leaves and on
+  clouds built to sit near its thresholds: equal or nearly equal top
+  eigenvalues, spreads near the 1e-8 checks, duplicated points, extreme
+  tails, far queries;
 * :func:`exact_nearest_neighbors`, now one scan, returns the branch and
   bound's neighbors and divergences except where equal divergences
   straddle the k-th place, and then it keeps the lower id;
-* :func:`pairwise_preference_matrix` over rows equals the per-list
-  product sum, weights and ragged lists included;
+* :func:`pairwise_preference_matrix` (a subset-sum table for the first
+  lists, one list at a time past it) equals the per-list product sum,
+  weights and ragged lists included;
 * :meth:`InflexIndex.query` answers as the reference pipeline does.
 
 Examples per test are a quarter of the active Hypothesis profile's
@@ -220,7 +222,18 @@ CLOUDS = st.fixed_dictionaries(
         "n": st.integers(3, 40),
         "z": st.integers(2, 8),
         "kind": st.sampled_from(
-            ["gaussian", "equal-top", "tiny", "near-1e-8", "duplicated"]
+            [
+                "gaussian",
+                "equal-top",
+                "small-gap",
+                "tiny",
+                "near-1e-8",
+                "spread-1e-8",
+                "diagonal-1e-8",
+                "duplicated",
+                "extreme-tail",
+                "far-query",
+            ]
         ),
         "scale": st.floats(1e-9, 1e-2),
         "seed": st.integers(0, 2**16),
@@ -239,6 +252,14 @@ def _cloud(spec) -> tuple[np.ndarray, np.ndarray]:
         signs = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
         offsets = np.zeros((n, z))
         offsets[:, :2] = signs[np.arange(n) % 4] * spec["scale"]
+    elif kind == "small-gap":
+        # The same square stretched by about the eigengap cut: the top
+        # two eigenvalues sit a relative 1e-4 apart, give or take.
+        signs = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
+        offsets = np.zeros((n, z))
+        offsets[:, :2] = signs[np.arange(n) % 4] * spec["scale"]
+        offsets[:, 0] *= 1.0 + rng.choice([2.5e-5, 5e-5, 1e-4, 2e-4])
+        offsets[:, 2:] = rng.normal(size=(n, z - 2)) * spec["scale"] * 1e-3
     elif kind == "tiny":
         offsets = rng.normal(size=(n, z)) * 1e-9
     elif kind == "near-1e-8":
@@ -246,8 +267,23 @@ def _cloud(spec) -> tuple[np.ndarray, np.ndarray]:
         offsets[:, 0] = np.where(np.arange(n) % 2, 1.0, -1.0) * 1e-8 * (
             1.0 + rng.uniform(-1e-6, 1e-6)
         )
+    elif kind == "spread-1e-8":
+        # Every coordinate a few 1e-8 wide: the degeneracy checks' band.
+        offsets = rng.uniform(-3e-8, 3e-8, size=(n, z))
+    elif kind == "diagonal-1e-8":
+        # Two clusters along the diagonal, every coordinate within
+        # 1e-8 of the mean: the SVD path calls the cloud constant,
+        # though its projection on the diagonal spreads wider.
+        offsets = np.outer(np.where(np.arange(n) % 2, 0.8e-8, -0.8e-8), np.ones(z))
     elif kind == "duplicated":
         offsets = np.repeat(rng.normal(size=(2, z)) * spec["scale"], n, 0)[:n]
+    elif kind == "extreme-tail":
+        # The query 4.5 to 7 deviations out: a normal tail near 1e-7.
+        offsets = rng.normal(size=(n, z)) * spec["scale"]
+        offsets[-1, 0] = rng.uniform(4.5, 7.0) * spec["scale"]
+    elif kind == "far-query":
+        offsets = rng.normal(size=(n, z)) * spec["scale"]
+        offsets[-1] = 1e3 * spec["scale"]
     else:
         offsets = rng.normal(size=(n, z)) * spec["scale"]
     cloud = center + offsets
@@ -259,12 +295,12 @@ def _cloud(spec) -> tuple[np.ndarray, np.ndarray]:
 def test_similar_enough_matches_svd_test_on_degenerate_clouds(spec):
     points, query = _cloud(spec)
     alpha = spec["alpha"]
-    assert similar_enough(points, query, alpha=alpha) == ref.similar_enough(
-        points, query, alpha=alpha
-    )
+    decision = ref.similar_enough(points, query, alpha=alpha)
+    assert similar_enough(points, query, alpha=alpha) == decision
+    assert ref.eigh_similar_enough(points, query, alpha=alpha) == decision
 
 
-RANKINGS = st.integers(1, 8).flatmap(
+RANKINGS = st.integers(1, 16).flatmap(
     lambda count: st.tuples(
         st.lists(
             st.lists(
@@ -301,11 +337,12 @@ def test_preference_matrix_matches_reference(case):
         lists, weights=weights, extra_nodes=extra
     )
     for rankings in (lists, ranking_rows(lists)):
-        matrix, universe = pairwise_preference_matrix(
-            rankings, weights=weights, extra_nodes=extra
-        )
-        assert universe == old_universe
-        assert matrix.tobytes() == old_matrix.tobytes()
+        for build in (pairwise_preference_matrix, ref.row_preference_matrix):
+            matrix, universe = build(
+                rankings, weights=weights, extra_nodes=extra
+            )
+            assert universe == old_universe
+            assert matrix.tobytes() == old_matrix.tobytes()
 
 
 def _index(seed: int, h: int, z: int, length: int, config) -> InflexIndex:
@@ -332,10 +369,13 @@ def _answer_fields(answer) -> tuple:
     )
 
 
-def _reference_aggregate(rows, k, **options):
-    """The reference aggregation over the lists ``rows`` holds."""
-    lists = [[node for node in row.tolist() if node >= 0] for row in rows]
-    return ref.aggregate_seed_lists(lists, k, **options)
+def _reference_aggregate(table, ids, k, **options):
+    """The reference aggregation over the lists rows ``ids`` of the
+    index's ranking table hold."""
+    lists = [
+        [node for node in row.tolist() if node >= 0] for row in table.rows[ids]
+    ]
+    return list(ref.aggregate_seed_lists(lists, k, **options).nodes)
 
 
 @SETTINGS
@@ -376,7 +416,7 @@ def test_answers_match_reference_pipeline(
         "repro.core.index",
         inflex_search=ref.inflex_search,
         leaf_limited_search=ref.leaf_limited_search,
-        aggregate_seed_lists=_reference_aggregate,
+        aggregate_rankings=_reference_aggregate,
     ):
         old = {
             strategy: [index.query(q, k, strategy=strategy) for q in queries]
@@ -542,6 +582,16 @@ class TestNearTieFallbacks:
         cloud = 0.25 + rng.uniform(-4e-9, 4e-9, size=(10, 4))
         assert _agree(cloud[:-1], cloud[-1], 0.05) is True
         assert svd_calls == [0.05]
+
+    @pytest.mark.parametrize("z", [2, 6])
+    def test_coordinates_within_1e_8_on_the_diagonal(self, svd_calls, z):
+        # Every coordinate within 1e-8 of the mean, but the projection
+        # on the diagonal spreads sqrt(z) times wider: only the SVD
+        # path's per-coordinate check calls this cloud constant.
+        offsets = np.where(np.arange(10) % 2, 0.8e-8, -0.8e-8)
+        cloud = np.full(z, 1.0 / z) + np.outer(offsets, np.ones(z))
+        assert _agree(cloud[:-1], cloud[-1], 0.8) is True
+        assert svd_calls == [0.8]
 
     def test_projected_spread_at_1e_8(self, svd_calls):
         cloud = np.full((10, 3), 0.3)

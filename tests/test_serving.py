@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -286,24 +287,28 @@ def _item(loop, k=5, strategy="inflex", gamma=None):
 
 
 class TestMicroBatcher:
+    """The batcher runs each group on an executor thread; ``run`` is the
+    blocking callable it hands the group to."""
+
     def test_coalesces_queued_items(self):
         async def scenario():
             calls: list[int] = []
 
-            async def execute(items):
+            def run(items):
                 calls.append(len(items))
                 return [item.k for item in items]
 
             batcher = MicroBatcher(
-                execute, max_batch_size=4, max_wait_s=0.01, max_queue_depth=64
+                run, max_batch_size=4, max_wait_s=0.01, max_queue_depth=64
             )
-            batcher.start()
-            loop = asyncio.get_running_loop()
-            items = [_item(loop) for _ in range(10)]
-            for item in items:
-                batcher.submit(item)
-            results = await asyncio.gather(*(i.future for i in items))
-            await batcher.drain()
+            with ThreadPoolExecutor(1) as executor:
+                batcher.start(executor)
+                loop = asyncio.get_running_loop()
+                items = [_item(loop) for _ in range(10)]
+                for item in items:
+                    batcher.submit(item)
+                results = await asyncio.gather(*(i.future for i in items))
+                await batcher.drain()
             return calls, results
 
         calls, results = asyncio.run(scenario())
@@ -316,21 +321,22 @@ class TestMicroBatcher:
         async def scenario():
             seen: list[tuple] = []
 
-            async def execute(items):
+            def run(items):
                 keys = {item.group_key for item in items}
                 seen.append((len(items), keys))
                 return [item.k for item in items]
 
             batcher = MicroBatcher(
-                execute, max_batch_size=8, max_wait_s=0.01, max_queue_depth=64
+                run, max_batch_size=8, max_wait_s=0.01, max_queue_depth=64
             )
-            batcher.start()
-            loop = asyncio.get_running_loop()
-            items = [_item(loop, k=1 + (i % 2)) for i in range(8)]
-            for item in items:
-                batcher.submit(item)
-            await asyncio.gather(*(i.future for i in items))
-            await batcher.drain()
+            with ThreadPoolExecutor(1) as executor:
+                batcher.start(executor)
+                loop = asyncio.get_running_loop()
+                items = [_item(loop, k=1 + (i % 2)) for i in range(8)]
+                for item in items:
+                    batcher.submit(item)
+                await asyncio.gather(*(i.future for i in items))
+                await batcher.drain()
             return seen
 
         seen = asyncio.run(scenario())
@@ -340,13 +346,13 @@ class TestMicroBatcher:
 
     def test_queue_bound_raises(self):
         async def scenario():
-            async def execute(items):  # pragma: no cover - never dispatched
+            def run(items):  # pragma: no cover - never dispatched
                 return [None for _ in items]
 
             batcher = MicroBatcher(
-                execute, max_batch_size=4, max_wait_s=0.01, max_queue_depth=2
+                run, max_batch_size=4, max_wait_s=0.01, max_queue_depth=2
             )
-            # Collector not started: the queue just fills.
+            # Not started: the queue just fills.
             loop = asyncio.get_running_loop()
             batcher.submit(_item(loop))
             batcher.submit(_item(loop))
@@ -357,44 +363,43 @@ class TestMicroBatcher:
 
     def test_executor_failure_propagates_to_futures(self):
         async def scenario():
-            async def execute(items):
+            def run(items):
                 raise RuntimeError("index exploded")
 
             batcher = MicroBatcher(
-                execute, max_batch_size=4, max_wait_s=0.001, max_queue_depth=8
+                run, max_batch_size=4, max_wait_s=0.001, max_queue_depth=8
             )
-            batcher.start()
-            loop = asyncio.get_running_loop()
-            item = _item(loop)
-            batcher.submit(item)
-            with pytest.raises(RuntimeError, match="index exploded"):
-                await item.future
-            await batcher.drain()
+            with ThreadPoolExecutor(1) as executor:
+                batcher.start(executor)
+                loop = asyncio.get_running_loop()
+                item = _item(loop)
+                batcher.submit(item)
+                with pytest.raises(RuntimeError, match="index exploded"):
+                    await item.future
+                await batcher.drain()
 
         asyncio.run(scenario())
 
     def test_lone_submit_dispatches_without_a_window(self):
         async def scenario():
-            entered = asyncio.Event()
-
-            async def execute(items):
-                entered.set()
+            def run(items):
                 return [item.k for item in items]
 
             batcher = MicroBatcher(
-                execute, max_wait_s=ServingConfig().max_batch_wait_s
+                run, max_wait_s=ServingConfig().max_batch_wait_s
             )
-            batcher.start()
-            item = _item(asyncio.get_running_loop())
-            batcher.submit(item)
-            # A handful of bare event-loop turns, no timer: enough for
-            # the collector to wake and dispatch, far too few for any
-            # window to elapse.
-            for _ in range(5):
-                await asyncio.sleep(0)
-            dispatched = entered.is_set()
-            await item.future
-            await batcher.drain()
+            with ThreadPoolExecutor(1) as executor:
+                batcher.start(executor)
+                item = _item(asyncio.get_running_loop())
+                batcher.submit(item)
+                # A handful of bare event-loop turns, no timer: enough
+                # to hand the item to the executor, far too few for
+                # any window to elapse.
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                dispatched = batcher.stats.batches_total == 1
+                await item.future
+                await batcher.drain()
             return dispatched
 
         assert asyncio.run(scenario())
@@ -402,38 +407,40 @@ class TestMicroBatcher:
     def test_items_queued_behind_a_busy_executor_leave_together(self):
         async def scenario():
             calls: list[list[tuple]] = []
-            entered = asyncio.Event()
-            release = asyncio.Event()
+            entered = threading.Event()
+            release = threading.Event()
 
-            async def execute(items):
+            def run(items):
                 calls.append(
                     [(item.k, item.strategy, item.gamma) for item in items]
                 )
                 entered.set()
-                await release.wait()
+                assert release.wait(10)
                 return [item.k for item in items]
 
-            batcher = MicroBatcher(execute, max_wait_s=0.0)
-            batcher.start()
-            loop = asyncio.get_running_loop()
-            first = _item(loop, gamma=0)
-            batcher.submit(first)
-            await entered.wait()
-            burst = [
-                _item(
-                    loop,
-                    k=1 + i % 2,
-                    strategy=("inflex", "sketch")[i // 4],
-                    gamma=i + 1,
-                )
-                for i in range(8)
-            ]
-            for item in burst:
-                batcher.submit(item)
-            release.set()
-            await asyncio.gather(*(i.future for i in [first, *burst]))
-            stats = batcher.stats.to_dict()
-            await batcher.drain()
+            batcher = MicroBatcher(run, max_wait_s=0.0)
+            with ThreadPoolExecutor(1) as executor:
+                batcher.start(executor)
+                loop = asyncio.get_running_loop()
+                first = _item(loop, gamma=0)
+                batcher.submit(first)
+                while not entered.is_set():
+                    await asyncio.sleep(0.001)
+                burst = [
+                    _item(
+                        loop,
+                        k=1 + i % 2,
+                        strategy=("inflex", "sketch")[i // 4],
+                        gamma=i + 1,
+                    )
+                    for i in range(8)
+                ]
+                for item in burst:
+                    batcher.submit(item)
+                release.set()
+                await asyncio.gather(*(i.future for i in [first, *burst]))
+                stats = batcher.stats.to_dict()
+                await batcher.drain()
             return calls, stats
 
         calls, stats = asyncio.run(scenario())
@@ -595,22 +602,58 @@ class TestQueryServerEndToEnd:
             stats["batcher"]["items_total"]
         )
 
+    def test_metrics_scrape_refreshes_slo_gauges(self, small_index):
+        """The SLO burn-rate and health gauges are computed when
+        /metrics is read: a scrape with no /healthz or /stats before it
+        reports the windows as of the scrape."""
+        from repro import obs
+
+        obs.enable()
+        # Sub-microsecond latency SLO: every request violates it.
+        config = ServingConfig(port=0, slo_latency_ms=0.00001)
+
+        async def scenario(server):
+            for _ in range(3):
+                await _post_query(
+                    "127.0.0.1", server.port, [0.4, 0.3, 0.2, 0.1]
+                )
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                writer.write(encode_request("GET", "/metrics"))
+                await writer.drain()
+                return await read_response(reader)
+            finally:
+                writer.close()
+
+        status, _, metrics = _run_with_server(small_index, config, scenario)
+        assert status == 200
+        burn = [
+            float(line.rsplit(" ", 1)[1])
+            for line in metrics.decode().splitlines()
+            if line.startswith(
+                'repro_slo_burn_rate{objective="latency",window="fast"}'
+            )
+        ]
+        assert burn and burn[0] > 1.0
+
     def test_burst_behind_slow_executor_batches(self, small_index):
         config = ServingConfig(port=0)
         burst_size = 8
 
         async def scenario(server):
-            entered = asyncio.Event()
-            release = asyncio.Event()
+            entered = threading.Event()
+            release = threading.Event()
             all_queued = asyncio.Event()
             submitted = 0
-            execute = server.batcher._execute
+            run = server.batcher._run
             submit = server.batcher.submit
 
-            async def slow_execute(items):
+            def slow_run(items):  # on the executor thread
                 entered.set()
-                await release.wait()
-                return await execute(items)
+                assert release.wait(10)
+                return run(items)
 
             def counting_submit(item):
                 nonlocal submitted
@@ -619,7 +662,7 @@ class TestQueryServerEndToEnd:
                 if submitted == 1 + burst_size:
                     all_queued.set()
 
-            server.batcher._execute = slow_execute
+            server.batcher._run = slow_run
             server.batcher.submit = counting_submit
             rng = np.random.default_rng(31)
             gammas = rng.dirichlet(np.full(4, 0.8), size=1 + burst_size)
@@ -628,7 +671,8 @@ class TestQueryServerEndToEnd:
                     _post_query("127.0.0.1", server.port, gammas[0])
                 )
             ]
-            await entered.wait()
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
             tasks += [
                 asyncio.ensure_future(
                     _post_query("127.0.0.1", server.port, row)
