@@ -19,14 +19,18 @@ The same gate covers the request-scoped telemetry sites (PR 6):
 context binding, flight recording, and SLO observation wrap each query
 the way the serving layer wraps each request, under the same budgets.
 The telemetry numbers — overhead both modes, flight-recorder memory at
-10k records, slow-query capture cost — land in ``BENCH_obs.json``.
+10k records, slow-query capture cost, and the tracer ring's retained
+bytes per span and when full — land in ``BENCH_obs.json``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import statistics
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -44,6 +48,7 @@ from repro.obs.flightrec import (
     gamma_fingerprint,
 )
 from repro.obs.slo import SLOMonitor
+from repro.obs.tracing import Tracer
 from repro.stats.tests import paired_t_test
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
@@ -204,6 +209,65 @@ def _telemetry_batch_seconds(index, queries, flight, slo, tracer) -> float:
     return time.perf_counter() - start
 
 
+#: Spans :func:`_record_cold_reads` records per read.
+SPANS_PER_READ = 7
+#: The query's phase spans (literal names, as on the query path).
+PHASES = ("query.search", "query.selection", "query.aggregation")
+
+
+def _record_cold_reads(tracer: Tracer, reads: int) -> None:
+    """The spans one served cold read records, ``reads`` times: the
+    loop's ``serving.request``/``serving.batch``, the executor's
+    ``query_batch``/``query`` and three phase spans, one trace each."""
+    for _ in range(reads):
+        context = obs_context.new_request_context()
+        request = tracer.open_span(
+            "serving.request",
+            category="serving",
+            trace_id=context.trace_id,
+            route="/query",
+        )
+        batch = tracer.open_span(
+            "serving.batch",
+            category="serving",
+            trace_id=context.trace_id,
+            parent_id=request.span_id,
+            size=1,
+        )
+        with obs_context.bind(context.child_of(batch)):
+            with tracer.span("query_batch", strategy="inflex", size=1):
+                with tracer.span("query", strategy="inflex", k=K):
+                    for phase in PHASES:
+                        with tracer.span(phase):
+                            pass
+        tracer.close_span(batch)
+        tracer.close_span(request)
+
+
+def _tracer_footprint() -> tuple[float, int]:
+    """Bytes a default tracer retains (tracemalloc) per span after 20k
+    spans of cold reads, and in all once its 100k-span ring is full."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracer = Tracer()
+        reads = 20_000 // SPANS_PER_READ
+        _record_cold_reads(tracer, reads)
+        gc.collect()
+        per_span = (tracemalloc.get_traced_memory()[0] - base) / (
+            reads * SPANS_PER_READ
+        )
+        # Past the capacity, so the ring has wrapped.
+        _record_cold_reads(tracer, 110_000 // SPANS_PER_READ)
+        gc.collect()
+        full_ring = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert tracer.dropped > 0
+    return per_span, full_ring
+
+
 def test_request_telemetry_overhead(query_setup):
     """The PR-6 telemetry sites obey the same two promises as the core
     instruments, measured end to end and recorded in BENCH_obs.json."""
@@ -299,11 +363,13 @@ def test_request_telemetry_overhead(query_setup):
     fast_record_s = time_records(threshold_s=60.0)
     slow_record_s = time_records(threshold_s=0.1)
     capture_cost_us = (slow_record_s - fast_record_s) * 1e6
+    span_bytes, ring_bytes = _tracer_footprint()
     obs.disable()
     obs.get_registry().reset()
     obs.get_tracer().clear()
 
     payload = {
+        "cpu_count": os.cpu_count(),
         "rounds": ROUNDS,
         "queries_per_batch": QUERIES_PER_BATCH,
         "k": K,
@@ -318,6 +384,10 @@ def test_request_telemetry_overhead(query_setup):
         "slow_capture_cost_us": capture_cost_us,
         "fast_record_us": fast_record_s * 1e6,
         "slow_record_us": slow_record_s * 1e6,
+        "tracer_spans_per_read": SPANS_PER_READ,
+        "tracer_retained_bytes_per_span": span_bytes,
+        "tracer_full_ring_spans": 100_000,
+        "tracer_full_ring_bytes": ring_bytes,
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2))
 
@@ -339,6 +409,8 @@ def test_request_telemetry_overhead(query_setup):
                 f"slow-query span capture: {capture_cost_us:+.1f} us "
                 f"per slow request (fast record "
                 f"{fast_record_s * 1e6:.1f} us)",
+                f"tracer ring: {span_bytes:.0f} B retained per span, "
+                f"{ring_bytes / 2**20:.1f} MiB when full (100k spans)",
             ]
         ),
     )
@@ -353,6 +425,9 @@ def test_request_telemetry_overhead(query_setup):
     )
     # The 10k-record ring stays comfortably in single-digit MiB.
     assert flight_memory_bytes < 32 * 1024 * 1024
+    # Typed ring rows with shared strings and args: about 75 B a span
+    # (each span object with its args dict held about 360 B).
+    assert span_bytes <= 96
 
 
 def test_disabled_primitive_costs():

@@ -56,7 +56,7 @@ from repro.graph.topic_graph import TopicGraph
 from repro.im.seed_list import SeedList
 from repro.obs import instruments as _obs
 from repro.obs.tracing import get_tracer
-from repro.propagation.parallel import Chunk, PooledArrays
+from repro.propagation.parallel import Chunk, PooledArrays, stream_id
 from repro.rng import as_seed_sequence
 from repro.simplex.vectors import as_distribution
 
@@ -561,6 +561,7 @@ class RRSampler(PooledArrays):
             if self._workers == 1
             else -(-len(blocks) // (self._workers * 2))
         )
+        spawn_key = tuple(root.spawn_key)
         chunks = [
             Chunk(
                 request,
@@ -568,10 +569,11 @@ class RRSampler(PooledArrays):
                 (
                     dist,
                     root.entropy,
-                    tuple(root.spawn_key),
+                    spawn_key,
                     request,
                     blocks[lo : lo + per_chunk],
                 ),
+                stream_id(root.entropy, spawn_key, request, blocks[lo][0]),
             )
             for index, lo in enumerate(range(0, len(blocks), per_chunk))
         ]

@@ -11,11 +11,17 @@ Two costs are deliberately separated:
 * **timing** always happens — a span's :attr:`~Span.duration` is valid
   whether or not observability is on, which is how
   :class:`~repro.core.query.QueryTiming` stays a reliable public API;
-* **recording** (buffering a :class:`SpanRecord`, assigning ids,
-  maintaining the per-thread parent stack) only happens while the
-  global switch (:func:`repro.obs.enable`) is on, so a disabled
-  process pays two ``perf_counter`` calls and one small allocation per
-  span — nothing else.
+* **recording** (assigning ids, maintaining the per-thread parent
+  stack, writing one ring row) only happens while the global switch
+  (:func:`repro.obs.enable`) is on, so a disabled process pays two
+  ``perf_counter`` calls and one small allocation per span — nothing
+  else.
+
+The :class:`Tracer` keeps finished spans as rows of typed columns, not
+as objects: about 85 bytes per span of a served read (its trace-id
+string included; names, categories and repeated args are shared), so a
+full 100k-span ring holds about 8 MB.  :class:`SpanRecord` objects are
+built only when the ring is read.
 
 Finished spans are exported as plain JSON or as the Chrome
 ``trace_event`` format (load the file at ``chrome://tracing`` or
@@ -31,13 +37,17 @@ pool worker processes into a single tree.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
+import struct
 import threading
 import time
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, compress, count
+from operator import ne
+from threading import get_ident
+from time import perf_counter
 
 from repro.obs._state import STATE
 from repro.obs.context import current_context
@@ -49,9 +59,8 @@ class SpanRecord:
 
     ``start`` is seconds since the tracer epoch (the tracer's creation
     or last :meth:`Tracer.clear`), measured on the monotonic clock.
-    Treat instances as read-only snapshots; the class stays unfrozen
-    because frozen-dataclass construction is measurably slower on the
-    recording hot path.
+    Instances are snapshots built when the tracer is read; ``args`` is
+    a copy, so changing it changes nothing in the tracer.
     """
 
     name: str
@@ -70,7 +79,9 @@ class Span:
 
     After exit, :attr:`duration` holds the elapsed monotonic seconds.
     Exceptions are never swallowed: the span closes (and records, when
-    enabled) and the exception propagates.
+    enabled) and the exception propagates.  The object is a transient
+    handle: closing it stages one row for the tracer's ring, and the
+    ring keeps no reference to it.
     """
 
     __slots__ = (
@@ -103,17 +114,32 @@ class Span:
     def __enter__(self) -> "Span":
         if STATE.enabled:
             self._recording = True
-            self._tracer._enter(self)
-        self.start = time.perf_counter()
+            tracer = self._tracer
+            try:
+                stack = tracer._local.stack
+            except AttributeError:
+                stack = tracer._local.stack = []
+            self.span_id = next(tracer._ids)
+            if stack:
+                top = stack[-1]
+                self.parent_id = top.span_id
+                self.trace_id = top.trace_id
+                self.thread_id = top.thread_id
+            else:
+                # Root span on this thread: attach to the bound request
+                # context (cross-thread/cross-process parent link).
+                context = current_context()
+                if context is not None:
+                    self.parent_id = context.parent_span_id
+                    self.trace_id = context.trace_id
+                self.thread_id = get_ident()
+            stack.append(self)
+        self.start = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.duration = time.perf_counter() - self.start
+        self.duration = perf_counter() - self.start
         if self._recording:
-            # Finished Span objects go straight into the buffer (they
-            # are single-use), and SpanRecords are materialized lazily
-            # at export time — this keeps the enabled-mode cost per span
-            # to a stack pop and a ring append.
             self._recording = False
             tracer = self._tracer
             stack = getattr(tracer._local, "stack", None)
@@ -126,19 +152,79 @@ class Span:
                     while stack[-1] is not self:
                         stack.pop()
                     stack.pop()
-            tracer._append(self)
+            parent_id = self.parent_id
+            pending = tracer._pending
+            pending += (
+                self.name,
+                self.category,
+                self.start,
+                self.duration,
+                self.span_id,
+                _NO_PARENT if parent_id is None else parent_id,
+                self.thread_id,
+                self.trace_id,
+                self.args,
+            )
+            if len(pending) >= _FLUSH_LENGTH:
+                tracer._flush_pending()
         return False
+
+
+#: ``parent_id`` column value of a span without a parent.
+_NO_PARENT = -(2**63)
+
+#: Exact value types whose equal values are the same value, so args
+#: made only of them can share one interned dict (``True == 1`` and
+#: ``0.0 == -0.0`` are why bools and floats are left out).
+_PLAIN = frozenset((str, int, type(None)))
+
+#: Distinct interned strings or args dicts kept before a table starts
+#: over.
+_INTERN_LIMIT = 4096
+
+#: The args column's entry for a span without args (never mutated:
+#: records get copies).
+_NO_ARGS: dict = {}
+
+#: Fields per ring row: one column each, in :class:`SpanRecord` order.
+_ROW_WIDTH = 9
+
+#: Finished spans staged per flush into the ring columns.
+_FLUSH_ROWS = 256
+_FLUSH_LENGTH = _FLUSH_ROWS * _ROW_WIDTH
+
+#: Ring column each filtered lookup compares against.
+_KEY_COLUMNS = {"name": 0, "trace_id": 7, "parent_id": 5}
+
+
+def _typed(code: str, values: list) -> array:
+    """``values`` as an :class:`array.array` of type ``code``.
+
+    ``struct`` converts a list of Python numbers about three times
+    faster than the array constructor does.
+    """
+    column = array(code)
+    column.frombytes(struct.pack(f"{len(values)}{code}", *values))
+    return column
 
 
 class Tracer:
     """Keeps the newest finished spans in a bounded ring.
+
+    The ring is a set of typed columns, one row per finished span:
+    ``start``/``duration`` as float64, ``span_id``/``parent_id``/
+    ``thread_id`` as int64, and references to the shared name,
+    category and trace-id strings and to the span's args (one interned
+    dict per distinct set of plain args, one empty dict for none).
+    It grows as spans arrive; :class:`SpanRecord` objects are built
+    only when the ring is read.
 
     Parameters
     ----------
     max_spans:
         Ring capacity; once full, each new span evicts the oldest one
         and counts it in :attr:`dropped`, so a long-running process
-        keeps its recent traces without growing memory.
+        keeps its recent traces in a bounded amount of memory.
     """
 
     def __init__(self, max_spans: int = 100_000) -> None:
@@ -146,10 +232,34 @@ class Tracer:
             raise ValueError(f"max_spans must be >= 1, got {max_spans}")
         self._max_spans = int(max_spans)
         self._lock = threading.Lock()
-        self._records: deque[Span] = deque(maxlen=self._max_spans)
+        self._ids = count(1)
+        self._reset()
+
+    def _reset(self) -> None:
+        # One column per SpanRecord field, in field order.
+        self._columns = (
+            [],  # name
+            [],  # category
+            array("d"),  # start (perf_counter seconds)
+            array("d"),  # duration
+            array("q"),  # span_id
+            array("q"),  # parent_id (_NO_PARENT for None)
+            array("q"),  # thread_id
+            [],  # trace_id
+            [],  # args (a shared dict or the span's own)
+        )
+        # Row the next span overwrites once the ring is full (the
+        # oldest); 0 while the ring is growing.
+        self._next = 0
+        # Finished spans' fields, row after row, until the next flush.
+        self._pending: list = []
+        # Shared strings of adopted spans; shared args dicts, by their
+        # items and the latest per name.
+        self._strings: dict = {}
+        self._interned: dict = {}
+        self._latest: dict = {}
         self._dropped = 0
-        self._epoch = time.perf_counter()
-        self._ids = itertools.count(1)
+        self._epoch = perf_counter()
         self._local = threading.local()
 
     @property
@@ -192,48 +302,141 @@ class Tracer:
             span.span_id = next(self._ids)
             span.parent_id = parent_id
             span.trace_id = trace_id
-            span.thread_id = threading.get_ident()
-        span.start = time.perf_counter()
+            span.thread_id = get_ident()
+        span.start = perf_counter()
         return span
 
     def close_span(self, span: Span) -> None:
         """Finish a span from :meth:`open_span` and record it (when it
         was opened while recording was enabled)."""
-        span.duration = time.perf_counter() - span.start
+        span.duration = perf_counter() - span.start
         if span.span_id is not None:
-            self._append(span)
+            parent_id = span.parent_id
+            pending = self._pending
+            pending += (
+                span.name,
+                span.category,
+                span.start,
+                span.duration,
+                span.span_id,
+                _NO_PARENT if parent_id is None else parent_id,
+                span.thread_id,
+                span.trace_id,
+                span.args,
+            )
+            if len(pending) >= _FLUSH_LENGTH:
+                self._flush_pending()
 
-    def _append(self, span: Span) -> None:
-        """Buffer one finished span, evicting the oldest when full."""
+    def _flush_pending(self) -> None:
+        """Flush the staged rows into the ring.
+
+        A finished span is staged by extending a flat list with its
+        row's :data:`_ROW_WIDTH` fields: one list operation, atomic
+        under the interpreter lock, so no lock is taken until a flush,
+        once per :data:`_FLUSH_ROWS` spans.
+        """
         with self._lock:
-            if len(self._records) == self._max_spans:
-                self._dropped += 1
-            self._records.append(span)
+            self._flush()
 
-    def _stack(self) -> list:
-        try:
-            return self._local.stack
-        except AttributeError:
-            stack = self._local.stack = []
-            return stack
+    def _flush(self) -> None:
+        """Move the staged rows into the ring columns, oldest first,
+        evicting the oldest rows once the ring is full.  Call with the
+        lock held."""
+        pending = self._pending
+        length = len(pending)
+        if not length:
+            return
+        # Spans finishing meanwhile extend the list behind the first
+        # ``length`` fields, so slicing and deleting that prefix loses
+        # none of them.
+        staged = pending[:length]
+        del pending[:length]
+        size = length // _ROW_WIDTH
+        (
+            names,
+            categories,
+            starts,
+            durations,
+            span_ids,
+            parents,
+            threads,
+            traces,
+            args,
+        ) = [staged[field::_ROW_WIDTH] for field in range(_ROW_WIDTH)]
+        data = (
+            names,
+            categories,
+            _typed("d", starts),
+            _typed("d", durations),
+            _typed("q", span_ids),
+            _typed("q", parents),
+            _typed("q", threads),
+            traces,
+            self._share_args(names, args),
+        )
+        columns = self._columns
+        capacity = self._max_spans
+        take = min(capacity - len(columns[0]), size)
+        if take:
+            for column, values in zip(columns, data):
+                column.extend(values[:take] if take < size else values)
+        if take == size:
+            return
+        # The ring is full: each further row overwrites the oldest, and
+        # of this batch only its newest ``capacity`` rows can survive.
+        self._dropped += size - take
+        first = max(take, size - capacity)
+        row = (self._next + first - take) % capacity
+        while first < size:
+            stop = min(size, first + capacity - row)
+            end = row + stop - first
+            for column, values in zip(columns, data):
+                column[row:end] = values[first:stop]
+            first = stop
+            row = end % capacity
+        self._next = row
 
-    def _enter(self, span: Span) -> None:
-        stack = self._stack()
-        span.span_id = next(self._ids)
-        if stack:
-            top = stack[-1]
-            span.parent_id = top.span_id
-            span.trace_id = top.trace_id
+    def _shared(self, text: str) -> str:
+        """The first-seen string equal to ``text``."""
+        strings = self._strings
+        if len(strings) >= _INTERN_LIMIT:
+            strings.clear()
+        return strings.setdefault(text, text)
+
+    def _share_args(self, names: list, batch: list) -> list:
+        """The args column of a batch: the shared :data:`_NO_ARGS` for
+        no args, one shared copy per distinct set of plain
+        (:data:`_PLAIN`) values, other args as given."""
+        latest = self._latest
+        shared = list(map(latest.get, names))
+        kinds = set(map(type, chain.from_iterable(map(dict.values, batch))))
+        if kinds <= _PLAIN:
+            # A span's args usually equal the latest shared args of its
+            # name, and equal plain values are the same value: only the
+            # rows that differ need a look-up.
+            misses = list(compress(count(), map(ne, shared, batch)))
         else:
-            # Root span on this thread: attach to the bound request
-            # context (cross-thread/cross-process parent link).  This
-            # contextvar read happens only while recording is enabled.
-            context = current_context()
-            if context is not None:
-                span.parent_id = context.parent_span_id
-                span.trace_id = context.trace_id
-        span.thread_id = threading.get_ident()
-        stack.append(span)
+            misses = range(len(batch))
+        interned = self._interned
+        for row in misses:
+            args = batch[row]
+            if not args:
+                hit = _NO_ARGS
+            elif not _PLAIN.issuperset(map(type, args.values())):
+                shared[row] = args
+                continue
+            else:
+                key = tuple(args.items())
+                hit = interned.get(key)
+                if hit is None:
+                    if len(interned) >= _INTERN_LIMIT:
+                        interned.clear()
+                    hit = interned[key] = dict(args)
+            if len(latest) >= _INTERN_LIMIT:
+                latest.clear()
+            latest[names[row]] = hit
+            shared[row] = hit
+        return shared
 
     # -- inspection -----------------------------------------------------
     def spans(self) -> list[SpanRecord]:
@@ -253,30 +456,51 @@ class Tracer:
         """Direct children of the given span, in completion order."""
         return self._select("parent_id", span_id)
 
-    def _select(self, attr: str | None, value) -> list[SpanRecord]:
-        """Records of the buffered spans whose ``attr`` equals
-        ``value`` (every span when ``attr`` is ``None``); spans are
-        filtered before any record is built."""
+    def _select(self, column: str | None, value) -> list[SpanRecord]:
+        """Records of the buffered rows whose ``column`` equals
+        ``value`` (every row when ``column`` is ``None``), in
+        completion order; rows are filtered before any record is
+        built."""
         with self._lock:
-            finished = list(self._records)
+            self._flush()
+            columns = self._columns
+            full = len(columns[0]) == self._max_spans
+            oldest = self._next if full else 0
+            if column is None:
+                # Copies in completion order (the oldest row first).
+                rows = zip(*[c[oldest:] + c[:oldest] for c in columns])
+            else:
+                keys = columns[_KEY_COLUMNS[column]]
+                hits = [row for row, key in enumerate(keys) if key == value]
+                if oldest:
+                    hits = [row for row in hits if row >= oldest] + [
+                        row for row in hits if row < oldest
+                    ]
+                rows = [tuple([c[row] for c in columns]) for row in hits]
             epoch = self._epoch
-        if attr is not None:
-            finished = [
-                span for span in finished if getattr(span, attr) == value
-            ]
         return [
             SpanRecord(
-                span.name,
-                span.category,
-                span.start - epoch,
-                span.duration or 0.0,
-                span.span_id or 0,
-                span.parent_id,
-                span.thread_id,
-                span.trace_id,
-                span.args,
+                name,
+                category,
+                start - epoch,
+                duration,
+                span_id,
+                None if parent_id == _NO_PARENT else parent_id,
+                thread_id,
+                trace_id,
+                dict(args),
             )
-            for span in finished
+            for (
+                name,
+                category,
+                start,
+                duration,
+                span_id,
+                parent_id,
+                thread_id,
+                trace_id,
+                args,
+            ) in rows
         ]
 
     def adopt(
@@ -303,39 +527,42 @@ class Tracer:
             return 0
         # mono = wall - (wall_now - mono_now): maps a remote wall-clock
         # stamp onto this process's perf_counter timeline.
-        offset = time.time() - time.perf_counter()
+        offset = time.time() - perf_counter()
         id_map: dict = {}
         for entry in payload:
-            span = Span(
-                self,
-                str(entry["name"]),
-                str(entry.get("category", "repro")),
-                dict(entry.get("args", ())),
-            )
-            span.span_id = next(self._ids)
+            span_id = next(self._ids)
             local_id = entry.get("local_id")
             if local_id is not None:
-                id_map[local_id] = span.span_id
-            span.parent_id = id_map.get(entry.get("local_parent"), parent_id)
-            span.trace_id = entry.get("trace_id", trace_id)
-            span.thread_id = int(entry.get("pid", 0))
-            span.start = float(entry["wall_start"]) - offset
-            span.duration = float(entry["duration"])
-            self._append(span)
+                id_map[local_id] = span_id
+            parent = id_map.get(entry.get("local_parent"), parent_id)
+            self._pending.extend(
+                (
+                    # Unpickled strings: share one copy of each.
+                    self._shared(str(entry["name"])),
+                    self._shared(str(entry.get("category", "repro"))),
+                    float(entry["wall_start"]) - offset,
+                    float(entry["duration"]),
+                    span_id,
+                    _NO_PARENT if parent is None else parent,
+                    int(entry.get("pid", 0)),
+                    entry.get("trace_id", trace_id),
+                    dict(entry.get("args", ())),
+                )
+            )
+        self._flush_pending()
         return len(payload)
 
     @property
     def dropped(self) -> int:
         """Spans evicted from the full ring since the last clear."""
-        return self._dropped
+        with self._lock:
+            self._flush()
+            return self._dropped
 
     def clear(self) -> None:
         """Drop all records and restart the epoch."""
         with self._lock:
-            self._records = deque(maxlen=self._max_spans)
-            self._dropped = 0
-            self._epoch = time.perf_counter()
-            self._local = threading.local()
+            self._reset()
 
     # -- export ---------------------------------------------------------
     def to_json(self, *, indent: int | None = 2) -> str:

@@ -50,6 +50,7 @@ import logging
 import os
 import time
 import weakref
+import zlib
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -315,14 +316,28 @@ class Chunk(NamedTuple):
     """One task of a fan-out: a kernel's arguments plus where it sits.
 
     ``call`` and ``index`` are the chunk's coordinates at the ``chunk``
-    fault site and on its span; ``args`` follow the arrays in the
-    kernel call.  A kernel's result must depend on ``args`` alone —
-    never on the process running it — for recovery to be bit-identical.
+    fault site and on its span; ``stream`` (see :func:`stream_id`)
+    names the random stream the chunk draws, so the fault site's rate
+    decisions differ between chunks whose ``call`` and ``index``
+    repeat.  ``args`` follow the arrays in the kernel call.  A kernel's
+    result must depend on ``args`` alone — never on the process running
+    it — for recovery to be bit-identical.
     """
 
     call: int
     index: int
     args: tuple
+    stream: int
+
+
+def stream_id(*identity) -> int:
+    """A 32-bit CRC of a chunk's random-stream identity.
+
+    ``identity`` is what seeds the chunk's stream: seed entropy, spawn
+    key and the chunk's place in the stream.  The result is the
+    chunk's :attr:`Chunk.stream`.
+    """
+    return zlib.crc32(repr(identity).encode())
 
 
 def _run_chunk(task):
@@ -516,6 +531,7 @@ class PooledArrays:
                             call=chunks[i].call,
                             chunk=chunks[i].index,
                             attempt=attempt,
+                            stream=chunks[i].stream,
                         )
                         if fired is not None:
                             fault = (fired.mode, fired.keep)
@@ -747,6 +763,7 @@ class ParallelMonteCarloSpread(PooledArrays):
                 call,
                 chunk_id,
                 (seeds, self._entropy, self._base_key + (call,), lo, hi),
+                stream_id(self._entropy, self._base_key, call),
             )
             for call, seeds in enumerate(arrays, start=first_call)
             for chunk_id, (lo, hi) in enumerate(bounds)

@@ -20,7 +20,8 @@ Injection sites (the coordinates each receives):
 =========== =============================== ===========================
 site         hook                            coordinates
 =========== =============================== ===========================
-chunk        simulation worker chunk         ``call``, ``chunk``, ``attempt``
+chunk        simulation worker chunk         ``call``, ``chunk``, ``attempt``,
+                                             ``stream``
 checkpoint   builder per-item checkpoint     ``item``
 save-index   ``save_index`` tmp→rename step  (none)
 index-load   ``load_index`` after read       (none)
@@ -40,6 +41,13 @@ semicolon-separated entries ``site:mode=<mode>[:key=value...]``, e.g.::
 
     REPRO_FAULTS="chunk:mode=crash:rate=0.02"
     REPRO_FAULTS="chunk:mode=crash:call=3:chunk=1;checkpoint:mode=truncate:item=2:keep=20"
+
+``stream`` is a CRC32 of the chunk's random-stream identity (for RR
+blocks: seed entropy, spawn key, request and first block; for
+Monte-Carlo chunks: seed entropy, base spawn key and call).  ``call``
+and ``chunk`` restart for every sampler request and estimator, so
+without it a rate spec would decide on the same few dozen points all
+through a build; targeted specs (``call=0:chunk=0``) ignore it.
 
 See ``docs/RESILIENCE.md`` for the full matrix of sites, modes, and
 the recovery each one exercises.

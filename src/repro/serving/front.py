@@ -101,6 +101,9 @@ class HttpFront:
             queue_depth=queue_depth,
         )
         self._log = get_logger(self.layer)
+        # One name string for every request span (the tracer keeps a
+        # reference per span, not a copy).
+        self._request_span = f"{self.layer}.request"
         # Shed responses draw successive deterministic jitter values
         # from shared RetryPolicy math (multiplier 1.0 keeps the base
         # constant at retry_after_s), so concurrently shed clients get
@@ -274,7 +277,7 @@ class HttpFront:
         # Manually managed span: it crosses awaits on the event loop,
         # where stack-based nesting would mis-parent interleaved tasks.
         span = tracer.open_span(
-            f"{self.layer}.request",
+            self._request_span,
             category=self.layer,
             trace_id=context.trace_id,
             route=label,

@@ -22,27 +22,21 @@ import numpy as np
 
 from repro.errors import ConvergenceError, InvalidDistributionError
 from repro.rng import resolve_rng
+from repro.simplex.special import digamma, trigamma
 from repro.simplex.vectors import MACHINE_EPS, as_distribution_matrix, smooth
 
 
-# scipy.special is imported inside the functions that use it, so that
-# loading and querying an index never pays its import.
-
-
-def _trigamma(x: np.ndarray) -> np.ndarray:
-    from scipy.special import polygamma
-
-    return polygamma(1, x)
+# The fit runs on scipy-identical ports of digamma and trigamma
+# (``repro.simplex.special``), so building an index imports no scipy;
+# ``log_pdf`` imports scipy.special when it is called.
 
 
 def _inverse_digamma(y: np.ndarray, *, iterations: int = 6) -> np.ndarray:
     """Invert the digamma function with Newton's method (Minka, App. C)."""
-    from scipy.special import digamma
-
     y = np.asarray(y, dtype=np.float64)
     x = np.where(y >= -2.22, np.exp(y) + 0.5, -1.0 / (y - digamma(1.0)))
     for _ in range(iterations):
-        x = x - (digamma(x) - y) / _trigamma(x)
+        x = x - (digamma(x) - y) / trigamma(x)
     return x
 
 
@@ -138,8 +132,6 @@ def _initial_alpha(points: np.ndarray) -> np.ndarray:
 def _fit_fixed_point(
     log_means: np.ndarray, alpha: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, bool]:
-    from scipy.special import digamma
-
     for iteration in range(1, max_iter + 1):
         new_alpha = _inverse_digamma(digamma(alpha.sum()) + log_means)
         new_alpha = np.maximum(new_alpha, 1e-10)
@@ -159,13 +151,11 @@ def _fit_newton(
     ``c = psi'(sum(alpha))`` (per-observation), which admits an exact
     ``O(Z)`` inverse-vector product via Sherman--Morrison.
     """
-    from scipy.special import digamma
-
     for iteration in range(1, max_iter + 1):
         total = alpha.sum()
         gradient = digamma(total) - digamma(alpha) + log_means
-        q = -_trigamma(alpha)
-        c = _trigamma(total)
+        q = -trigamma(alpha)
+        c = trigamma(total)
         b = (gradient / q).sum() / (1.0 / c + (1.0 / q).sum())
         step = (gradient - b) / q
         # Backtrack if the full step would leave the positive orthant.

@@ -3,9 +3,11 @@
 ``scipy.stats`` costs most of a second and tens of MB to import, and
 ``repro.experiments`` pulls in every figure and table; the CLI and the
 server need neither until an experiment, a t-test or an explanation
-asks.  Serving needs no scipy at all: ``scipy.special`` alone is about
-25 MB of resident memory, so only the Dirichlet fit imports it.  Each check runs in a fresh interpreter, since this test session
-has long since imported both.
+asks.  Neither serving nor building needs scipy at all:
+``scipy.special`` alone is about 25 MB of resident memory, and the
+Dirichlet fit runs on scipy-identical ports of digamma and trigamma.
+Each check runs in a fresh interpreter, since this test session has
+long since imported both.
 """
 
 from __future__ import annotations
@@ -138,3 +140,33 @@ print(json.dumps({
     assert 0.0 < report["p_value"] < 1.0
     assert report["rendered"].startswith("Answer provenance")
     assert report["loaded"] == list(DEFERRED)
+
+
+def test_cli_build_loads_no_scipy(tmp_path, capsys):
+    """A CLI ``build`` (Dirichlet fit, sampling, clustering, IMM seed
+    lists, bb-tree, save) imports no scipy module."""
+    from repro.cli import main
+
+    main(
+        [
+            "generate", "--out", str(tmp_path / "data"), "--nodes", "80",
+            "--topics", "3", "--items", "20", "--seed", "7",
+        ]
+    )
+    capsys.readouterr()
+    report = run_fresh(
+        f"""
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main([
+        "build", "--data", {str(tmp_path / "data")!r},
+        "--out", {str(tmp_path / "index.npz")!r},
+        "--index-points", "6", "--dirichlet-samples", "200",
+        "--seed-list-length", "4", "--ris-sets", "100", "--seed", "3",
+    ])
+print(json.dumps([m for m in sys.modules if m.startswith("scipy")]))
+"""
+    )
+    assert report == []
+    assert (tmp_path / "index.npz").is_file()

@@ -3,16 +3,29 @@ nesting and exception safety, Chrome trace round-trips, and the
 query-path instrumentation contract (QueryTiming derived from spans,
 cache and batch accounting flowing into the registry)."""
 
+import gc
 import json
 import math
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core import CachedIndex
+from repro.obs import tracing
+from repro.obs.context import RequestContext, bind
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Tracer, span_payload
+
+#: The exports of :func:`_record_fixed_sequence`, as the span ring's
+#: object-per-span predecessor wrote them.
+EXPECTED_EXPORTS = (
+    Path(__file__).resolve().parent / "data" / "span_ring_exports.json"
+)
 
 
 @pytest.fixture
@@ -300,6 +313,270 @@ class TestSpans:
         payload = json.loads(tracer.to_json())
         assert payload[0]["name"] == "alpha"
         assert payload[0]["duration"] >= 0.0
+
+
+class _FakeClock:
+    """``perf_counter`` steps a quarter second per call (exact in
+    binary), ``time`` stands still: exports become reproducible."""
+
+    def __init__(self) -> None:
+        self.now = 100.0
+
+    def perf_counter(self) -> float:
+        self.now += 0.25
+        return self.now
+
+    def time(self) -> float:
+        return 5000.0
+
+
+def _record_fixed_sequence(tracer) -> None:
+    """Nested spans, a manual span, adopted worker spans and plain,
+    bool, float and unhashable args; more spans than a 6-row ring."""
+    context = RequestContext("feedc0de", "req-1")
+    with bind(context):
+        request = tracer.open_span(
+            "serving.request",
+            category="serving",
+            trace_id=context.trace_id,
+            route="/query",
+        )
+        with bind(context.child_of(request)):
+            with tracer.span("query", strategy="inflex", k=5):
+                with tracer.span("query.search"):
+                    pass
+                with tracer.span("query.selection", inline=True, weight=0.5):
+                    pass
+            tracer.adopt(
+                [
+                    dict(
+                        span_payload("rr.chunk", 4000.0, 0.5, call=0, chunk=1),
+                        local_id=1,
+                    ),
+                    dict(
+                        span_payload("rr.walk", 4000.25, 0.125, blocks=[1, 2]),
+                        local_id=2,
+                        local_parent=1,
+                    ),
+                ],
+                trace_id=context.trace_id,
+                parent_id=request.span_id,
+            )
+        tracer.close_span(request)
+    for k in (1, True, 1.0):
+        with tracer.span("query", strategy="inflex", k=k):
+            pass
+
+
+def _normalized_exports(tracer) -> dict:
+    """Both exports with process and thread ids replaced by their order
+    of first appearance."""
+    threads: dict = {}
+    records = json.loads(tracer.to_json())
+    for record in records:
+        record["thread_id"] = threads.setdefault(
+            record["thread_id"], len(threads)
+        )
+    chrome = tracer.to_chrome_trace()
+    for event in chrome["traceEvents"]:
+        event["pid"] = 0
+        event["tid"] = threads.setdefault(event["tid"], len(threads))
+    return {"json": records, "chrome": chrome, "dropped": tracer.dropped}
+
+
+class TestSpanRing:
+    """The tracer keeps finished spans as rows of a bounded ring."""
+
+    def test_wrap_around_keeps_the_newest_in_order(self, observability):
+        tracer = Tracer(max_spans=5)
+        for i in range(13):
+            if i % 2:
+                tracer.close_span(tracer.open_span(f"s{i}"))
+            else:
+                with tracer.span(f"s{i}"):
+                    pass
+        assert [r.name for r in tracer.spans()] == [
+            f"s{i}" for i in range(8, 13)
+        ]
+        assert tracer.dropped == 8
+
+    def test_wrap_around_across_many_flushes(self, observability):
+        tracer = Tracer(max_spans=300)
+        for i in range(1000):
+            with tracer.span("s", i=i):
+                pass
+            if i == 400:
+                # A read mid-way flushes a partial batch.
+                assert tracer.dropped == 101
+        assert [r.args["i"] for r in tracer.spans()] == list(range(700, 1000))
+        assert tracer.dropped == 700
+
+    def test_lookups_across_the_wrap(self, observability):
+        tracer = Tracer(max_spans=10)
+        parent = tracer.open_span("parent", trace_id="t")
+        for i in range(14):
+            child = tracer.open_span(
+                f"c{i}",
+                trace_id="t" if i % 2 else "u",
+                parent_id=parent.span_id,
+            )
+            tracer.close_span(child)
+            with tracer.span("noise"):
+                pass
+        tracer.close_span(parent)
+        everything = tracer.spans()
+        assert len(everything) == 10 and tracer.dropped == 19
+        in_trace = tracer.find_trace("t")
+        assert in_trace == [r for r in everything if r.trace_id == "t"]
+        assert [r.name for r in in_trace] == ["c11", "c13", "parent"]
+        children = tracer.children_of(parent.span_id)
+        assert children == [
+            r for r in everything if r.parent_id == parent.span_id
+        ]
+        assert [r.name for r in children] == ["c10", "c11", "c12", "c13"]
+
+    def test_adopt_nests_payload_spans(self, observability):
+        tracer = Tracer()
+        with tracer.span("dispatch") as dispatch:
+            pass
+        payload = [
+            dict(span_payload("a", 10.0, 0.5, trace_id="w"), local_id=7),
+            dict(span_payload("b", 10.1, 0.2), local_id=8, local_parent=7),
+            dict(span_payload("c", 10.2, 0.1, n=3), local_parent=8),
+            span_payload("d", 10.3, 0.1),
+        ]
+        adopted = tracer.adopt(
+            payload, trace_id="t", parent_id=dispatch.span_id
+        )
+        assert adopted == 4
+        records = {r.name: r for r in tracer.spans()}
+        assert records["a"].parent_id == dispatch.span_id
+        assert records["b"].parent_id == records["a"].span_id
+        assert records["c"].parent_id == records["b"].span_id
+        assert records["d"].parent_id == dispatch.span_id
+        assert records["a"].trace_id == "w"
+        assert {records[n].trace_id for n in "bcd"} == {"t"}
+        assert records["c"].args == {"n": 3}
+        assert len({r.span_id for r in records.values()}) == 5
+
+    def test_clear_while_a_span_is_open(self, observability):
+        tracer = Tracer()
+        with tracer.span("before"):
+            pass
+        manual = tracer.open_span("manual")
+        with tracer.span("open") as open_span:
+            tracer.clear()
+            with tracer.span("inner"):
+                pass
+        tracer.close_span(manual)
+        records = tracer.spans()
+        assert [r.name for r in records] == ["inner", "open", "manual"]
+        assert tracer.dropped == 0
+        # ``inner`` began on the fresh stack; ``open`` began before the
+        # new epoch.
+        assert records[0].parent_id is None
+        assert records[1].span_id == open_span.span_id
+        assert records[1].start < 0.0
+        with tracer.span("after"):
+            pass
+        assert tracer.find("after")[0].parent_id is None
+
+    @pytest.mark.parametrize("capacity", [100_000, 3_000])
+    def test_threads_append_concurrently(self, observability, capacity):
+        """More threads than cores, switching as often as the
+        interpreter allows: no row is lost or torn."""
+        tracer = Tracer(max_spans=capacity)
+        per_thread = 2_500
+        tags = "abcd"
+        start = threading.Barrier(len(tags))
+
+        def work(tag: str) -> None:
+            start.wait()
+            for i in range(per_thread):
+                if i % 3:
+                    with tracer.span(tag, i=i):
+                        pass
+                else:
+                    tracer.close_span(tracer.open_span(tag, i=i))
+
+        threads = [threading.Thread(target=work, args=(tag,)) for tag in tags]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = len(tags) * per_thread
+        records = tracer.spans()
+        assert len(records) == min(capacity, total)
+        assert tracer.dropped == total - len(records)
+        assert len({r.span_id for r in records}) == len(records)
+        for tag in tags:
+            mine = [r for r in records if r.name == tag]
+            # Each thread's spans keep their order; the kept ones are
+            # that thread's newest (none, when others evicted them all).
+            assert [r.args["i"] for r in mine] == list(
+                range(per_thread - len(mine), per_thread)
+            )
+            assert len({r.thread_id for r in mine}) <= 1
+
+    def test_records_get_copies_of_shared_args(self, observability):
+        tracer = Tracer()
+        for _ in range(3):
+            with tracer.span("query", strategy="inflex", k=5):
+                pass
+        first, second, _ = tracer.spans()
+        assert first.args == second.args == {"strategy": "inflex", "k": 5}
+        assert first.args is not second.args
+        first.args["k"] = 99
+        assert tracer.spans()[0].args == {"strategy": "inflex", "k": 5}
+
+    def test_equal_args_of_other_types_stay_distinct(self, observability):
+        tracer = Tracer()
+        for k in (1, True, 1.0, 1, -0.0, 0.0, 0):
+            with tracer.span("query", k=k):
+                pass
+        kept = [r.args["k"] for r in tracer.spans()]
+        assert [repr(k) for k in kept] == [
+            "1", "True", "1.0", "1", "-0.0", "0.0", "0"
+        ]
+
+    def test_exports_of_a_fixed_sequence(self, observability, monkeypatch):
+        clock = _FakeClock()
+        monkeypatch.setattr(tracing, "time", clock)
+        monkeypatch.setattr(tracing, "perf_counter", clock.perf_counter)
+        tracer = Tracer(max_spans=6)
+        _record_fixed_sequence(tracer)
+        expected = json.loads(EXPECTED_EXPORTS.read_text())
+        assert _normalized_exports(tracer) == expected
+
+    def test_retained_bytes_per_span(self, observability):
+        spans = 20_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracer = Tracer()
+            with bind(RequestContext("0123456789abcdef", "req")):
+                for i in range(spans // 4):
+                    with tracer.span("query", strategy="inflex", k=10):
+                        with tracer.span("query.search"):
+                            pass
+                        with tracer.span("query.selection", size=i % 4):
+                            pass
+                    tracer.close_span(
+                        tracer.open_span("serving.batch", size=1)
+                    )
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tracer.spans()) == spans
+        assert retained / spans <= 96, f"{retained / spans:.0f} B per span"
 
 
 # ----------------------------------------------------------------------

@@ -328,6 +328,65 @@ class TestPoolCrashRecovery:
             observability, "repro_resilience_faults_injected_total"
         ) >= 1
 
+    def test_rate_plan_fires_on_some_chunks_of_a_build(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A rate plan decides per chunk stream, not per repeating
+        ``(call, chunk)`` pair: across a CI-shaped build under
+        ``rate=0.05`` it crashes some chunks but not all, and the index
+        bytes stay those of a clean build."""
+        from repro.cli import main
+        from repro.resilience import parse_fault_plan
+
+        main(
+            [
+                "generate", "--out", str(tmp_path / "data"), "--nodes",
+                "150", "--topics", "3", "--items", "40", "--seed", "3",
+            ]
+        )
+        monkeypatch.setenv("REPRO_SIM_WORKERS", "2")
+
+        def build(out: Path, plan: FaultPlan) -> None:
+            with fault_plan(plan):
+                main(
+                    [
+                        "build", "--data", str(tmp_path / "data"),
+                        "--out", str(out / "index.npz"),
+                        "--index-points", "6", "--dirichlet-samples", "400",
+                        "--seed-list-length", "6", "--engine", "imm",
+                        "--epsilon", "0.3", "--seed", "4", "--sketches",
+                        "--sketch-sets", "200",
+                    ]
+                )
+
+        build(tmp_path / "clean", FaultPlan())
+        fired = calls = 0
+        for seed in range(4):
+            plan = parse_fault_plan(f"chunk:mode=crash:rate=0.05:seed={seed}")
+            decide = plan.fire
+            coordinates = []
+
+            def counting(site, **coords):
+                if site == "chunk":
+                    coordinates.append(coords)
+                return decide(site, **coords)
+
+            plan.fire = counting
+            out = tmp_path / f"crash-{seed}"
+            build(out, plan)
+            first_tries = [c for c in coordinates if c["attempt"] == 0]
+            assert len({c["stream"] for c in first_tries}) > len(
+                {(c["call"], c["chunk"]) for c in first_tries}
+            )
+            fired += plan.specs[0].fired
+            calls += len(coordinates)
+            for name in ("index.npz", "index.sketches.npz"):
+                assert (out / name).read_bytes() == (
+                    tmp_path / "clean" / name
+                ).read_bytes()
+        capsys.readouterr()
+        assert 0 < fired < calls
+
     def test_worker_error_retries_on_same_pool(self, small_graph):
         plan = FaultPlan(
             [FaultSpec(site="chunk", mode="error", match={"call": 0, "chunk": 0})]

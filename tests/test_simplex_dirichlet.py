@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConvergenceError, InvalidDistributionError
 from repro.simplex import Dirichlet, fit_dirichlet_mle
@@ -92,3 +94,75 @@ class TestFitDirichletMLE:
         samples = true.sample(5000, seed=10)
         fitted = fit_dirichlet_mle(samples)
         assert np.allclose(fitted.alpha, true.alpha, rtol=0.2)
+
+
+class TestSpecialFunctionPorts:
+    """``repro.simplex.special`` returns scipy's bits for the fit's
+    positive finite arguments (scipy is the oracle here only)."""
+
+    GRID = np.concatenate(
+        [
+            np.arange(1.0, 11.0),
+            np.geomspace(1e-3, 1e9, 2_001),
+            np.linspace(0.001, 20.0, 2_001),
+            [0.5, 1.5, 2.0 - 2**-52, 2.0 + 2**-51, 10.0 - 2**-49, 10.5],
+            [1e8, 1e8 + 2.0, 1e17, 3e17],
+        ]
+    )
+
+    @staticmethod
+    def _bits(values) -> np.ndarray:
+        return np.asarray(values, dtype=np.float64).view(np.int64)
+
+    def test_digamma_on_a_grid(self):
+        from scipy.special import digamma
+
+        from repro.simplex.special import digamma as ported
+
+        assert np.array_equal(
+            self._bits(ported(self.GRID)), self._bits(digamma(self.GRID))
+        )
+
+    def test_trigamma_on_a_grid(self):
+        from scipy.special import polygamma
+
+        from repro.simplex.special import trigamma
+
+        assert np.array_equal(
+            self._bits(trigamma(self.GRID)),
+            self._bits(polygamma(1, self.GRID)),
+        )
+
+    @given(
+        st.floats(
+            min_value=1e-3,
+            max_value=1e9,
+            allow_nan=False,
+            allow_infinity=False,
+        )
+    )
+    def test_scalars_match_scipy(self, x):
+        from scipy.special import digamma, polygamma
+
+        from repro.simplex.special import psi, zeta2
+
+        assert self._bits(psi(x)) == self._bits(digamma(x))
+        assert self._bits(zeta2(x)) == self._bits(polygamma(1, x))
+
+    def test_other_arguments_defer_to_scipy(self):
+        from scipy.special import digamma, polygamma
+
+        from repro.simplex.special import digamma as ported
+        from repro.simplex.special import trigamma
+
+        values = np.array([-2.5, -1.0, 0.0, np.inf, np.nan, 3.0])
+        np.testing.assert_array_equal(ported(values), digamma(values))
+        np.testing.assert_array_equal(
+            trigamma(values), polygamma(1, values)
+        )
+
+    def test_scalar_input_gives_a_scalar(self):
+        from repro.simplex.special import digamma, trigamma
+
+        assert np.ndim(digamma(2.5)) == 0
+        assert np.ndim(trigamma(np.float64(2.5))) == 0
