@@ -72,6 +72,25 @@ class TopicGraph:
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return cls(num_nodes, indptr, arc_array[:, 1], probs)
 
+    @classmethod
+    def _from_sorted_keys(
+        cls, num_nodes: int, keys: np.ndarray, probabilities: np.ndarray
+    ) -> "TopicGraph":
+        """A graph from strictly increasing arc keys ``tail * n + head``
+        and the aligned ``(m, Z)`` probabilities: the CSR ``from_arcs``
+        builds for the same arcs, without the sort."""
+        n = int(num_nodes)
+        bounds = np.arange(n + 1, dtype=np.int64) * n
+        return cls(n, np.searchsorted(keys, bounds), keys % n, probabilities)
+
+    def arc_keys(self) -> np.ndarray:
+        """Every arc as the key ``tail * num_nodes + head``, strictly
+        increasing in CSR order."""
+        tails = np.repeat(
+            np.arange(self._num_nodes, dtype=np.int64), np.diff(self._indptr)
+        )
+        return tails * self._num_nodes + self._indices
+
     def _validate(self) -> None:
         n = self._num_nodes
         if n <= 0:

@@ -409,7 +409,12 @@ class Tracer:
         (:data:`_PLAIN`) values, other args as given."""
         latest = self._latest
         shared = list(map(latest.get, names))
-        kinds = set(map(type, chain.from_iterable(map(dict.values, batch))))
+        # Exact value types of the rows with args: most rows have none,
+        # and skipping them halves the check.
+        with_args = filter(None, batch)
+        kinds = set(
+            map(type, chain.from_iterable(map(dict.values, with_args)))
+        )
         if kinds <= _PLAIN:
             # A span's args usually equal the latest shared args of its
             # name, and equal plain values are the same value: only the

@@ -5,7 +5,9 @@ makes the whole stack work while the graph changes underneath it:
 
 * :mod:`repro.streaming.deltas` — the append-only edge-delta model
   (:class:`EdgeDelta`, :class:`DeltaBatch`, the CRC-checked
-  :class:`DeltaLog`, and the mutable :class:`EdgeState` overlay);
+  :class:`DeltaLog`, :func:`advance_graph`, which applies a batch to
+  the CSR arrays of a graph, and the mutable :class:`EdgeState`
+  dictionary it is checked against);
 * :mod:`repro.streaming.maintainer` — incremental RR-sketch
   maintenance with a differential guarantee (incremental state is
   bit-identical to a from-scratch rebuild at the same RNG streams);
@@ -25,6 +27,7 @@ from repro.streaming.deltas import (
     DeltaLog,
     EdgeDelta,
     EdgeState,
+    advance_graph,
 )
 from repro.streaming.maintainer import (
     ApplyReport,
@@ -43,6 +46,7 @@ __all__ = [
     "DeltaLog",
     "EdgeDelta",
     "EdgeState",
+    "advance_graph",
     "ApplyReport",
     "IncrementalSketchMaintainer",
     "SeedSetUpdate",

@@ -11,7 +11,9 @@ This module defines the append-only stream those changes arrive on:
   re-evaluation);
 * :class:`DeltaLog` — an append-only sequence of batches with
   CRC-per-record, atomic-rename persistence built on the
-  :mod:`repro.core.persistence` helpers.
+  :mod:`repro.core.persistence` helpers;
+* :func:`advance_graph` — a batch applied to a graph's CSR arrays,
+  the way the maintainers advance their graph.
 
 Batches also carry time forward: a maintainer configured with a decay
 rate applies ``exp(-rate * elapsed)`` to every arc's strength before
@@ -325,14 +327,112 @@ class DeltaLog:
         )
 
 
+def advance_graph(
+    graph: TopicGraph, deltas, factor: float = 1.0
+) -> TopicGraph:
+    """The successor of ``graph`` under a decay ``factor`` and ``deltas``.
+
+    Every arc's strength is multiplied by ``factor``, then ``deltas``
+    are applied in order, straight on the CSR arrays.  The result equals
+    :meth:`EdgeState.to_graph` after ``EdgeState.from_graph(graph)``,
+    :meth:`EdgeState.decay` and one :meth:`EdgeState.apply_delta` per
+    delta, bit for bit, and the same
+    :class:`~repro.errors.StreamError` is raised at the same delta.
+
+    Arcs are the keys ``tail * n + head``, increasing in CSR order.  The
+    deltas are replayed onto a small overlay of the arcs they touch;
+    then removed arcs leave by ``np.delete``, new arcs enter by
+    ``np.insert`` at their ``searchsorted`` positions, and reweighted
+    arcs get their row rewritten in a copy.  ``graph`` is never
+    modified; it is returned as is when nothing changes.
+    """
+    if not 0.0 <= factor <= 1.0:
+        raise StreamError(f"decay factor must lie in [0, 1], got {factor}")
+    n, num_topics = graph.num_nodes, graph.num_topics
+    keys = graph.arc_keys()
+    probs = graph.probabilities
+    in_order = bool(np.all(keys[1:] > keys[:-1]))
+    if not in_order:
+        # A hand-built CSR may hold unsorted rows or repeated arcs: order
+        # them as ``from_arcs`` does, the last copy of an arc winning as
+        # it does in the edge dictionary.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last = np.append(keys[1:] != keys[:-1], True)
+        keys = keys[last]
+        probs = probs[order[last]]
+    overlay: dict[int, np.ndarray | None] = {}
+    for delta in deltas:
+        arc = (delta.tail, delta.head)
+        if not (0 <= delta.tail < n and 0 <= delta.head < n):
+            raise StreamError(f"delta arc {arc} out of node range [0, {n})")
+        if delta.tail == delta.head:
+            raise StreamError(f"self-loop delta on node {delta.tail}")
+        key = delta.tail * n + delta.head
+        if key in overlay:
+            present = overlay[key] is not None
+        else:
+            pos = int(np.searchsorted(keys, key))
+            present = pos < keys.size and int(keys[pos]) == key
+        if delta.op == "add":
+            if present:
+                raise StreamError(f"cannot add arc {arc}: already present")
+        elif not present:
+            raise StreamError(f"cannot {delta.op} arc {arc}: not present")
+        if delta.op == "remove":
+            overlay[key] = None
+            continue
+        row = np.asarray(delta.probabilities, dtype=np.float64)
+        if row.size != num_topics:
+            raise StreamError(
+                f"delta for arc {arc} has {row.size} topics, graph "
+                f"has {num_topics}"
+            )
+        overlay[key] = row
+    if not overlay and factor == 1.0 and in_order:
+        return graph
+    if factor != 1.0:
+        probs = probs * factor
+    if overlay:
+        changed, rows = zip(*sorted(overlay.items()))
+        changed = np.array(changed, dtype=np.int64)
+        pos = np.searchsorted(keys, changed)
+        found = np.zeros(changed.size, dtype=bool)
+        if keys.size:
+            found = keys[np.minimum(pos, keys.size - 1)] == changed
+        kept = np.fromiter(
+            (row is not None for row in rows), dtype=bool, count=len(rows)
+        )
+        update = np.flatnonzero(found & kept)
+        if update.size:
+            if factor == 1.0:
+                probs = probs.copy()
+            probs[pos[update]] = [rows[i] for i in update]
+        gone = pos[found & ~kept]
+        if gone.size:
+            keys = np.delete(keys, gone)
+            probs = np.delete(probs, gone, axis=0)
+        new = np.flatnonzero(~found & kept)
+        if new.size:
+            at = np.searchsorted(keys, changed[new])
+            keys = np.insert(keys, at, changed[new])
+            probs = np.insert(
+                probs, at, np.stack([rows[i] for i in new]), axis=0
+            )
+    return TopicGraph._from_sorted_keys(n, keys, probs)
+
+
 @dataclass
 class EdgeState:
     """A mutable arc-dictionary view of a :class:`TopicGraph`.
 
-    The maintainer's working representation of the evolving graph:
     ``(tail, head) -> (Z,)`` probability vectors, cheap to mutate per
     delta and convertible back to the immutable CSR
-    :class:`TopicGraph` once per applied batch.
+    :class:`TopicGraph`.  The synthetic delta generator tracks its
+    evolving edge set in one (its arc choices follow the dictionary's
+    insertion order), and it is the reference :func:`advance_graph` is
+    tested against; the maintainers apply batches with
+    :func:`advance_graph`.
     """
 
     num_nodes: int
@@ -359,8 +459,8 @@ class EdgeState:
         """Multiply every arc's per-topic strength by ``factor``.
 
         Fresh vectors are written (never mutated in place) so a
-        :meth:`copy` taken before the call stays intact — the property
-        transactional batch application relies on.
+        :meth:`copy` taken before the call stays intact, as a staged
+        copy that may be discarded needs.
         """
         if not 0.0 <= factor <= 1.0:
             raise StreamError(

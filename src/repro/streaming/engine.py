@@ -28,6 +28,13 @@ distance/deadline fallback upgrades stay fresh on hot-swaps too.  It
 adopts the bank's arrays as they are, with zero walks: the bank served
 at construction is the loaded bank, bit for bit.
 
+**One graph.**  The index-point maintainer applies each batch to the
+CSR arrays once; the sketch-bank maintainer is handed the graph it
+staged, and the served index is re-pointed at it whenever it changes.
+The engine keeps the wrapped index's points, configuration, Dirichlet
+and bb-tree, not the index, so after the first batch the graph it was
+loaded with is not held by the engine.
+
 **Streams.**  Both maintainers re-walk an invalidated set from the
 stream that first walked it (see :mod:`repro.streaming.maintainer` for
 why a fresh stream would bias the pools).  For the bank that stream
@@ -112,7 +119,10 @@ class StreamingEngine:
             fault_plan=fault_plan,
         )
         self._registry = SubscriptionRegistry(max_pending=max_pending)
-        self._template = index
+        self._points = index.index_points
+        self._config = config
+        self._dirichlet = index.dirichlet
+        self._tree = index.tree
         self._sketch_maintainer = None
         self._bank = index.sketches
         if self._bank is not None:
@@ -156,14 +166,13 @@ class StreamingEngine:
         smoothed again); only the seed lists — and the graph reference —
         are new.
         """
-        template = self._template
         index = InflexIndex._restore(
             self._maintainer.graph,
-            template.index_points,
+            self._points,
             list(self._maintainer.seed_lists),
-            template.config,
-            dirichlet=template.dirichlet,
-            tree=template.tree,
+            self._config,
+            dirichlet=self._dirichlet,
+            tree=self._tree,
         )
         if self._bank is not None:
             index.attach_sketches(self._bank)
@@ -176,6 +185,12 @@ class StreamingEngine:
     def index(self) -> InflexIndex:
         """The current queryable index (replaced after each batch)."""
         return self._index
+
+    @property
+    def graph(self):
+        """The current :class:`~repro.graph.topic_graph.TopicGraph`, the
+        one object the maintainers and the served index share."""
+        return self._maintainer.graph
 
     @property
     def maintainer(self) -> IncrementalSketchMaintainer:
@@ -193,8 +208,9 @@ class StreamingEngine:
     def apply(self, batch) -> tuple[ApplyReport, tuple]:
         """Apply one delta batch end to end.
 
-        Runs the transactional sketch maintenance, swaps in the new
-        index, and re-evaluates the affected subscriptions.  Returns
+        Runs the transactional sketch maintenance, swaps in a new index
+        when the graph changed, and re-evaluates the affected
+        subscriptions.  Returns
         the maintainer's :class:`ApplyReport` and the emitted
         :class:`~repro.streaming.subscriptions.SeedSetUpdate` events.
         """
@@ -206,15 +222,19 @@ class StreamingEngine:
             if self._sketch_maintainer is not None:
                 # The main maintainer validated the batch and committed,
                 # so this (fault-shielded) apply cannot fail; the
-                # per-topic pools advance to the same stream clock.
-                sketch_report = self._sketch_maintainer.apply_batch(batch)
+                # per-topic pools advance to the same stream clock, on
+                # the graph the main maintainer staged.
+                sketch_report = self._sketch_maintainer.apply_batch(
+                    batch, graph=self._maintainer.graph
+                )
                 if sketch_report.rr_sets_resampled or sketch_report.decayed:
                     self._bank = self._rebuild_bank()
-                    self._index.attach_sketches(self._bank)
                     _obs.record_sketch_refresh()
         # One batch counts once, with the index points' resample figures.
         _obs.record_stream_batch(report)
-        if report.changed_points or report.decayed:
+        # Any delta or decay makes a new graph, and only they can change
+        # a seed list or the bank.
+        if self._index.graph is not self.graph:
             self._index = self._rebuild_index()
         updates = self._registry.notify(
             report.batch_id, report.changed_points, self._index

@@ -75,7 +75,7 @@ from repro.im.imm import RRIndex, _block_size, _merge_blocks, sample_rr_block
 from repro.im.seed_list import SeedList
 from repro.resilience.faults import InjectedFaultError, maybe_inject
 from repro.rng import as_seed_sequence
-from repro.streaming.deltas import DeltaBatch, EdgeState
+from repro.streaming.deltas import DeltaBatch, advance_graph
 from repro.workers import resolve_workers
 
 
@@ -233,7 +233,6 @@ class IncrementalSketchMaintainer:
         self._time = float(start_time)
         self._workers = resolve_workers(workers, name="workers")
         self._fault_plan = fault_plan
-        self._state = EdgeState.from_graph(graph)
         self._graph = graph
         self._batches_applied = 0
         self._total_resampled = 0
@@ -378,15 +377,23 @@ class IncrementalSketchMaintainer:
     # ------------------------------------------------------------------
     # Batch application
     # ------------------------------------------------------------------
-    def apply_batch(self, batch, *, fault_plan=None) -> ApplyReport:
+    def apply_batch(
+        self, batch, *, fault_plan=None, graph=None
+    ) -> ApplyReport:
         """Apply one :class:`DeltaBatch` transactionally.
 
         Advances the stream clock (applying exponential decay if
-        configured), replays the batch's deltas onto the edge set,
-        re-walks exactly the blocks with a set that contains the head
-        of a changed arc, and refreshes the seed lists of affected
-        points.  On any :class:`~repro.errors.StreamError` or injected
-        fault, no state changes.
+        configured), stages the successor graph with
+        :func:`~repro.streaming.deltas.advance_graph`, re-walks exactly
+        the blocks with a set that contains the head of a changed arc,
+        and refreshes the seed lists of affected points.  On any
+        :class:`~repro.errors.StreamError` or injected fault, no state
+        changes.
+
+        ``graph`` hands over a successor graph another maintainer
+        already staged for this batch from the same graph and stream
+        clock, as the streaming engine does for its sketch-bank
+        maintainer; the batch is then not applied a second time.
 
         Returns
         -------
@@ -408,20 +415,19 @@ class IncrementalSketchMaintainer:
             raise InjectedFaultError(
                 f"injected failure applying delta batch {batch_id}"
             )
-        new_state = self._state.copy()
-        decayed = False
+        factor = 1.0
         if self._decay_rate > 0.0 and batch.timestamp > self._time:
             factor = math.exp(
                 -self._decay_rate * (batch.timestamp - self._time)
             )
-            if factor < 1.0:
-                new_state.decay(factor)
-                decayed = True
+        decayed = factor < 1.0
+        if graph is None:
+            new_graph = advance_graph(self._graph, batch.deltas, factor)
+        else:
+            new_graph = graph
         deltas_by_op: dict[str, int] = {}
         for delta in batch.deltas:
-            new_state.apply_delta(delta)
             deltas_by_op[delta.op] = deltas_by_op.get(delta.op, 0) + 1
-        new_graph = new_state.to_graph()
         touched = batch.touched_heads()
         # Stage the per-point refresh; nothing is committed until every
         # affected point succeeded.
@@ -482,7 +488,6 @@ class IncrementalSketchMaintainer:
             if seed_list.nodes != self._seed_lists[pid].nodes:
                 changed.append(pid)
         # ---- commit point: everything below is infallible ----
-        self._state = new_state
         self._graph = new_graph
         for pid, index in staged:
             self._indexes[pid] = index

@@ -12,7 +12,11 @@ routes end-to-end on a real asyncio server.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,27 @@ from repro.streaming import (
 )
 
 PROBS3 = (0.3, 0.2, 0.1)
+
+#: SHA-256 of the JSON of the first ``PERFBENCH_WRITER_BATCHES`` delta
+#: batches perfbench's stream-mixed writer sends at a ``--seed``.
+PERFBENCH_WRITER_BATCHES = 24
+PERFBENCH_WRITER_DIGESTS = {
+    1: "09d2299a77dee003acf36e9d265e5d25891218ad874592a4d9109e5d6a81186b",
+    2: "08030b1a56a0814e435b79913f4243c83f045a4049d3d987059c6b8495198c9e",
+}
+
+
+def _perfbench_common():
+    """``perfbench/common.py``, imported under a name of its own."""
+    name = "perfbench_common"
+    if name not in sys.modules:
+        root = Path(__file__).resolve().parent.parent
+        path = root / "perfbench" / "common.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +352,26 @@ class TestDeltaWorkload:
             generate_delta_workload(
                 stream_dataset.graph, add_fraction=0.8, remove_fraction=0.5
             )
+
+    @pytest.mark.parametrize("seed", sorted(PERFBENCH_WRITER_DIGESTS))
+    def test_perfbench_writer_inputs_are_pinned(self, seed):
+        """The benchmark's stream-mixed writer sends
+        ``generate_delta_workload`` batches over its dataset; a change
+        to the generator or to the edge dictionary whose insertion
+        order it draws arcs in would move those inputs silently."""
+        common = _perfbench_common()
+        inputs = common.Inputs.from_seed(seed)
+        graph = generate_flixster_like(
+            **common.DATASET, seed=inputs.dataset_seed
+        ).graph
+        batches = inputs.delta_batches(graph, PERFBENCH_WRITER_BATCHES)
+        text = json.dumps(
+            [batch.to_dict() for batch in batches],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == PERFBENCH_WRITER_DIGESTS[seed]
 
 
 # ----------------------------------------------------------------------
