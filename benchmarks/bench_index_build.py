@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import time
 from pathlib import Path
 
@@ -347,6 +348,11 @@ def test_paper_scale_imm_build():
                 3,
             ),
         },
+        # The benchmark process's high-water mark (Linux reports KB);
+        # run this test alone for it to be the build's.
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+        ),
     }
     report = (
         json.loads(OUT_PATH.read_text()) if OUT_PATH.exists() else {}
@@ -368,7 +374,8 @@ def test_paper_scale_imm_build():
             f"n={PAPER_NUM_NODES}, eps={PAPER_IMM_EPSILON}, 1 worker\n"
             f"  total: {total_seconds:.1f} s ({per_stage})\n"
             f"  per seed list: "
-            f"{section['timings_seconds']['per_seed_list'] * 1000:.0f} ms"
+            f"{section['timings_seconds']['per_seed_list'] * 1000:.0f} ms, "
+            f"peak RSS {section['peak_rss_mb']:.0f} MB"
         ),
     )
 

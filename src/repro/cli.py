@@ -620,6 +620,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             num_sets=args.stream_sets,
             decay_rate=args.decay_rate,
         )
+        # The engine serves its own index; holding the loaded one here
+        # would keep the loaded graph alive after the first batch.
+        graph = index = None
     config = _serving_config(args)
     campaign = None
     if args.campaign_sets is not None:
@@ -629,7 +632,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def ready(front) -> None:
         print(
-            f"serving {index} on {config.host}:{front.port} "
+            f"serving {front.index} on {config.host}:{front.port} "
             f"(SIGTERM drains gracefully)",
             flush=True,
         )

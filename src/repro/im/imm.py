@@ -19,23 +19,30 @@ two phases driven by martingale concentration bounds:
 What makes this module *paper-scale* rather than a reference
 implementation:
 
-* **Vectorized sampling.**  RR sets are generated in blocks walked in
-  lock-step: one batched reverse-BFS expands the frontiers of hundreds
-  of sets per numpy call (gather all in-arcs, flip all coins, dedupe
-  flat ``set * n + node`` keys) instead of one Python loop per set.
-  :func:`sample_rr_block` is the package's only IC reverse walk: the
-  ``ris`` engine, segment targeting and the streaming maintainer drive
-  it too (see :func:`walk_rr_index`), and every consumer ranks its
-  sets with the one greedy of :class:`RRIndex`.
+* **Vectorized sampling.**  RR sets are walked in lock-step passes:
+  one batched reverse-BFS expands the frontiers of thousands of sets
+  per numpy call (gather all in-arcs, flip all coins, dedupe flat
+  ``set * n + node`` keys) instead of one Python loop per set.  A pass
+  takes many random streams, each owning a run of consecutive sets
+  and drawing each wave's coins for them in one call, so a sampler
+  chunk walks all its blocks at once and the streaming maintainer all
+  of a point's per-set streams; an 8 MB visited-matrix budget bounds
+  a pass.  :func:`sample_rr_block` is the package's only IC reverse
+  walk: the ``ris`` engine, segment targeting and the streaming
+  maintainer drive it too (see :func:`walk_rr_index`), and every
+  consumer ranks its sets with the one greedy of :class:`RRIndex`.
 * **Parallel dispatch.**  Blocks fan out over the persistent process
   pool, shared-memory payloads and crash recovery of
   :mod:`repro.propagation.parallel`; the reverse CSR and the full
   ``(m, Z)`` probability matrix are published once per
   :class:`RRSampler` and reused across every item of a build.
 * **Determinism.**  Block ``b`` of request ``r`` always draws from
-  ``SeedSequence(entropy, spawn_key=base + (r, b))`` — worker count and
-  scheduling never touch the streams, so seed lists are bit-identical
-  for any pool width (including the fully inline ``workers=1`` path).
+  ``SeedSequence(entropy, spawn_key=base + (r, b))`` — worker count,
+  scheduling and how blocks group into passes never touch the streams,
+  so seed lists are bit-identical for any pool width (including the
+  fully inline ``workers=1`` path).  The streams are seeded in bulk by
+  :func:`repro.rng.keyed_generators`, with no ``SeedSequence`` object
+  per block.
 * **CSR storage.**  Sampled sets live in an :class:`RRIndex`: sorted
   ``uint32`` member arrays behind an ``int64`` pointer, plus an
   inverted node-to-set CSR index built by one radix-sorted argsort;
@@ -57,21 +64,38 @@ from repro.im.seed_list import SeedList
 from repro.obs import instruments as _obs
 from repro.obs.tracing import get_tracer
 from repro.propagation.parallel import Chunk, PooledArrays, stream_id
-from repro.rng import as_seed_sequence
+from repro.rng import as_seed_sequence, keyed_generators
 from repro.simplex.vectors import as_distribution
 
 
 def _block_size(num_nodes: int) -> int:
     """Deterministic sampling block size for an ``num_nodes``-node graph.
 
-    A block is the atomic unit of both vectorization (its sets walk in
-    lock-step) and randomness (it owns one ``SeedSequence`` stream), so
-    the size must be a pure function of the graph — never of memory,
-    worker count, or scheduling — for results to be reproducible.  The
-    formula caps the block's ``(block, num_nodes)`` visited matrix at a
-    few megabytes.
+    A block is the atomic unit of randomness (it owns one
+    ``SeedSequence`` stream), so the size must be a pure function of
+    the graph — never of memory, worker count, or scheduling — for
+    results to be reproducible.  The formula caps one block's
+    ``(block, num_nodes)`` visited matrix at a few megabytes.
     """
     return int(min(1024, max(16, (1 << 22) // max(1, num_nodes))))
+
+
+#: Byte budget of one lock-step pass's ``(sets, num_nodes)`` visited
+#: matrix; see :func:`_pass_sets`.
+_PASS_BYTES = 1 << 23
+
+
+def _pass_sets(num_nodes: int) -> int:
+    """Most sets one lock-step pass of :func:`sample_rr_block` walks.
+
+    A pure function of the graph, like :func:`_block_size`, so the
+    passes a call splits into never depend on memory or worker count
+    (and the sets they walk never depend on the split at all).  At
+    8 MB of visited matrix a pass holds 8 blocks of 1024 sets on a
+    1000-node graph, where IMM's seed lists took as long with 32 MB
+    passes and about 15% longer with one-block (1 MB) passes.
+    """
+    return max(1, _PASS_BYTES // max(1, num_nodes))
 
 
 def sample_rr_block(
@@ -79,43 +103,93 @@ def sample_rr_block(
     in_tails: np.ndarray,
     in_probs: np.ndarray,
     num_nodes: int,
-    count: int,
+    count,
     rng,
     roots: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk ``count`` RR sets in one lock-step batched reverse BFS.
+    """Walk RR sets from many random streams in lock-step passes.
 
-    The one IC reverse walk of the package.  All sets of the block
-    advance together over flat ``set * num_nodes + node`` keys: each
-    wave gathers the in-arc slices of every frontier key in one ragged
-    pass, flips every live-edge coin at once, and deduplicates newly
-    reached keys with one in-place sort.  Randomness consumption is a
-    pure function of the in-adjacency view and the generator state, so
-    a block replays bit-identically anywhere (parent process, any
-    worker).
+    The one IC reverse walk of the package.  ``rng`` is a sequence of
+    generators and ``count`` the number of consecutive sets each one
+    owns (or one ``Generator`` and the number of its sets).  Set ``i``
+    of stream ``s`` draws from ``rng[s]`` exactly what a lone walk of
+    that stream draws, so every stream replays bit-identically however
+    it is grouped: one generator for a whole walk
+    (:func:`walk_rr_index`), one per sampler block (:class:`RRSampler`,
+    the sketch bank), or one per set (the streaming maintainer's point
+    pools).
 
-    ``rng`` is one ``Generator`` for the whole block, or a sequence of
-    ``count`` generators, one per set: set ``i`` then draws from
-    ``rng[i]`` exactly what it would draw walked alone (``count=1``),
-    so sets with streams of their own (the streaming maintainer's) walk
-    together at block speed.
-
-    ``roots`` optionally fixes the ``count`` roots (segment targeting
-    draws them from the segment); by default they are the generator's
-    first draw, uniform over the nodes.
+    All sets of a pass advance together over flat ``set * num_nodes +
+    node`` keys: each wave gathers the in-arc slices of every frontier
+    key in one ragged pass, each stream draws all its sets' coins in
+    one call, and newly reached keys are deduplicated with one in-place
+    sort.  A stream's first draw is its sets' roots, uniform over the
+    nodes (scalar draws when every stream owns one set), unless
+    ``roots`` fixes them (segment targeting draws them from the
+    segment).  Streams are
+    packed into passes of at most :func:`_pass_sets` sets (a larger
+    stream walks alone), which bounds the visited matrix.
 
     Returns ``(values, indptr, roots)``: sorted ``uint32`` member
     arrays concatenated in set order with an ``int64`` CSR pointer, and
     the ``uint32`` root of each set.  Every set contains its root.
     """
-    streams = None if isinstance(rng, np.random.Generator) else rng
+    if isinstance(rng, np.random.Generator):
+        streams, counts = [rng], [int(count)]
+    else:
+        streams, counts = list(rng), [int(c) for c in count]
+        if len(streams) != len(counts):
+            raise ValueError(
+                f"{len(counts)} set counts for {len(streams)} streams"
+            )
+    if any(c < 0 for c in counts):
+        raise ValueError("set counts must be >= 0")
+    limit = _pass_sets(num_nodes)
+    parts = []
+    first = lo = 0
+    while not parts or lo < len(streams):
+        hi, sets = lo, 0
+        while hi < len(streams) and (hi == lo or sets + counts[hi] <= limit):
+            sets += counts[hi]
+            hi += 1
+        parts.append(
+            _walk_pass(
+                in_indptr,
+                in_tails,
+                in_probs,
+                num_nodes,
+                streams[lo:hi],
+                counts[lo:hi],
+                None if roots is None else roots[first : first + sets],
+            )
+        )
+        first += sets
+        lo = hi
+    return parts[0] if len(parts) == 1 else _merge_blocks(parts, first)
+
+
+def _walk_pass(
+    in_indptr, in_tails, in_probs, num_nodes, streams, counts, roots
+):
+    """One lock-step pass of :func:`sample_rr_block` over ``streams``."""
+    count = sum(counts)
     if roots is None:
-        if streams is None:
-            roots = rng.integers(0, num_nodes, size=count)
-        else:
-            # A scalar draw consumes the generator as a size-1 draw does.
+        if all(c == 1 for c in counts):
+            # One set per stream: a scalar draw consumes the generator
+            # as a size-1 draw does, and costs less.
             roots = [stream.integers(0, num_nodes) for stream in streams]
+        else:
+            roots = np.concatenate(
+                [
+                    stream.integers(0, num_nodes, size=c)
+                    for stream, c in zip(streams, counts)
+                ]
+            )
     roots = np.asarray(roots, dtype=np.int64)
+    # Where each stream's keys start and end, to split a wave's coins.
+    key_bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=key_bounds[1:])
+    key_bounds *= num_nodes
     visited = np.zeros(count * num_nodes, dtype=bool)
     bases = np.arange(count, dtype=np.int64) * num_nodes
     frontier = bases + roots
@@ -133,10 +207,10 @@ def sample_rr_block(
         arc_pos = np.arange(total, dtype=np.int64) + np.repeat(
             starts - ends + arc_counts, arc_counts
         )
-        if streams is None:
-            coins = rng.random(total)
+        if len(streams) == 1:
+            coins = streams[0].random(total)
         else:
-            coins = _per_set_coins(streams, bases // num_nodes, ends)
+            coins = _stream_coins(streams, key_bounds, frontier, ends)
         hits = np.flatnonzero(coins < in_probs[arc_pos])
         # A reached parent keeps its set's key base ``set * num_nodes``.
         reached = np.repeat(bases, arc_counts)[hits] + in_tails[arc_pos[hits]]
@@ -153,8 +227,8 @@ def sample_rr_block(
         waves.append(frontier)
         nodes = frontier % num_nodes
         bases = frontier - nodes
-    # Root keys are set-major, hence sorted: a block that never left
-    # its roots needs no sort.
+    # Root keys are set-major, hence sorted: a pass that never left its
+    # roots needs no sort.
     keys = waves[0] if len(waves) == 1 else np.sort(np.concatenate(waves))
     indptr = np.searchsorted(
         keys, np.arange(count + 1, dtype=np.int64) * num_nodes
@@ -163,22 +237,21 @@ def sample_rr_block(
     return values, indptr, roots.astype(np.uint32)
 
 
-def _per_set_coins(streams, sets, ends) -> np.ndarray:
-    """One wave's coins when every set has its own stream.
+def _stream_coins(streams, key_bounds, frontier, ends) -> np.ndarray:
+    """One wave's coins, each stream drawing its sets' share in one
+    call.
 
-    ``sets`` (nondecreasing) is the set of each frontier key and
-    ``ends`` the running total of their in-arc counts; each set draws
-    all of its wave's coins in one call, as a lone walk does.
+    ``frontier`` holds the wave's sorted keys, ``ends`` the running
+    total of their in-arc counts and ``key_bounds`` the first key of
+    each stream's sets, then the end of the last; streams with no arc
+    this wave draw nothing, as a lone walk that has stopped does not.
     """
-    last = np.flatnonzero(np.diff(sets)).tolist() + [sets.size - 1]
-    coins = []
-    drawn = 0
-    for i in last:
-        count = int(ends[i]) - drawn
-        if count:
-            coins.append(streams[int(sets[i])].random(count))
-            drawn += count
-    return np.concatenate(coins)
+    drawn = np.concatenate(([0], ends))[np.searchsorted(frontier, key_bounds)]
+    bounds = drawn.tolist()
+    coins = np.empty(bounds[-1])
+    for stream in np.flatnonzero(drawn[1:] != drawn[:-1]).tolist():
+        streams[stream].random(out=coins[bounds[stream] : bounds[stream + 1]])
+    return coins
 
 
 def _sample_blocks(arrays, gamma, entropy, base_key, request, blocks):
@@ -188,28 +261,23 @@ def _sample_blocks(arrays, gamma, entropy, base_key, request, blocks):
     ``(m, Z)`` probability matrix, mixed here into the item's in-arc
     probabilities once per call; ``blocks`` lists ``(block_id, count)``
     pairs and block ``b`` draws from ``SeedSequence(entropy,
-    spawn_key=base_key + (request, b))``.  The same kernel runs inline,
-    in pool workers and in the recovery fallback, so where a block runs
-    never changes its sets.
+    spawn_key=base_key + (request, b))``.  The blocks walk together in
+    lock-step passes and come back as one ``(values, indptr, roots)``
+    triple.  The same kernel runs inline, in pool workers and in the
+    recovery fallback, so where a block runs never changes its sets.
     """
     in_indptr, in_tails, prob_matrix = arrays
     in_probs = prob_matrix @ gamma
     num_nodes = int(in_indptr.shape[0]) - 1
-    return [
-        sample_rr_block(
-            in_indptr,
-            in_tails,
-            in_probs,
-            num_nodes,
-            count,
-            np.random.default_rng(
-                np.random.SeedSequence(
-                    entropy=entropy, spawn_key=base_key + (request, block_id)
-                )
-            ),
-        )
-        for block_id, count in blocks
-    ]
+    keys = [(request, block_id) for block_id, _ in blocks]
+    return sample_rr_block(
+        in_indptr,
+        in_tails,
+        in_probs,
+        num_nodes,
+        [count for _, count in blocks],
+        keyed_generators(entropy, base_key, keys),
+    )
 
 
 def _merge_blocks(parts, num_sets: int):
@@ -577,11 +645,7 @@ class RRSampler(PooledArrays):
             )
             for index, lo in enumerate(range(0, len(blocks), per_chunk))
         ]
-        parts = [
-            part
-            for result in self.fan_out(_sample_blocks, chunks, name="rr")
-            for part in result
-        ]
+        parts = self.fan_out(_sample_blocks, chunks, name="rr")
         return _merge_blocks(parts, num_sets)
 
     def sample_index(

@@ -14,11 +14,13 @@ keeps it queryable while the underlying graph evolves:
 
 Construction walks no set alone.  Every index point's pool keeps one
 stream per set, as incremental maintenance needs (a hit set is
-re-walked without touching its neighbours), but the sets are walked
-side by side, a sampler block's worth per call of the shared walker.
-The engine re-derives every seed list from these pools, so answers are
-consistent with the maintained state from the first query on (the
-build-time lists come from IMM's own pools).
+re-walked without touching its neighbours), but a point's sets walk
+side by side in one call of the shared walker, from generators seeded
+in bulk.  The engine re-derives every seed list from these pools, so
+answers are consistent with the maintained state from the first query
+on (the build-time lists come from IMM's own pools).
+:meth:`StreamingEngine.stats` reports what this cost
+(``setup_seconds``, ``sets_walked_at_setup``).
 
 When the wrapped index carries a per-topic
 :class:`~repro.sketches.SketchBank`, a second maintainer tracks the
@@ -50,6 +52,8 @@ graph, and its bank to ``SketchBank.build`` on the final graph.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -103,6 +107,7 @@ class StreamingEngine:
         fault_plan=None,
         max_pending: int = 256,
     ) -> None:
+        started = time.perf_counter()
         config = index.config
         if num_sets is None:
             num_sets = config.ris_num_sets
@@ -145,6 +150,10 @@ class StreamingEngine:
                 fault_plan=FaultPlan(),
             )
         self._index = self._rebuild_index()
+        # The point maintainer walked every set of every pool; the bank
+        # maintainer adopted its pools without a walk.
+        self._sets_walked_at_setup = self._maintainer.num_points * num_sets
+        self._setup_seconds = time.perf_counter() - started
 
     def _rebuild_bank(self):
         """Pack the sketch maintainer's live pools into a fresh bank."""
@@ -273,8 +282,12 @@ class StreamingEngine:
         return self._registry.poll(subscription_id)
 
     def stats(self) -> dict:
-        """Combined maintainer + registry counters (JSON-friendly)."""
+        """Combined maintainer + registry counters (JSON-friendly), plus
+        what construction cost: ``setup_seconds`` (wall clock) and
+        ``sets_walked_at_setup``."""
         summary = {
+            "setup_seconds": self._setup_seconds,
+            "sets_walked_at_setup": self._sets_walked_at_setup,
             "maintainer": self._maintainer.stats(),
             "subscriptions": self._registry.stats(),
         }

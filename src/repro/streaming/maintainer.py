@@ -11,14 +11,16 @@ block ``b`` of point ``pid`` holds sets ``[b * B, (b + 1) * B)`` and
 draws from ``SeedSequence(entropy, spawn_key=base + (pid, b))``
 (``entropy`` and ``base`` are the ``seed``'s; ``base`` is empty for an
 integer seed).  ``B`` is ``block_size``.  At the default 1 every set
-has its own stream; the shared reverse BFS
-:func:`repro.im.imm.sample_rr_block` still walks many such sets per
-call, each drawing from its own generator exactly what a lone walk
-would.  With ``B > 1`` a block is one call on one generator, the way
-:class:`~repro.im.imm.RRSampler` walks (a stored
-:class:`~repro.sketches.SketchBank`'s pools are such blocks).  Pools
-given at construction are taken to be these walks and are adopted
-without walking.
+has its own stream; with ``B > 1`` a block is walked as
+:class:`~repro.im.imm.RRSampler` walks it (a stored
+:class:`~repro.sketches.SketchBank`'s pools are such blocks).  Either
+way a point's walked blocks go to the shared reverse BFS
+:func:`repro.im.imm.sample_rr_block` in one call, each block drawing
+from its own generator exactly what a lone walk would, and the
+generators are seeded in bulk (:func:`repro.rng.keyed_generators`),
+with no ``SeedSequence`` object per block.  Pools given at
+construction are taken to be these walks and are adopted without
+walking.
 
 **State.**  Per point the maintainer keeps one CSR
 :class:`~repro.im.imm.RRIndex`: the sets' sorted members concatenated
@@ -71,10 +73,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StreamError
-from repro.im.imm import RRIndex, _block_size, _merge_blocks, sample_rr_block
+from repro.im.imm import RRIndex, sample_rr_block
 from repro.im.seed_list import SeedList
 from repro.resilience.faults import InjectedFaultError, maybe_inject
-from repro.rng import as_seed_sequence
+from repro.rng import as_seed_sequence, keyed_generators
 from repro.streaming.deltas import DeltaBatch, advance_graph
 from repro.workers import resolve_workers
 
@@ -318,58 +320,39 @@ class IncrementalSketchMaintainer:
     # ------------------------------------------------------------------
     # Sampling internals
     # ------------------------------------------------------------------
-    def _rng(self, pid: int, block: int) -> np.random.Generator:
-        """A fresh generator on the stream of ``block`` of point ``pid``.
-
-        Constructed anew for every walk, so the bits a block is walked
-        from depend only on ``(seed, pid, block)`` — never on how many
-        times or in what order it was walked.
-        """
-        return np.random.default_rng(
-            np.random.SeedSequence(
-                self._entropy, spawn_key=self._base_key + (pid, int(block))
-            )
-        )
-
     def _rewalk(self, graph, pid: int, pool, blocks):
         """``pool`` with ``blocks`` (ascending ids) re-walked over
-        ``graph``, each from its own stream, as a new triple."""
-        probs = graph.item_probabilities(self._points[pid])
+        ``graph``, each from its own stream, as a new triple.
+
+        The blocks walk together in one :func:`sample_rr_block` call,
+        whatever ``block_size`` is; their generators are seeded fresh
+        from ``(seed, pid, block)`` alone, so a block's sets never
+        depend on how many times or in what order it was walked.
+        """
         in_indptr, in_tails, in_arc_ids = graph.reverse_view
-        in_probs = probs[in_arc_ids]
-        n = graph.num_nodes
-        parts = []
-        if self._block == 1:
-            # One stream per set: the walker takes them side by side, a
-            # sampler block's worth of sets per call.
-            step = _block_size(n)
-            for start in range(0, len(blocks), step):
-                sids = blocks[start : start + step]
-                streams = [self._rng(pid, sid) for sid in sids]
-                parts.append(
-                    sample_rr_block(
-                        in_indptr, in_tails, in_probs, n, len(sids), streams
-                    )
-                )
-            sids = np.asarray(blocks, dtype=np.int64)
-        else:
-            spans = []
-            for block in blocks:
-                lo = block * self._block
-                hi = min(lo + self._block, self._num_sets)
-                parts.append(
-                    sample_rr_block(
-                        in_indptr,
-                        in_tails,
-                        in_probs,
-                        n,
-                        hi - lo,
-                        self._rng(pid, block),
-                    )
-                )
-                spans.append(np.arange(lo, hi))
-            sids = np.concatenate(spans)
-        return _splice(pool, sids, _merge_blocks(parts, sids.size))
+        in_probs = graph.item_probabilities(self._points[pid])[in_arc_ids]
+        blocks = np.asarray(blocks, dtype=np.int64)
+        firsts = blocks * self._block
+        counts = np.minimum(self._block, self._num_sets - firsts)
+        streams = keyed_generators(
+            self._entropy,
+            self._base_key,
+            np.column_stack((np.full(blocks.size, pid), blocks)),
+        )
+        walked = sample_rr_block(
+            in_indptr,
+            in_tails,
+            in_probs,
+            graph.num_nodes,
+            counts.tolist(),
+            streams,
+        )
+        # Block b holds sets [firsts[b], firsts[b] + counts[b]).
+        ends = np.cumsum(counts)
+        sids = np.arange(walked[2].size) + np.repeat(
+            firsts - ends + counts, counts
+        )
+        return _splice(pool, sids, walked)
 
     def _select_seeds(self, index: RRIndex) -> SeedList:
         return index.seed_list(self._seed_list_length, algorithm="ris")

@@ -6,10 +6,13 @@ time over a reusable visited buffer (root first, then each wave's new
 members in ascending order), :func:`ris_seed_selection` is the
 dictionary-based lazy greedy that scales gains to spread units,
 :func:`sample_block_lexsort` is the two-array ``(set, node)`` block
-walker ordered by ``np.lexsort``, and :func:`sample_lt_rr_sets` is the
+walker ordered by ``np.lexsort``, :func:`sample_lt_rr_sets` is the
 backward random walk of the LT model returning unsorted member arrays,
-and :func:`heap_greedy_select` is the lazy heap greedy that
-:meth:`RRIndex.greedy_select` ran before its argmax rewrite.
+:func:`heap_greedy_select` is the lazy heap greedy that
+:meth:`RRIndex.greedy_select` ran before its argmax rewrite, and
+:func:`flat_key_block` (with :func:`per_set_coins`) is the flat-key
+walker as it stood before it took many streams per pass: one
+generator for the block, or one per set.
 ``repro.im.imm`` must reproduce each of them bit for bit (members,
 roots, generator state, seed-list nodes and gains).
 
@@ -219,6 +222,95 @@ def sample_block_lexsort(
     indptr = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return values, indptr, roots.astype(np.uint32)
+
+
+def flat_key_block(
+    in_indptr: np.ndarray,
+    in_tails: np.ndarray,
+    in_probs: np.ndarray,
+    num_nodes: int,
+    count: int,
+    rng,
+    roots: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` RR sets in one batched reverse BFS over flat keys.
+
+    ``rng`` is one ``Generator`` for the block, or ``count`` generators,
+    one per set, whose coins :func:`per_set_coins` draws set by set;
+    ``roots`` optionally fixes the roots.  Returns ``(values, indptr,
+    roots)`` as :func:`repro.im.imm.sample_rr_block` does.
+    """
+    streams = None if isinstance(rng, np.random.Generator) else rng
+    if roots is None:
+        if streams is None:
+            roots = rng.integers(0, num_nodes, size=count)
+        else:
+            # A scalar draw consumes the generator as a size-1 draw does.
+            roots = [stream.integers(0, num_nodes) for stream in streams]
+    roots = np.asarray(roots, dtype=np.int64)
+    visited = np.zeros(count * num_nodes, dtype=bool)
+    bases = np.arange(count, dtype=np.int64) * num_nodes
+    frontier = bases + roots
+    visited[frontier] = True
+    waves = [frontier]
+    nodes = roots
+    while True:
+        starts = in_indptr[nodes]
+        arc_counts = in_indptr[nodes + 1] - starts
+        ends = np.cumsum(arc_counts)
+        total = int(ends[-1]) if ends.size else 0
+        if total == 0:
+            break
+        # Arc j of the wave sits at ``starts[i] + (j - first arc of i)``.
+        arc_pos = np.arange(total, dtype=np.int64) + np.repeat(
+            starts - ends + arc_counts, arc_counts
+        )
+        if streams is None:
+            coins = rng.random(total)
+        else:
+            coins = per_set_coins(streams, bases // num_nodes, ends)
+        hits = np.flatnonzero(coins < in_probs[arc_pos])
+        # A reached parent keeps its set's key base ``set * num_nodes``.
+        reached = np.repeat(bases, arc_counts)[hits] + in_tails[arc_pos[hits]]
+        reached = reached[~visited[reached]]
+        if reached.size == 0:
+            break
+        # Sorted and deduplicated, as ``np.unique`` would return it.
+        reached.sort()
+        fresh = np.empty(reached.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(reached[1:], reached[:-1], out=fresh[1:])
+        frontier = reached[fresh]
+        visited[frontier] = True
+        waves.append(frontier)
+        nodes = frontier % num_nodes
+        bases = frontier - nodes
+    # Root keys are set-major, hence sorted: a block that never left
+    # its roots needs no sort.
+    keys = waves[0] if len(waves) == 1 else np.sort(np.concatenate(waves))
+    indptr = np.searchsorted(
+        keys, np.arange(count + 1, dtype=np.int64) * num_nodes
+    )
+    values = (keys % num_nodes).astype(np.uint32)
+    return values, indptr, roots.astype(np.uint32)
+
+
+def per_set_coins(streams, sets, ends) -> np.ndarray:
+    """One wave's coins when every set has its own stream.
+
+    ``sets`` (nondecreasing) is the set of each frontier key and
+    ``ends`` the running total of their in-arc counts; each set draws
+    all of its wave's coins in one call, as a lone walk does.
+    """
+    last = np.flatnonzero(np.diff(sets)).tolist() + [sets.size - 1]
+    coins = []
+    drawn = 0
+    for i in last:
+        count = int(ends[i]) - drawn
+        if count:
+            coins.append(streams[int(sets[i])].random(count))
+            drawn += count
+    return np.concatenate(coins)
 
 
 def sample_lt_rr_sets(graph, gamma, num_sets: int, rng) -> list[np.ndarray]:

@@ -276,3 +276,53 @@ class TestParser:
             ["serve", "--data", "x", "--index", "y"]
         )
         assert _serving_config(args) == ServingConfig()
+
+
+class TestServeStream:
+    def test_loaded_graph_released_after_first_batch(
+        self, data_dir, index_path, monkeypatch, capsys
+    ):
+        """``serve --stream`` holds only the engine's graph once a batch
+        has replaced the one it loaded."""
+        import asyncio
+        import gc
+        import weakref
+
+        import repro.serving
+        from repro.datasets import generate_delta_workload
+        from repro.graph import load_graph
+        from tests.test_streaming import _request
+
+        batch = generate_delta_workload(
+            load_graph(data_dir / "graph.npz"),
+            num_batches=1,
+            batch_size=3,
+            seed=5,
+        ).batches[0]
+        released = []
+
+        async def serve_one_batch(front, ready=None):
+            await front.start()
+            try:
+                ready(front)
+                loaded = weakref.ref(front.streaming.graph)
+                status, _ = await _request(
+                    front.config.host, front.port, "POST", "/deltas",
+                    batch.to_dict(),
+                )
+                assert status == 200
+                gc.collect()
+                released.append(loaded() is None)
+            finally:
+                await front.aclose()
+
+        monkeypatch.setattr(repro.serving, "serve", serve_one_batch)
+        code = main(
+            [
+                "serve", "--data", str(data_dir), "--index", str(index_path),
+                "--port", "0", "--no-obs", "--stream", "--stream-sets", "40",
+            ]
+        )
+        assert code == 0
+        assert released == [True]
+        assert "serving InflexIndex(" in capsys.readouterr().out

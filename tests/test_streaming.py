@@ -451,6 +451,10 @@ class TestStreamingEngine:
         stats = engine.stats()
         assert stats["maintainer"]["batches_applied"] == 4
         assert stats["subscriptions"]["subscriptions"] == 1
+        # Set-up figures stay those of construction.
+        walked = stats["sets_walked_at_setup"]
+        assert walked == engine.maintainer.num_points * 150
+        assert stats["setup_seconds"] > 0.0
 
     def test_swapped_index_keeps_points_exactly(
         self, stream_dataset, stream_index
