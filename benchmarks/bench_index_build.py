@@ -27,6 +27,16 @@ outstanding follow-up from the imm-default flip: the full h=1000,
 Bregman K-means++ -> 1000 IMM seed lists -> bb-tree), end to end on
 one core, merged into the same JSON under ``paper_scale``.
 
+``test_paper_shape_imm_build`` records the build at the paper's shape
+under ``paper_shape``: a Flixster-sized 30k-node graph with Z=10,
+seed lists of length 50 at eps=0.2, h=1000 over 100k Dirichlet
+samples, two index-point workers; seconds per stage, peak RSS of the
+benchmark process and of its largest worker, and the CPU count.  Run
+it alone with
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_index_build.py \
+        -k paper_shape -q
+
 ``test_paper_scale_clustering_stage`` times the clustering stage of
 that build alone: K-means++ seeding and a fixed number of Lloyd
 iterations over the same 100k-sample cloud with h=1000.  It uses only
@@ -233,11 +243,12 @@ def test_imm_vs_celfpp_index_build(benchmark):
         "workers_identical_1_vs_4": workers_identical,
     }
     if OUT_PATH.exists():
-        # Preserve the paper-scale section recorded by the companion
-        # test (the two tests own disjoint keys of the same report).
+        # Preserve the sections recorded by the companion tests (the
+        # tests own disjoint keys of the same report).
         previous = json.loads(OUT_PATH.read_text())
-        if "paper_scale" in previous:
-            report["paper_scale"] = previous["paper_scale"]
+        for key in ("paper_scale", "paper_shape"):
+            if key in previous:
+                report[key] = previous[key]
     OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     lines = [
@@ -297,25 +308,11 @@ def test_paper_scale_imm_build():
         imm_epsilon=PAPER_IMM_EPSILON,
         seed=419,
     )
-    stage_seconds: dict[str, float] = {}
-    marks = {"start": time.perf_counter()}
-
-    def progress(stage, done, total):
-        # First time a stage reports, close out the previous one.
-        if stage not in stage_seconds and done in (0, 1):
-            now = time.perf_counter()
-            if "current" in marks:
-                stage_seconds[marks["current"]] = now - marks["at"]
-            marks["current"] = stage
-            marks["at"] = now
-
+    progress, finish = _stage_timer()
     start = time.perf_counter()
     index = InflexIndex.build(graph, catalog, config, progress=progress)
     total_seconds = time.perf_counter() - start
-    if "current" in marks:
-        stage_seconds[marks["current"]] = (
-            time.perf_counter() - marks["at"]
-        )
+    stage_seconds = finish()
 
     assert index.num_index_points == PAPER_H
     answer = index.query(
@@ -376,6 +373,139 @@ def test_paper_scale_imm_build():
             f"  per seed list: "
             f"{section['timings_seconds']['per_seed_list'] * 1000:.0f} ms, "
             f"peak RSS {section['peak_rss_mb']:.0f} MB"
+        ),
+    )
+
+
+def _stage_timer():
+    """A build ``progress`` callback and the per-stage seconds it
+    fills: a stage runs from its first report to the next stage's."""
+    stage_seconds: dict[str, float] = {}
+    marks: dict = {}
+
+    def progress(stage, done, total):
+        # First time a stage reports, close out the previous one.
+        if stage not in stage_seconds and done in (0, 1):
+            now = time.perf_counter()
+            if "current" in marks:
+                stage_seconds[marks["current"]] = now - marks["at"]
+            marks["current"] = stage
+            marks["at"] = now
+            stage_seconds[stage] = 0.0
+
+    def finish():
+        if "current" in marks:
+            stage_seconds[marks["current"]] = (
+                time.perf_counter() - marks["at"]
+            )
+        return stage_seconds
+
+    return progress, finish
+
+
+# ----------------------------------------------------------------------
+# The paper's shape: a Flixster-sized graph, Z=10, l=50
+# ----------------------------------------------------------------------
+SHAPE_NUM_NODES = 30_000
+SHAPE_NUM_TOPICS = 10
+SHAPE_NUM_ITEMS = 200
+SHAPE_H = 1000
+SHAPE_SEED_LIST_LENGTH = 50
+SHAPE_WORKERS = 2
+
+
+def test_paper_shape_imm_build():
+    """h=1000 IMM seed lists of length 50 on a 30k-node, Z=10 graph."""
+    from repro.core import InflexConfig
+    from repro.core.index import InflexIndex
+
+    graph = interest_topic_graph(
+        SHAPE_NUM_NODES,
+        SHAPE_NUM_TOPICS,
+        topics_per_node=1,
+        base_strength=0.2,
+        seed=401,
+    )
+    catalog = np.random.default_rng(409).dirichlet(
+        np.full(SHAPE_NUM_TOPICS, 0.7), size=SHAPE_NUM_ITEMS
+    )
+    config = InflexConfig(
+        num_index_points=SHAPE_H,
+        num_dirichlet_samples=PAPER_DIRICHLET_SAMPLES,
+        seed_list_length=SHAPE_SEED_LIST_LENGTH,
+        imm_epsilon=PAPER_IMM_EPSILON,
+        workers=SHAPE_WORKERS,
+        simulation_workers=1,
+        seed=419,
+    )
+    progress, finish = _stage_timer()
+    start = time.perf_counter()
+    index = InflexIndex.build(graph, catalog, config, progress=progress)
+    total_seconds = time.perf_counter() - start
+    stage_seconds = finish()
+
+    assert index.num_index_points == SHAPE_H
+    answer = index.query(
+        np.full(SHAPE_NUM_TOPICS, 1.0 / SHAPE_NUM_TOPICS), 10
+    )
+    assert len(answer.seeds) == 10
+
+    def peak_mb(who) -> float:
+        # Linux reports ``ru_maxrss`` in KB; for children it is the
+        # largest one's.
+        return round(resource.getrusage(who).ru_maxrss / 1024, 1)
+
+    section = {
+        "graph": {
+            "num_nodes": SHAPE_NUM_NODES,
+            "num_topics": SHAPE_NUM_TOPICS,
+            "num_arcs": graph.num_arcs,
+        },
+        "config": {
+            "num_index_points": SHAPE_H,
+            "num_dirichlet_samples": PAPER_DIRICHLET_SAMPLES,
+            "seed_list_length": SHAPE_SEED_LIST_LENGTH,
+            "imm_epsilon": PAPER_IMM_EPSILON,
+            "engine": "imm",
+            "workers": SHAPE_WORKERS,
+            "sim_workers": 1,
+        },
+        "cpus": len(os.sched_getaffinity(0)),
+        "timings_seconds": {
+            "total": round(total_seconds, 1),
+            "per_stage": {
+                name: round(seconds, 1)
+                for name, seconds in stage_seconds.items()
+            },
+            "per_seed_list_wall": round(
+                stage_seconds.get("seed-lists", total_seconds) / SHAPE_H,
+                3,
+            ),
+        },
+        # Run this test alone for these to be the build's.
+        "peak_rss_mb": peak_mb(resource.RUSAGE_SELF),
+        "peak_rss_mb_largest_worker": peak_mb(resource.RUSAGE_CHILDREN),
+    }
+    report = (
+        json.loads(OUT_PATH.read_text()) if OUT_PATH.exists() else {}
+    )
+    report["paper_shape"] = section
+    OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+
+    per_stage = ", ".join(
+        f"{name}={seconds:.1f}s"
+        for name, seconds in stage_seconds.items()
+    )
+    register_report(
+        "paper-shape index build (BENCH_index_build.json)",
+        (
+            f"h={SHAPE_H}, {PAPER_DIRICHLET_SAMPLES:,} Dirichlet samples, "
+            f"n={SHAPE_NUM_NODES}, Z={SHAPE_NUM_TOPICS}, "
+            f"l={SHAPE_SEED_LIST_LENGTH}, eps={PAPER_IMM_EPSILON}, "
+            f"{SHAPE_WORKERS} workers on {section['cpus']} CPUs\n"
+            f"  total: {total_seconds:.1f} s ({per_stage})\n"
+            f"  peak RSS {section['peak_rss_mb']:.0f} MB, largest worker "
+            f"{section['peak_rss_mb_largest_worker']:.0f} MB"
         ),
     )
 

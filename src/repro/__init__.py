@@ -31,17 +31,26 @@ Quickstart::
     print(answer.seeds.nodes, answer.timing.total)
 """
 
-from repro.core import InflexConfig, InflexIndex, TimAnswer, TimQuery
-from repro.errors import (
-    ConvergenceError,
-    EmptyIndexError,
-    InvalidDistributionError,
-    InvalidGraphError,
-    QueryError,
-    ReproError,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("InflexConfig",),
+        "repro.core.index": ("InflexIndex",),
+        "repro.core.query": ("TimAnswer", "TimQuery"),
+        "repro.errors": (
+            "ConvergenceError",
+            "EmptyIndexError",
+            "InvalidDistributionError",
+            "InvalidGraphError",
+            "QueryError",
+            "ReproError",
+        ),
+        "repro.graph.topic_graph": ("TopicGraph",),
+        "repro.im.seed_list": ("SeedList",),
+    },
 )
-from repro.graph import TopicGraph
-from repro.im import SeedList
 
 __version__ = "1.0.0"
 

@@ -1,15 +1,26 @@
 """Bregman ball tree: similarity search under non-metric divergences."""
 
-from repro.bbtree.tree import BBTree, BBTreeNode
-from repro.bbtree.projection import ProjectionResult, can_prune, project_to_ball
-from repro.bbtree.search import (
-    SearchResult,
-    SearchStats,
-    exact_nearest_neighbors,
-    inflex_search,
-    leaf_limited_search,
-    range_search,
-    similar_enough,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bbtree.tree": ("BBTree", "BBTreeNode"),
+        "repro.bbtree.projection": (
+            "ProjectionResult",
+            "can_prune",
+            "project_to_ball",
+        ),
+        "repro.bbtree.search": (
+            "SearchResult",
+            "SearchStats",
+            "exact_nearest_neighbors",
+            "inflex_search",
+            "leaf_limited_search",
+            "range_search",
+            "similar_enough",
+        ),
+    },
 )
 
 __all__ = [

@@ -6,10 +6,17 @@ item), using the RIS sketches of :mod:`repro.im.imm` as the value
 oracle.  See ``docs/CAMPAIGNS.md``.
 """
 
-from repro.campaign.planner import (
-    CampaignAllocation,
-    CampaignItem,
-    CampaignPlanner,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.campaign.planner": (
+            "CampaignAllocation",
+            "CampaignItem",
+            "CampaignPlanner",
+        ),
+    },
 )
 
 __all__ = [

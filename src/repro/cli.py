@@ -81,17 +81,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import (
-    IM_ENGINES,
-    InflexConfig,
-    InflexIndex,
-    ServingConfig,
-    auto_size_index,
-    load_index,
-    save_index,
-)
-from repro.datasets import generate_flixster_like
-from repro.graph import load_graph, save_graph
+# Each command imports the modules only it uses, so a process loads
+# just what its command runs.
+from repro.core import IM_ENGINES, InflexConfig, ServingConfig
+from repro.graph import load_graph
 
 #: Query strategies accepted by ``query``, ``obs``, and ``loadgen``.
 #: ``sketch`` needs a per-topic sketch bank (``build --sketches``)
@@ -155,6 +148,9 @@ _EXPERIMENTS = (
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.datasets import generate_flixster_like
+    from repro.graph import save_graph
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = generate_flixster_like(
@@ -187,6 +183,8 @@ def _apply_faults(args: argparse.Namespace) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from repro.core import InflexIndex, save_index
+
     _apply_faults(args)
     data_dir = Path(args.data)
     graph = load_graph(data_dir / "graph.npz")
@@ -317,6 +315,8 @@ def _print_phase_summary(obs_module) -> None:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.core import load_index
+
     data_dir = Path(args.data)
     graph = load_graph(data_dir / "graph.npz")
     index = load_index(args.index, graph)
@@ -538,6 +538,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
+    from repro.core import load_index
+
     obs_module = _start_profiling()
     data_dir = Path(args.data)
     graph = load_graph(data_dir / "graph.npz")
@@ -591,6 +593,7 @@ def _serving_config(args: argparse.Namespace) -> ServingConfig:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.core import load_index
     from repro.serving import QueryServer, serve
 
     data_dir = Path(args.data)
@@ -775,6 +778,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     import json
 
+    from repro.core import load_index
     from repro.datasets import generate_delta_workload
     from repro.experiments.reporting import format_table
     from repro.streaming import DeltaLog, StreamingEngine
@@ -926,6 +930,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_autosize(args: argparse.Namespace) -> int:
+    from repro.core import auto_size_index
+
     catalog = np.load(Path(args.data) / "catalog.npy")
     result = auto_size_index(
         catalog,
@@ -963,10 +969,11 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--seed-list-length", type=int, default=30)
     build.add_argument(
         "--engine",
-        default="ris",
+        default=InflexConfig.im_engine,
         choices=IM_ENGINES,
-        help="seed-extraction engine: imm (martingale RIS with a "
-        "(1-1/e-eps) guarantee), ris (fixed-budget sampling), celf++ "
+        help="seed-extraction engine: imm (the default, as in "
+        "InflexConfig; martingale RIS with a (1-1/e-eps) guarantee), "
+        "ris (fixed-budget sampling), celf++ "
         "on live-edge snapshots, or celf++-mc on the parallel "
         "Monte-Carlo spread oracle",
     )

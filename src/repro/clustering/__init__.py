@@ -1,15 +1,25 @@
 """Bregman clustering: K-means++ seeding, Lloyd iterations, G-means."""
 
-from repro.clustering.kmeanspp import (
-    KMeansResult,
-    bregman_kmeans,
-    kmeanspp_seeding,
-)
-from repro.clustering.gmeans import (
-    GMeansResult,
-    cluster_is_gaussian,
-    gmeans,
-    learn_branching_factor,
+from repro._exports import lazy_exports
+
+# The function shares its module's name, and importing a submodule binds
+# the module over a lazily exported name: resolve this one up front.
+from repro.clustering.gmeans import gmeans
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.clustering.kmeanspp": (
+            "KMeansResult",
+            "bregman_kmeans",
+            "kmeanspp_seeding",
+        ),
+        "repro.clustering.gmeans": (
+            "GMeansResult",
+            "cluster_is_gaussian",
+            "learn_branching_factor",
+        ),
+    },
 )
 
 __all__ = [

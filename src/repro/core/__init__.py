@@ -4,47 +4,54 @@ Build an index once with :meth:`InflexIndex.build`, then answer TIM
 queries in milliseconds with :meth:`InflexIndex.query`.
 """
 
-from repro.core.config import (
-    AGGREGATORS,
-    CAMPAIGN_ALGORITHMS,
-    CampaignConfig,
-    FleetConfig,
-    IM_ENGINES,
-    InflexConfig,
-    PAPER_CONFIG,
-    ServingConfig,
-    SketchConfig,
-)
-from repro.core.query import QueryTiming, TimAnswer, TimQuery
-from repro.core.index import STRATEGIES, InflexIndex
-from repro.core.aggregation import aggregate_seed_lists
-from repro.core.offline import (
-    offline_ic_seed_list,
-    offline_seed_list,
-    offline_seed_lists_batch,
-    offline_tic_seed_list,
-)
-from repro.core.persistence import (
-    atomic_write_bytes,
-    atomic_write_text,
-    crc_of_bytes,
-    load_index,
-    save_index,
-)
-from repro.core.whatif import WhatIfReport, compare_positionings
-from repro.core.segment import (
-    estimate_segment_spread,
-    sample_segment_rr_sets,
-    segment_influence_maximization,
-)
-from repro.core.autosize import AutoSizeResult, auto_size_index
-from repro.core.cache import CachedIndex
-from repro.core.keywords import KeywordTopicMapper
-from repro.core.builder import ResumableBuilder
-from repro.core.explain import (
-    AnswerExplanation,
-    SeedExplanation,
-    explain_answer,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": (
+            "AGGREGATORS",
+            "CAMPAIGN_ALGORITHMS",
+            "CampaignConfig",
+            "FleetConfig",
+            "IM_ENGINES",
+            "InflexConfig",
+            "PAPER_CONFIG",
+            "ServingConfig",
+            "SketchConfig",
+        ),
+        "repro.core.query": ("QueryTiming", "TimAnswer", "TimQuery"),
+        "repro.core.index": ("STRATEGIES", "InflexIndex"),
+        "repro.core.aggregation": ("aggregate_seed_lists",),
+        "repro.core.offline": (
+            "offline_ic_seed_list",
+            "offline_seed_list",
+            "offline_seed_lists_batch",
+            "offline_tic_seed_list",
+        ),
+        "repro.core.persistence": (
+            "atomic_write_bytes",
+            "atomic_write_text",
+            "crc_of_bytes",
+            "load_index",
+            "save_index",
+        ),
+        "repro.core.whatif": ("WhatIfReport", "compare_positionings"),
+        "repro.core.segment": (
+            "estimate_segment_spread",
+            "sample_segment_rr_sets",
+            "segment_influence_maximization",
+        ),
+        "repro.core.autosize": ("AutoSizeResult", "auto_size_index"),
+        "repro.core.cache": ("CachedIndex",),
+        "repro.core.keywords": ("KeywordTopicMapper",),
+        "repro.core.builder": ("ResumableBuilder",),
+        "repro.core.explain": (
+            "AnswerExplanation",
+            "SeedExplanation",
+            "explain_answer",
+        ),
+    },
 )
 
 __all__ = [

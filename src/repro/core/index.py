@@ -238,6 +238,7 @@ class InflexIndex:
         item_seeds = [
             int(child.integers(0, 2**63 - 1)) for child in child_rngs
         ]
+        report("seed-lists", 0, len(item_seeds))
         with _obs.build_stage("seed-lists"):
             seed_lists = offline_seed_lists_batch(
                 graph,

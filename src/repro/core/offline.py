@@ -13,11 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from repro.graph.topic_graph import TopicGraph
-from repro.im.celfpp import celfpp_seed_selection
 from repro.im.imm import RRSampler, imm_seed_selection, walk_rr_index
 from repro.im.seed_list import SeedList
 from repro.propagation.parallel import ParallelMonteCarloSpread
-from repro.propagation.snapshots import SnapshotSpread
 from repro.rng import resolve_rng
 from repro.simplex.vectors import uniform_distribution
 from repro.workers import resolve_worker_allocation
@@ -94,6 +92,9 @@ def offline_seed_list(
             seed=rng,
             sampler=imm_sampler,
         )
+    # The CELF++ engines load their modules only when they run.
+    from repro.im.celfpp import celfpp_seed_selection
+
     if engine == "celf++-mc":
         with ParallelMonteCarloSpread(
             graph,
@@ -104,6 +105,8 @@ def offline_seed_list(
         ) as estimator:
             return celfpp_seed_selection(estimator, graph.num_nodes, k)
     if engine == "celf++":
+        from repro.propagation.snapshots import SnapshotSpread
+
         estimator = SnapshotSpread(
             graph, gamma, num_snapshots=num_snapshots, seed=rng
         )

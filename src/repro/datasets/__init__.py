@@ -1,16 +1,26 @@
 """Synthetic datasets: the Flixster stand-in and query workloads."""
 
-from repro.datasets.flixster import FlixsterLikeDataset, generate_flixster_like
-from repro.datasets.workloads import (
-    QueryWorkload,
-    generate_delta_workload,
-    generate_query_workload,
-)
-from repro.datasets.io import (
-    load_catalog_csv,
-    load_catalog_jsonl,
-    save_catalog_csv,
-    save_catalog_jsonl,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.datasets.flixster": (
+            "FlixsterLikeDataset",
+            "generate_flixster_like",
+        ),
+        "repro.datasets.workloads": (
+            "QueryWorkload",
+            "generate_delta_workload",
+            "generate_query_workload",
+        ),
+        "repro.datasets.io": (
+            "load_catalog_csv",
+            "load_catalog_jsonl",
+            "save_catalog_csv",
+            "save_catalog_jsonl",
+        ),
+    },
 )
 
 __all__ = [

@@ -6,11 +6,18 @@ against the :class:`~repro.divergence.base.BregmanDivergence` interface,
 so any divergence here can be swapped in.
 """
 
-from repro.divergence.base import BregmanDivergence
-from repro.divergence.kl import KLDivergence
-from repro.divergence.euclidean import SquaredEuclidean
-from repro.divergence.itakura_saito import ItakuraSaito
-from repro.divergence.mahalanobis import Mahalanobis
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.divergence.base": ("BregmanDivergence",),
+        "repro.divergence.kl": ("KLDivergence",),
+        "repro.divergence.euclidean": ("SquaredEuclidean",),
+        "repro.divergence.itakura_saito": ("ItakuraSaito",),
+        "repro.divergence.mahalanobis": ("Mahalanobis",),
+    },
+)
 
 __all__ = [
     "BregmanDivergence",

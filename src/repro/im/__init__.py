@@ -1,25 +1,32 @@
 """Influence maximization: greedy, CELF, CELF++, RIS, IMM, heuristics."""
 
-from repro.im.seed_list import SeedList
-from repro.im.greedy import greedy_seed_selection
-from repro.im.celf import celf_seed_selection
-from repro.im.celfpp import celfpp_seed_selection
-from repro.im.imm import (
-    RRIndex,
-    RRSampler,
-    imm_budgets,
-    imm_seed_selection,
-    sample_rr_block,
-    sample_rr_index,
-    walk_rr_index,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.im.seed_list": ("SeedList",),
+        "repro.im.greedy": ("greedy_seed_selection",),
+        "repro.im.celf": ("celf_seed_selection",),
+        "repro.im.celfpp": ("celfpp_seed_selection",),
+        "repro.im.imm": (
+            "RRIndex",
+            "RRSampler",
+            "imm_budgets",
+            "imm_seed_selection",
+            "sample_rr_block",
+            "sample_rr_index",
+            "walk_rr_index",
+        ),
+        "repro.im.heuristics": (
+            "degree_seeds",
+            "pagerank_seeds",
+            "random_seeds",
+            "weighted_degree_seeds",
+        ),
+        "repro.im.degree_discount": ("degree_discount_seeds",),
+    },
 )
-from repro.im.heuristics import (
-    degree_seeds,
-    pagerank_seeds,
-    random_seeds,
-    weighted_degree_seeds,
-)
-from repro.im.degree_discount import degree_discount_seeds
 
 __all__ = [
     "SeedList",

@@ -10,7 +10,10 @@ two phases driven by martingale concentration bounds:
    found by doubling: for guesses ``x = n/2^i`` a budget
    ``theta_i = lambda' / x`` of RR sets is sampled and the greedy
    max-coverage spread is tested against ``(1 + eps') * x``; the first
-   guess that passes certifies ``LB`` (Chernoff-style stopping).
+   guess that passes certifies ``LB`` (Chernoff-style stopping).  The
+   greedy's coverage never exceeds the sum of the ``k`` largest node
+   coverage counts, so a round whose sum already falls short fails
+   without running the greedy: only the verdict matters there.
 2. **Select** — the final budget ``theta = lambda* / LB`` is sampled
    (reusing every phase-1 set; the martingale analysis permits the
    dependence) and greedy max coverage over the pooled collection
@@ -27,10 +30,13 @@ implementation:
   and drawing each wave's coins for them in one call, so a sampler
   chunk walks all its blocks at once and the streaming maintainer all
   of a point's per-set streams; an 8 MB visited-matrix budget bounds
-  a pass.  :func:`sample_rr_block` is the package's only IC reverse
-  walk: the ``ris`` engine, segment targeting and the streaming
-  maintainer drive it too (see :func:`walk_rr_index`), and every
-  consumer ranks its sets with the one greedy of :class:`RRIndex`.
+  a pass.  The passes of a call (of a whole :class:`RRSampler`, of
+  each pool worker) walk on one :class:`_VisitedBuffer`, cleared by
+  the keys each pass set.  :func:`sample_rr_block` is the package's
+  only IC reverse walk: the ``ris`` engine, segment targeting and the
+  streaming maintainer drive it too (see :func:`walk_rr_index`), and
+  every consumer ranks its sets with the one greedy of
+  :class:`RRIndex`.
 * **Parallel dispatch.**  Blocks fan out over the persistent process
   pool, shared-memory payloads and crash recovery of
   :mod:`repro.propagation.parallel`; the reverse CSR and the full
@@ -56,6 +62,7 @@ See ``docs/INDEX_BUILDS.md`` for the phase walkthrough, the
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -98,6 +105,64 @@ def _pass_sets(num_nodes: int) -> int:
     return max(1, _PASS_BYTES // max(1, num_nodes))
 
 
+class _VisitedBuffer:
+    """The visited matrix lock-step passes walk on, one pass at a time.
+
+    Between passes every entry is ``False``: a pass marks the flat keys
+    it reaches and clears exactly those before it hands the buffer
+    back, so no pass pays for a fresh ``count * num_nodes`` allocation,
+    its first-touch page faults and its unmap.  The buffer grows to the
+    largest pass it has served.  A pass that finds it in use (another
+    thread walks on it) gets a fresh zeroed array instead, and a pass
+    that fails midway drops it.  Pickled into a pool task it becomes
+    the worker process's own buffer (:func:`_worker_visited`).
+    """
+
+    def __init__(self) -> None:
+        self._array = np.zeros(0, dtype=bool)
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return _worker_visited, ()
+
+    def acquire(self, size: int) -> np.ndarray:
+        """An all-``False`` bool array of ``size`` entries: a view of the
+        buffer, or a fresh array while another pass holds it."""
+        if not self._lock.acquire(blocking=False):
+            return np.zeros(size, dtype=bool)
+        if self._array.size < size:
+            self._array = np.zeros(size, dtype=bool)
+        return self._array[:size]
+
+    def release(self, visited: np.ndarray, keys) -> None:
+        """Hand back ``visited`` from :meth:`acquire`, clearing the
+        ``keys`` the pass set (``None``: the pass failed, so the
+        buffer is dropped)."""
+        if visited.base is not self._array:
+            return
+        if keys is None:
+            self._array = np.zeros(0, dtype=bool)
+        else:
+            visited[keys] = False
+        self._lock.release()
+
+    def clear(self) -> None:
+        """Free the buffer's memory (it grows again on the next pass)."""
+        with self._lock:
+            self._array = np.zeros(0, dtype=bool)
+
+
+_WORKER_VISITED: _VisitedBuffer | None = None
+
+
+def _worker_visited() -> _VisitedBuffer:
+    """The calling process's pool-worker :class:`_VisitedBuffer`."""
+    global _WORKER_VISITED
+    if _WORKER_VISITED is None:
+        _WORKER_VISITED = _VisitedBuffer()
+    return _WORKER_VISITED
+
+
 def sample_rr_block(
     in_indptr: np.ndarray,
     in_tails: np.ndarray,
@@ -106,6 +171,7 @@ def sample_rr_block(
     count,
     rng,
     roots: np.ndarray | None = None,
+    visited: _VisitedBuffer | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk RR sets from many random streams in lock-step passes.
 
@@ -128,7 +194,8 @@ def sample_rr_block(
     ``roots`` fixes them (segment targeting draws them from the
     segment).  Streams are
     packed into passes of at most :func:`_pass_sets` sets (a larger
-    stream walks alone), which bounds the visited matrix.
+    stream walks alone), which bounds the visited matrix.  The passes
+    walk on ``visited`` (a private buffer for this call if ``None``).
 
     Returns ``(values, indptr, roots)``: sorted ``uint32`` member
     arrays concatenated in set order with an ``int64`` CSR pointer, and
@@ -145,6 +212,8 @@ def sample_rr_block(
     if any(c < 0 for c in counts):
         raise ValueError("set counts must be >= 0")
     limit = _pass_sets(num_nodes)
+    if visited is None:
+        visited = _VisitedBuffer()
     parts = []
     first = lo = 0
     while not parts or lo < len(streams):
@@ -161,6 +230,7 @@ def sample_rr_block(
                 streams[lo:hi],
                 counts[lo:hi],
                 None if roots is None else roots[first : first + sets],
+                visited,
             )
         )
         first += sets
@@ -169,9 +239,35 @@ def sample_rr_block(
 
 
 def _walk_pass(
-    in_indptr, in_tails, in_probs, num_nodes, streams, counts, roots
+    in_indptr, in_tails, in_probs, num_nodes, streams, counts, roots, buffer
 ):
-    """One lock-step pass of :func:`sample_rr_block` over ``streams``."""
+    """One lock-step pass of :func:`sample_rr_block` over ``streams``,
+    on a visited matrix taken from ``buffer``."""
+    count = sum(counts)
+    visited = buffer.acquire(count * num_nodes)
+    try:
+        values, indptr, roots, keys = _walk_keys(
+            in_indptr,
+            in_tails,
+            in_probs,
+            num_nodes,
+            streams,
+            counts,
+            roots,
+            visited,
+        )
+    except BaseException:
+        buffer.release(visited, None)
+        raise
+    buffer.release(visited, keys)
+    return values, indptr, roots
+
+
+def _walk_keys(
+    in_indptr, in_tails, in_probs, num_nodes, streams, counts, roots, visited
+):
+    """The walk of :func:`_walk_pass` on an all-``False`` ``visited``:
+    its ``(values, indptr, roots)`` and every key it set."""
     count = sum(counts)
     if roots is None:
         if all(c == 1 for c in counts):
@@ -190,7 +286,6 @@ def _walk_pass(
     key_bounds = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=key_bounds[1:])
     key_bounds *= num_nodes
-    visited = np.zeros(count * num_nodes, dtype=bool)
     bases = np.arange(count, dtype=np.int64) * num_nodes
     frontier = bases + roots
     visited[frontier] = True
@@ -234,7 +329,7 @@ def _walk_pass(
         keys, np.arange(count + 1, dtype=np.int64) * num_nodes
     )
     values = (keys % num_nodes).astype(np.uint32)
-    return values, indptr, roots.astype(np.uint32)
+    return values, indptr, roots.astype(np.uint32), keys
 
 
 def _stream_coins(streams, key_bounds, frontier, ends) -> np.ndarray:
@@ -254,7 +349,9 @@ def _stream_coins(streams, key_bounds, frontier, ends) -> np.ndarray:
     return coins
 
 
-def _sample_blocks(arrays, gamma, entropy, base_key, request, blocks):
+def _sample_blocks(
+    arrays, visited, gamma, entropy, base_key, request, blocks
+):
     """The block kernel: RR sets of ``blocks`` for one request.
 
     ``arrays`` are the sampler's reverse CSR plus its reverse-gathered
@@ -262,9 +359,11 @@ def _sample_blocks(arrays, gamma, entropy, base_key, request, blocks):
     probabilities once per call; ``blocks`` lists ``(block_id, count)``
     pairs and block ``b`` draws from ``SeedSequence(entropy,
     spawn_key=base_key + (request, b))``.  The blocks walk together in
-    lock-step passes and come back as one ``(values, indptr, roots)``
-    triple.  The same kernel runs inline, in pool workers and in the
-    recovery fallback, so where a block runs never changes its sets.
+    lock-step passes on ``visited`` (the sampler's buffer inline, the
+    worker's own in a pool) and come back as one ``(values, indptr,
+    roots)`` triple.  The same kernel runs inline, in pool workers and
+    in the recovery fallback, so where a block runs never changes its
+    sets.
     """
     in_indptr, in_tails, prob_matrix = arrays
     in_probs = prob_matrix @ gamma
@@ -277,6 +376,7 @@ def _sample_blocks(arrays, gamma, entropy, base_key, request, blocks):
         num_nodes,
         [count for _, count in blocks],
         keyed_generators(entropy, base_key, keys),
+        visited=visited,
     )
 
 
@@ -558,9 +658,10 @@ class RRSampler(PooledArrays):
     :class:`~repro.propagation.parallel.ParallelMonteCarloSpread`, by
     the same fan-out: pool rebuilds, ``REPRO_SIM_RETRIES`` retries, the
     inline fallback and the ``chunk`` fault site (coordinates ``call``
-    = request, ``chunk`` = task index) all apply.  Use as a context
-    manager (or call :meth:`close`) to unlink the shared-memory
-    segments.
+    = request, ``chunk`` = task index) all apply.  Inline passes walk
+    on the sampler's own :class:`_VisitedBuffer`, and each pool worker
+    on its own.  Use as a context manager (or call :meth:`close`) to
+    unlink the shared-memory segments and free the buffer.
     """
 
     def __init__(
@@ -590,6 +691,13 @@ class RRSampler(PooledArrays):
             if block_size is not None
             else _block_size(graph.num_nodes)
         )
+        self._visited = _VisitedBuffer()
+
+    def close(self) -> None:
+        """Unlink the shared-memory segments and free the visited
+        buffer (idempotent)."""
+        super().close()
+        self._visited.clear()
 
     # ------------------------------------------------------------------
     @property
@@ -635,6 +743,7 @@ class RRSampler(PooledArrays):
                 request,
                 index,
                 (
+                    self._visited,
                     dist,
                     root.entropy,
                     spawn_key,
@@ -693,6 +802,7 @@ def walk_rr_index(
     n = graph.num_nodes
     if block is None:
         block = _block_size(n)
+    visited = _VisitedBuffer()
     parts = []
     for lo in range(0, num_sets, block):
         count = min(block, num_sets - lo)
@@ -705,6 +815,7 @@ def walk_rr_index(
                 count,
                 rng,
                 None if roots is None else roots[lo : lo + count],
+                visited,
             )
         )
     return RRIndex(*_merge_blocks(parts, num_sets), n)
@@ -866,10 +977,12 @@ def imm_seed_selection(
     parts: list = []
     total = 0
     requests = 0
+    # How many pooled sets hold each node, kept through phase 1.
+    coverage = np.zeros(n, dtype=np.int64)
 
     def ensure(target: int, phase: str) -> None:
         """Grow the pooled collection to ``target`` sets (capped)."""
-        nonlocal total, requests
+        nonlocal total, requests, coverage
         if max_sets is not None:
             target = min(target, max_sets)
         if target <= total:
@@ -884,6 +997,8 @@ def imm_seed_selection(
         requests += 1
         total = target
         _obs.record_imm_sampled(phase, count)
+        if phase == "estimate":
+            coverage += np.bincount(parts[-1][0], minlength=n)
 
     def pooled_index() -> RRIndex:
         values, indptr, roots = _merge_blocks(parts, total)
@@ -896,6 +1011,13 @@ def imm_seed_selection(
             x = n / 2.0**i
             theta_i = math.ceil(budgets["lambda_prime"] / x)
             ensure(theta_i, "estimate")
+            threshold = (1.0 + eps_prime) * x
+            # The greedy's k nodes cover at most the sets their counts
+            # add up to, so a round whose k largest counts stay under
+            # the threshold fails without one.
+            top_k = int(np.partition(coverage, n - k)[n - k :].sum())
+            if n * (top_k / total) < threshold:
+                continue
             index = pooled_index()
             with tracer.span(
                 "imm.select",
@@ -905,7 +1027,7 @@ def imm_seed_selection(
             ):
                 _, gains = index.greedy_select(k)
             fraction = sum(gains) / index.num_sets
-            if n * fraction >= (1.0 + eps_prime) * x:
+            if n * fraction >= threshold:
                 lower_bound = n * fraction / (1.0 + eps_prime)
                 break
         # Phase 2: the derived theta budget, then the final greedy.

@@ -40,47 +40,54 @@ The metric catalog lives in :mod:`repro.obs.instruments` and is
 documented in ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs._state import STATE, disable, enable, enabled
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    get_registry,
-)
-from repro.obs.tracing import (
-    Span,
-    SpanRecord,
-    Tracer,
-    get_tracer,
-    span_payload,
-)
-from repro.obs.context import (
-    RequestContext,
-    bind,
-    bind_child_of,
-    current_context,
-    new_request_context,
-    new_request_id,
-    new_trace_id,
-    wrap,
-)
-from repro.obs import instruments
-from repro.obs.flightrec import (
-    FlightRecord,
-    FlightRecorder,
-    gamma_fingerprint,
-    get_flight_recorder,
-)
-from repro.obs.slo import SLOConfig, SLOMonitor
-from repro.obs.logs import (
-    EventLogger,
-    JsonFormatter,
-    RateLimitFilter,
-    configure_json_logging,
-    get_logger,
-    reset_logging,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs._state": ("STATE", "disable", "enable", "enabled"),
+        "repro.obs.metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricFamily",
+            "MetricsRegistry",
+            "get_registry",
+        ),
+        "repro.obs.tracing": (
+            "Span",
+            "SpanRecord",
+            "Tracer",
+            "get_tracer",
+            "span_payload",
+        ),
+        "repro.obs.context": (
+            "RequestContext",
+            "bind",
+            "bind_child_of",
+            "current_context",
+            "new_request_context",
+            "new_request_id",
+            "new_trace_id",
+            "wrap",
+        ),
+        "repro.obs": ("instruments",),
+        "repro.obs.flightrec": (
+            "FlightRecord",
+            "FlightRecorder",
+            "gamma_fingerprint",
+            "get_flight_recorder",
+        ),
+        "repro.obs.slo": ("SLOConfig", "SLOMonitor"),
+        "repro.obs.logs": (
+            "EventLogger",
+            "JsonFormatter",
+            "RateLimitFilter",
+            "configure_json_logging",
+            "get_logger",
+            "reset_logging",
+        ),
+    },
 )
 
 __all__ = [

@@ -29,21 +29,28 @@ and the full retry/degradation matrix are documented in
 ``docs/RESILIENCE.md``.
 """
 
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.deadline import Deadline, resolve_deadline
-from repro.resilience.hedge import HedgePolicy
-from repro.resilience.faults import (
-    FAULTS_ENV,
-    FaultPlan,
-    FaultSpec,
-    InjectedFaultError,
-    fault_plan,
-    get_fault_plan,
-    maybe_inject,
-    parse_fault_plan,
-    set_fault_plan,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.resilience.breaker": ("CircuitBreaker",),
+        "repro.resilience.deadline": ("Deadline", "resolve_deadline"),
+        "repro.resilience.hedge": ("HedgePolicy",),
+        "repro.resilience.faults": (
+            "FAULTS_ENV",
+            "FaultPlan",
+            "FaultSpec",
+            "InjectedFaultError",
+            "fault_plan",
+            "get_fault_plan",
+            "maybe_inject",
+            "parse_fault_plan",
+            "set_fault_plan",
+        ),
+        "repro.resilience.retry": ("RetryPolicy",),
+    },
 )
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "CircuitBreaker",

@@ -41,32 +41,42 @@ CLI entry points are ``repro-inflex serve`` and ``repro-inflex
 loadgen``.  See ``docs/SERVING.md``.
 """
 
-from repro.serving.admission import AdmissionController, AdmissionSnapshot
-from repro.serving.batcher import (
-    BatcherStats,
-    BatchItem,
-    MicroBatcher,
-    QueueFullError,
-)
-from repro.serving.fleet import Fleet, WorkerHandle
-from repro.serving.front import serve
-from repro.serving.loadgen import (
-    LoadReport,
-    build_far_mix,
-    build_query_mix,
-    run_loadgen,
-)
-from repro.serving.protocol import HttpRequest, ProtocolError
-from repro.serving.server import QueryServer
-from repro.serving.shared_index import attach_index, publish_index
-from repro.serving.singleflight import SingleFlight
-from repro.serving.worker import FleetWorkerServer, worker_main
-from repro.serving.topview import (
-    MetricsSample,
-    parse_prometheus,
-    quantile_from_buckets,
-    render_top,
-    run_top,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serving.admission": (
+            "AdmissionController",
+            "AdmissionSnapshot",
+        ),
+        "repro.serving.batcher": (
+            "BatcherStats",
+            "BatchItem",
+            "MicroBatcher",
+            "QueueFullError",
+        ),
+        "repro.serving.fleet": ("Fleet", "WorkerHandle"),
+        "repro.serving.front": ("serve",),
+        "repro.serving.loadgen": (
+            "LoadReport",
+            "build_far_mix",
+            "build_query_mix",
+            "run_loadgen",
+        ),
+        "repro.serving.protocol": ("HttpRequest", "ProtocolError"),
+        "repro.serving.server": ("QueryServer",),
+        "repro.serving.shared_index": ("attach_index", "publish_index"),
+        "repro.serving.singleflight": ("SingleFlight",),
+        "repro.serving.worker": ("FleetWorkerServer", "worker_main"),
+        "repro.serving.topview": (
+            "MetricsSample",
+            "parse_prometheus",
+            "quantile_from_buckets",
+            "render_top",
+            "run_top",
+        ),
+    },
 )
 
 __all__ = [

@@ -42,9 +42,9 @@ import concurrent.futures
 import functools
 import logging
 import time
+from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
-from repro.campaign import CampaignPlanner
 from repro.core.cache import CachedIndex
 from repro.core.config import CampaignConfig, ServingConfig
 from repro.core.index import InflexIndex
@@ -68,6 +68,9 @@ from repro.serving.protocol import (
     parse_query_payload,
 )
 from repro.serving.singleflight import SingleFlight
+
+if TYPE_CHECKING:
+    from repro.campaign import CampaignPlanner
 
 #: Routes excluded from SLO accounting and the flight recorder: they
 #: observe the service rather than do its work, so scraping /metrics
@@ -565,6 +568,9 @@ class QueryServer(HttpFront):
         (RR streams are worker-count invariant).
         """
         if self._planner is None:
+            # Imported on first use: most servers never plan a campaign.
+            from repro.campaign import CampaignPlanner
+
             self._planner = CampaignPlanner(
                 self.index.graph, self.campaign_config, workers=1
             )

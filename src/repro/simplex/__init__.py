@@ -13,22 +13,29 @@ This package provides everything needed to manipulate them:
   (:mod:`repro.simplex.ilr`).
 """
 
-from repro.simplex.vectors import (
-    as_distribution,
-    as_distribution_matrix,
-    is_distribution,
-    smooth,
-    uniform_distribution,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.simplex.vectors": (
+            "as_distribution",
+            "as_distribution_matrix",
+            "is_distribution",
+            "smooth",
+            "uniform_distribution",
+        ),
+        "repro.simplex.kl": (
+            "kl_divergence",
+            "kl_divergence_matrix",
+            "kl_max_bound",
+            "symmetrized_kl",
+        ),
+        "repro.simplex.sampling": ("sample_uniform_simplex",),
+        "repro.simplex.dirichlet": ("Dirichlet", "fit_dirichlet_mle"),
+        "repro.simplex.ilr": ("ilr_transform", "ilr_inverse"),
+    },
 )
-from repro.simplex.kl import (
-    kl_divergence,
-    kl_divergence_matrix,
-    kl_max_bound,
-    symmetrized_kl,
-)
-from repro.simplex.sampling import sample_uniform_simplex
-from repro.simplex.dirichlet import Dirichlet, fit_dirichlet_mle
-from repro.simplex.ilr import ilr_transform, ilr_inverse
 
 __all__ = [
     "as_distribution",

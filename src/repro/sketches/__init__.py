@@ -6,9 +6,16 @@ for any ``gamma_q`` by mixture weighting (see :mod:`repro.sketches.bank`
 and ``docs/SKETCHES.md``).
 """
 
-from repro.sketches.bank import SketchBank
-from repro.sketches.persistence import load_sketches, save_sketches
-from repro.sketches.shared import attach_sketches, publish_sketches
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sketches.bank": ("SketchBank",),
+        "repro.sketches.persistence": ("load_sketches", "save_sketches"),
+        "repro.sketches.shared": ("attach_sketches", "publish_sketches"),
+    },
+)
 
 __all__ = [
     "SketchBank",

@@ -1,25 +1,32 @@
 """Statistical machinery: Anderson--Darling test, t-tests, error metrics."""
 
-from repro.stats.anderson_darling import (
-    AndersonDarlingResult,
-    anderson_darling_p_value,
-    anderson_darling_statistic,
-    anderson_darling_test,
-    corrected_statistic,
-    project_to_principal_axis,
-    CRITICAL_VALUES,
-)
-from repro.stats.tests import PairedTTestResult, paired_t_test
-from repro.stats.bootstrap import (
-    BootstrapInterval,
-    bootstrap_mean,
-    bootstrap_mean_ratio,
-)
-from repro.stats.metrics import (
-    nrmse,
-    pearson_correlation,
-    rmse,
-    spearman_correlation,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.stats.anderson_darling": (
+            "AndersonDarlingResult",
+            "anderson_darling_p_value",
+            "anderson_darling_statistic",
+            "anderson_darling_test",
+            "corrected_statistic",
+            "project_to_principal_axis",
+            "CRITICAL_VALUES",
+        ),
+        "repro.stats.tests": ("PairedTTestResult", "paired_t_test"),
+        "repro.stats.bootstrap": (
+            "BootstrapInterval",
+            "bootstrap_mean",
+            "bootstrap_mean_ratio",
+        ),
+        "repro.stats.metrics": (
+            "nrmse",
+            "pearson_correlation",
+            "rmse",
+            "spearman_correlation",
+        ),
+    },
 )
 
 __all__ = [

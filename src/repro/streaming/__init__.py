@@ -21,24 +21,31 @@ makes the whole stack work while the graph changes underneath it:
 See ``docs/STREAMING.md`` for the design and the invalidation lemma.
 """
 
-from repro.streaming.deltas import (
-    DELTA_OPS,
-    DeltaBatch,
-    DeltaLog,
-    EdgeDelta,
-    EdgeState,
-    advance_graph,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.streaming.deltas": (
+            "DELTA_OPS",
+            "DeltaBatch",
+            "DeltaLog",
+            "EdgeDelta",
+            "EdgeState",
+            "advance_graph",
+        ),
+        "repro.streaming.maintainer": (
+            "ApplyReport",
+            "IncrementalSketchMaintainer",
+        ),
+        "repro.streaming.subscriptions": (
+            "SeedSetUpdate",
+            "Subscription",
+            "SubscriptionRegistry",
+        ),
+        "repro.streaming.engine": ("StreamingEngine",),
+    },
 )
-from repro.streaming.maintainer import (
-    ApplyReport,
-    IncrementalSketchMaintainer,
-)
-from repro.streaming.subscriptions import (
-    SeedSetUpdate,
-    Subscription,
-    SubscriptionRegistry,
-)
-from repro.streaming.engine import StreamingEngine
 
 __all__ = [
     "DELTA_OPS",

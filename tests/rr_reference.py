@@ -12,7 +12,10 @@ backward random walk of the LT model returning unsorted member arrays,
 :meth:`RRIndex.greedy_select` ran before its argmax rewrite, and
 :func:`flat_key_block` (with :func:`per_set_coins`) is the flat-key
 walker as it stood before it took many streams per pass: one
-generator for the block, or one per set.
+generator for the block, or one per set, and
+:func:`imm_greedy_every_round` is IMM as it ran before its doubling
+rounds were certified by a coverage bound: a pooled index and a greedy
+after every round.
 ``repro.im.imm`` must reproduce each of them bit for bit (members,
 roots, generator state, seed-list nodes and gains).
 
@@ -27,6 +30,9 @@ from __future__ import annotations
 
 import heapq
 import math
+
+from repro.im.imm import RRIndex, _merge_blocks, imm_budgets
+from repro.rng import as_seed_sequence
 
 import numpy as np
 
@@ -424,3 +430,57 @@ def replay_pools(
         for point_sets in sets
     ]
     return graph, final, seed_lists
+
+
+def imm_greedy_every_round(
+    sampler,
+    gamma,
+    k: int,
+    *,
+    epsilon: float,
+    delta: float | None = None,
+    seed=None,
+    max_sets: int | None = None,
+):
+    """IMM's two phases with a greedy after every doubling round.
+
+    Draws from ``sampler`` exactly as :func:`repro.im.imm_seed_selection`
+    does (request ``r`` of the pooled collection, capped at
+    ``max_sets``).  Returns ``(seed_list, final_index)``; ``k`` is at
+    least 1 and the graph has at least 2 nodes.
+    """
+    n = sampler.num_nodes
+    if delta is None:
+        delta = 1.0 / max(n, 2)
+    budgets = imm_budgets(n, k, epsilon, delta)
+    eps_prime = budgets["eps_prime"]
+    root = as_seed_sequence(seed)
+    parts: list = []
+    total = 0
+
+    def ensure(target: int) -> None:
+        nonlocal total
+        if max_sets is not None:
+            target = min(target, max_sets)
+        if target <= total:
+            return
+        count, request = target - total, len(parts)
+        parts.append(sampler.sample(gamma, count, seed=root, request=request))
+        total = target
+
+    def pooled_index() -> RRIndex:
+        return RRIndex(*_merge_blocks(parts, total), n)
+
+    lower_bound = max(float(k), 1.0)
+    for i in range(1, max(1, math.ceil(math.log2(n)))):
+        x = n / 2.0**i
+        ensure(math.ceil(budgets["lambda_prime"] / x))
+        index = pooled_index()
+        _, gains = index.greedy_select(k)
+        fraction = sum(gains) / index.num_sets
+        if n * fraction >= (1.0 + eps_prime) * x:
+            lower_bound = n * fraction / (1.0 + eps_prime)
+            break
+    ensure(math.ceil(budgets["lambda_star"] / lower_bound))
+    index = pooled_index()
+    return index.seed_list(k, algorithm="imm"), index

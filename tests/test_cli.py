@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import _serving_config, build_parser, main
-from repro.core import ServingConfig
+from repro.core import InflexConfig, ServingConfig
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,25 @@ class TestBuildAndQuery:
             ]
         )
         assert code == 0
+
+
+class TestBuildDefaults:
+    def test_default_engine_writes_the_imm_bytes(self, data_dir, tmp_path):
+        """``build`` without ``--engine`` builds what ``InflexConfig``
+        builds by default: the bytes of ``build --engine imm``."""
+        argv = [
+            "build", "--data", str(data_dir), "--index-points", "6",
+            "--dirichlet-samples", "300", "--seed-list-length", "5",
+            "--epsilon", "0.3", "--seed", "5",
+        ]
+        default, imm = tmp_path / "default.npz", tmp_path / "imm.npz"
+        assert main(argv + ["--out", str(default)]) == 0
+        assert main(argv + ["--out", str(imm), "--engine", "imm"]) == 0
+        assert default.read_bytes() == imm.read_bytes()
+        parsed = build_parser().parse_args(
+            ["build", "--data", "d", "--out", "o"]
+        )
+        assert parsed.engine == InflexConfig().im_engine == "imm"
 
 
 class TestObservabilityCommands:
