@@ -415,6 +415,13 @@ def test_request_telemetry_overhead(query_setup):
         ),
     )
 
+    # Checked ahead of the timing gates, so a timing failure does not
+    # hide it.  Slotted records: about 430 B each with their timings
+    # dict (a record with a per-instance ``__dict__`` held about 500 B).
+    assert flight_memory_bytes / 10_000 <= 464, (
+        f"{flight_memory_bytes / 10_000:.0f} B per flight record"
+    )
+
     assert enabled_overhead < 0.05, (
         f"enabled telemetry costs {enabled_overhead * 100:.2f}% "
         f"(> 5%) on the query hot path"

@@ -8,6 +8,12 @@ waste at serving rates.  :class:`CachedIndex` wraps an
 share an answer, a cheap and deterministic analogue of the index's own
 epsilon-exact shortcut) plus the exact ``(k, strategy)`` pair.
 
+The cache stores whatever its owner stores under a key: :meth:`query`
+stores :class:`~repro.core.query.TimAnswer` objects, while the query
+server (:mod:`repro.serving`) stores packed
+:class:`~repro.serving.protocol.ServedAnswer` records, which keep only
+what an answer's wire form and flight record read.
+
 The cache is safe under concurrent access: the serving layer
 (:mod:`repro.serving`) calls it from an executor thread while the
 event-loop thread reads :meth:`stats` for ``/metrics``, so every
@@ -27,6 +33,11 @@ rounding distance.  Renormalizing after rounding collapses that drift,
 so the invariant is: **two queries share a cache entry iff their
 rounded-clipped-renormalized vectors are bit-identical** (same float64
 arithmetic on the same grid point gives the same bytes).
+
+The key is one ``bytes``: ``b"<k>:<Z>:"``, then the canonical vector's
+``Z`` float64s, then the strategy in UTF-8.  The decimal prefix fixes
+where the vector ends, so distinct ``(gamma, k, strategy)`` triples
+never share a key.
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ class CachedIndex:
         self._ttl = None if ttl_seconds is None else float(ttl_seconds)
         self._clock = clock
         self._lock = threading.RLock()
-        self._entries: OrderedDict[tuple, tuple[TimAnswer, float]] = (
+        self._entries: OrderedDict[bytes, tuple[object, float]] = (
             OrderedDict()
         )
         self._hits = 0
@@ -148,12 +159,13 @@ class CachedIndex:
         with self._lock:
             return len(self._entries)
 
-    def canonical_key(self, gamma, k: int, strategy: str) -> tuple:
+    def canonical_key(self, gamma, k: int, strategy: str) -> bytes:
         """The cache key for ``(gamma, k, strategy)``.
 
         Round to ``decimals``, clip negatives to zero, renormalize to
-        sum 1, and take the float64 bytes — see the module docstring
-        for why the renormalization is load-bearing.  When rounding
+        sum 1, and take the float64 bytes, prefixed with ``k`` and the
+        topic count and followed by the strategy — see the module
+        docstring for why the renormalization is load-bearing.  When rounding
         flattens the whole vector to zero (possible only when every
         component is below half a grid step, i.e. very many topics at
         a coarse ``decimals``), the raw normalized vector's bytes are
@@ -169,13 +181,18 @@ class CachedIndex:
         else:
             raw_total = values.sum()
             canonical = values / raw_total if raw_total > 0 else values
-        return (canonical.tobytes(), int(k), str(strategy))
+        # Strategies come off the wire: a lone surrogate must still key.
+        return (
+            b"%d:%d:" % (k, canonical.size)
+            + canonical.tobytes()
+            + str(strategy).encode("utf-8", "surrogatepass")
+        )
 
     # Backward-compatible alias (pre-canonicalization name).
     _key = canonical_key
 
-    def lookup(self, key: tuple) -> TimAnswer | None:
-        """The cached answer under ``key``, or ``None``.
+    def lookup(self, key: bytes):
+        """The value cached under ``key``, or ``None``.
 
         Counts a hit or a miss, refreshes LRU recency on hit, and
         drops (counting an expiration) entries older than the TTL.
@@ -202,9 +219,9 @@ class CachedIndex:
             _obs.record_cache_miss(len(self._entries))
             return None
 
-    def store(self, key: tuple, answer: TimAnswer) -> None:
-        """Insert (or refresh) ``key`` -> ``answer``, evicting LRU
-        entries beyond capacity.
+    def store(self, key: bytes, answer) -> None:
+        """Insert (or refresh) ``key`` -> ``answer`` (whatever the owner
+        caches), evicting LRU entries beyond capacity.
 
         Does not touch the hit/miss counters — pair with
         :meth:`lookup`, which does the accounting.

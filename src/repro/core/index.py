@@ -28,6 +28,8 @@ the bare nearest-neighbor list.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.bbtree.search import (
@@ -40,7 +42,6 @@ from repro.bbtree.tree import BBTree
 from repro.clustering.kmeanspp import bregman_kmeans
 from repro.core.aggregation import aggregate_rankings
 from repro.core.config import InflexConfig
-from repro.core.offline import offline_seed_list, offline_seed_lists_batch
 from repro.core.query import QueryTiming, TimAnswer, TimQuery
 from repro.divergence.kl import KLDivergence
 from repro.errors import EmptyIndexError, QueryError
@@ -51,8 +52,10 @@ from repro.obs.tracing import get_tracer
 from repro.ranking.copeland import RankingTable
 from repro.ranking.weights import importance_weights, select_neighbors
 from repro.rng import resolve_rng, spawn_rngs
-from repro.simplex.dirichlet import Dirichlet, fit_dirichlet_mle
 from repro.simplex.vectors import as_distribution_matrix, smooth
+
+if TYPE_CHECKING:
+    from repro.simplex.dirichlet import Dirichlet
 
 #: Retrieval strategies answered from the index alone — the paper's
 #: Section 5 variants.  These are what the figure experiments sweep.
@@ -200,6 +203,10 @@ class InflexIndex:
             ``config.workers``; the simulation pool width always comes
             from ``config.simulation_workers``.
         """
+        # Build-only modules: a served index never needs them.
+        from repro.core.offline import offline_seed_lists_batch
+        from repro.simplex.dirichlet import fit_dirichlet_mle
+
         if config is None:
             config = InflexConfig()
         if workers is None:
@@ -258,6 +265,7 @@ class InflexIndex:
                 ),
             )
         # 4. The bb-tree is created in __init__.
+        report("tree", 0, 1)
         with _obs.build_stage("tree"):
             return cls(
                 graph,
@@ -745,6 +753,8 @@ class InflexIndex:
             )
         )
         if seed_list is None:
+            from repro.core.offline import offline_seed_list
+
             config = self._config
             seed_list = offline_seed_list(
                 self._graph,
@@ -789,6 +799,8 @@ class InflexIndex:
         points = smooth(as_distribution_matrix(raw))
         num_new = points.shape[0]
         if seed_lists is None:
+            from repro.core.offline import offline_seed_lists_batch
+
             config = self._config
             seed_lists = offline_seed_lists_batch(
                 self._graph,

@@ -50,9 +50,12 @@ def gamma_fingerprint(gamma) -> str:
     return f"{digest:08x}"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlightRecord:
     """One request's flight-recorder entry.
+
+    Slotted: the ring holds ``capacity`` of these (1024 by default), and
+    a per-instance ``__dict__`` would cost more than the fields.
 
     ``timings`` maps phase names (e.g. ``search`` / ``selection`` /
     ``aggregation``) to seconds; ``status`` is the HTTP status code (or
@@ -236,15 +239,14 @@ class FlightRecorder:
         }
 
     def approx_memory_bytes(self) -> int:
-        """Rough resident size of the rings (record dicts included) —
+        """Rough resident size of the rings (each slotted record with
+        its timings and spans; a record in both rings counts once) —
         reported by the telemetry benchmark, not a precise accounting."""
         with self._lock:
-            records = list(self._ring) + list(self._slow_ring)
+            records = {id(r): r for r in (*self._ring, *self._slow_ring)}
         total = sys.getsizeof(self._ring) + sys.getsizeof(self._slow_ring)
-        for record in records:
-            total += object.__sizeof__(record) + sys.getsizeof(
-                record.__dict__
-            )
+        for record in records.values():
+            total += sys.getsizeof(record)
             total += sys.getsizeof(record.timings)
             total += sys.getsizeof(record.spans)
             for span in record.spans:

@@ -69,7 +69,7 @@ class BatchItem:
     enqueued_at: float = 0.0
     ctx: object = None
     batch_id: int | None = None
-    key: tuple | None = None
+    key: bytes | None = None
 
     @property
     def group_key(self) -> tuple[int, str]:

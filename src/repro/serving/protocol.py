@@ -44,6 +44,8 @@ The JSON shapes are deliberately flat:
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 #: Reason phrases for the statuses the service emits.
@@ -182,25 +184,90 @@ def error_body(message: str) -> bytes:
     return json_body({"error": message})
 
 
+#: Typecode of packed seeds: C ``unsigned int``, 4 bytes on every
+#: platform the service runs on, so any ``uint32`` node id fits.
+_SEED_TYPECODE = "I"
+
+
+@dataclass(slots=True)
+class ServedAnswer:
+    """One computed answer, packed to what the server reads of it.
+
+    A record keeps the fields an answer's wire form and its flight
+    record read, and nothing else.  The result cache holds thousands
+    of these, so a record is packed: the seeds as one ``bytes`` of
+    4-byte unsigned ints, the strategy, algorithm and reason as
+    interned strings every record shares, the ``epsilon_match`` and
+    ``degraded`` flags, the neighbor count and the three phase timings
+    in seconds.  The server builds one per computed answer with
+    :meth:`of` (on the executor thread) and renders every hit, miss
+    and coalesced follower from it through :func:`answer_to_dict`.
+    """
+
+    packed_seeds: bytes
+    strategy: str
+    algorithm: str
+    reason: str | None
+    epsilon_match: bool
+    degraded: bool
+    num_neighbors_used: int
+    search: float
+    selection: float
+    aggregation: float
+
+    @classmethod
+    def of(cls, answer) -> ServedAnswer:
+        """Pack a :class:`~repro.core.query.TimAnswer`."""
+        timing = answer.timing
+        reason = answer.reason
+        return cls(
+            array(_SEED_TYPECODE, answer.seeds.nodes).tobytes(),
+            sys.intern(answer.strategy),
+            sys.intern(answer.seeds.algorithm),
+            None if reason is None else sys.intern(reason),
+            bool(answer.epsilon_match),
+            bool(answer.degraded),
+            answer.num_neighbors_used,
+            timing.search,
+            timing.selection,
+            timing.aggregation,
+        )
+
+    @property
+    def seeds(self) -> list[int]:
+        """The seed node ids, in rank order."""
+        return array(_SEED_TYPECODE, self.packed_seeds).tolist()
+
+    @property
+    def total(self) -> float:
+        """Evaluation seconds, summed as ``QueryTiming.total`` sums."""
+        return self.search + self.selection + self.aggregation
+
+
 def answer_to_dict(
     answer, *, cache_hit: bool = False, coalesced: bool = False
 ) -> dict:
-    """The wire form of a :class:`~repro.core.query.TimAnswer`.
+    """The wire form of a :class:`ServedAnswer`.
+
+    A :class:`~repro.core.query.TimAnswer` is packed first, so every
+    answer renders through this one path.
 
     ``algorithm`` names the producing path (e.g. ``"sketch"``,
     ``"inflex:degraded"``, ``"sketch:fallback"``) and ``reason`` is the
     machine-readable degradation cause (``"deadline"``/``"distance"``,
     ``None`` for full-quality answers).
     """
+    if not isinstance(answer, ServedAnswer):
+        answer = ServedAnswer.of(answer)
     return {
-        "seeds": list(answer.seeds.nodes),
+        "seeds": answer.seeds,
         "strategy": answer.strategy,
-        "algorithm": answer.seeds.algorithm,
-        "epsilon_match": bool(answer.epsilon_match),
-        "degraded": bool(answer.degraded),
+        "algorithm": answer.algorithm,
+        "epsilon_match": answer.epsilon_match,
+        "degraded": answer.degraded,
         "reason": answer.reason,
         "num_neighbors_used": answer.num_neighbors_used,
-        "timing_ms": round(answer.timing.total * 1000.0, 4),
+        "timing_ms": round(answer.total * 1000.0, 4),
         "cache_hit": bool(cache_hit),
         "coalesced": bool(coalesced),
     }

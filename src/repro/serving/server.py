@@ -5,7 +5,7 @@ Request path (see ``docs/SERVING.md`` for the full architecture)::
     connection -> admission control -> cache lookup
         -> singleflight -> micro-batcher -> executor thread
             -> InflexIndex.query_batch (deadline-aware, PR 3)
-        -> CachedIndex.store -> response
+        -> ServedAnswer -> CachedIndex.store -> response
 
 All protocol work happens on the event loop; all index math happens on
 one executor thread (query evaluation is CPU-bound pure Python, so one
@@ -61,6 +61,7 @@ from repro.serving.front import GET, POST, PROMETHEUS, HttpFront, Route
 from repro.serving.protocol import (
     HttpRequest,
     ProtocolError,
+    ServedAnswer,
     answer_to_dict,
     error_body,
     json_body,
@@ -212,8 +213,13 @@ class QueryServer(HttpFront):
     # ------------------------------------------------------------------
     # Query execution (the loop hands batches to the executor thread)
     # ------------------------------------------------------------------
-    def _run_batch(self, items: list[BatchItem]) -> list:
-        """Answer one homogeneous group (on the executor thread)."""
+    def _run_batch(self, items: list[BatchItem]) -> list[ServedAnswer]:
+        """Answer one homogeneous group (on the executor thread).
+
+        Each answer is packed into a :class:`ServedAnswer` here, once:
+        the cache keeps that record, and the loop renders the leader,
+        its coalesced followers and later hits from it.
+        """
         k, strategy = items[0].group_key
         # Tightest-member deadline: the whole group degrades together
         # rather than one member holding the rest past budget.
@@ -228,9 +234,10 @@ class QueryServer(HttpFront):
             strategy=strategy,
             deadline_ms=Deadline(min(remaining)) if remaining else None,
         )
-        for item, answer in zip(items, answers):
-            self.cache.store(item.key, answer)
-        return answers
+        served = [ServedAnswer.of(answer) for answer in answers]
+        for item, record in zip(items, served):
+            self.cache.store(item.key, record)
+        return served
 
     async def _answer_query(
         self,
@@ -274,12 +281,14 @@ class QueryServer(HttpFront):
             self.batcher.submit(item)
             return await future
 
-        answer, leader = await self.singleflight.run(key, compute)
-        payload = answer_to_dict(answer, coalesced=not leader)
+        served, leader = await self.singleflight.run(key, compute)
+        payload = answer_to_dict(served, coalesced=not leader)
         self._note_answer(payload)
         if info is not None:
             batch_id = submitted[0].batch_id if submitted else None
-            self._fill_info(info, gamma, k, strategy, answer, payload, batch_id)
+            self._fill_info(
+                info, gamma, k, strategy, served, payload, batch_id
+            )
         return payload
 
     def _note_answer(self, payload: dict) -> None:
@@ -297,10 +306,15 @@ class QueryServer(HttpFront):
 
     @staticmethod
     def _fill_info(
-        info: dict, gamma, k: int, strategy: str, answer, payload, batch_id
+        info: dict,
+        gamma,
+        k: int,
+        strategy: str,
+        served: ServedAnswer,
+        payload,
+        batch_id,
     ) -> None:
         """Populate one query's flight-recorder fields from its answer."""
-        timing = answer.timing
         info.update(
             gamma=gamma,
             k=k,
@@ -312,10 +326,10 @@ class QueryServer(HttpFront):
             num_neighbors_used=payload["num_neighbors_used"],
             batch_id=batch_id,
             timings={
-                "search": timing.search,
-                "selection": timing.selection,
-                "aggregation": timing.aggregation,
-                "total": timing.total,
+                "search": served.search,
+                "selection": served.selection,
+                "aggregation": served.aggregation,
+                "total": served.total,
             },
         )
 

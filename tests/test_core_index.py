@@ -271,6 +271,31 @@ class TestInflexIndex:
         assert "dirichlet" in stages
         assert "seed-lists" in stages
 
+    def test_progress_stage_sequence(self, small_dataset):
+        """Each stage reports ``0/total`` when it starts, in pipeline
+        order; the bb-tree reports ``tree 0/1`` after the last seed
+        list, so a progress-driven stage timer times it on its own."""
+        reports = []
+        config = InflexConfig(
+            num_index_points=4,
+            num_dirichlet_samples=200,
+            seed_list_length=3,
+            ris_num_sets=200,
+            seed=5,
+        )
+        InflexIndex.build(
+            small_dataset.graph,
+            small_dataset.item_topics,
+            config,
+            progress=lambda *report: reports.append(report),
+        )
+        starts = [stage for stage, done, _ in reports if done == 0]
+        assert starts == [
+            "dirichlet", "sampling", "clustering", "seed-lists", "tree",
+        ]
+        assert reports[-1] == ("tree", 0, 1)
+        assert reports[-2] == ("seed-lists", 4, 4)
+
     def test_constructor_validations(self, small_dataset, small_index):
         config = small_index.config
         points = small_index.index_points

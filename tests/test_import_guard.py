@@ -168,6 +168,15 @@ NOT_SERVE = (
     "repro.serving.worker",
 )
 
+#: Modules only building an index uses: the Dirichlet fit (with its
+#: digamma/trigamma ports) and the seed-list engines.  Loading an index
+#: rebuilds its bb-tree, so the clustering modules stay.
+BUILD_ONLY = (
+    "repro.core.offline",
+    "repro.simplex.dirichlet",
+    "repro.simplex.special",
+)
+
 
 def test_cli_build_loads_no_scipy(tmp_path, capsys):
     """A CLI ``build`` (Dirichlet fit, sampling, clustering, IMM seed
@@ -214,6 +223,7 @@ import http.client, io, json, os, re, signal, sys, threading
 from repro.cli import main
 
 argv, requests = {argv!r}, {requests!r}
+build_only = {build_only!r}
 seen, ready, port, errors = {{}}, threading.Event(), [], []
 
 
@@ -256,6 +266,7 @@ sys.stdout = sys.__stdout__
 print(json.dumps({{
     "errors": errors,
     "fleet": [m for m in {not_serve!r} if m in seen["ready"]],
+    "build_only": [m for m in build_only if m in seen["ready"]],
     "after_ready": sorted(set(seen["answered"]) - set(seen["ready"])),
 }}))
 """
@@ -263,10 +274,11 @@ print(json.dumps({{
 
 @pytest.mark.parametrize("stream", [False, True], ids=["serve", "stream"])
 def test_serve_loads_everything_before_ready(tmp_path, stream):
-    """Single-process ``serve`` loads none of the fleet's modules, and
-    every module its requests need (``inflex``, ``exact-knn`` and
-    ``sketch`` queries; a ``/deltas`` batch under ``--stream``) is
-    loaded before the ready line, so no import lands on a request."""
+    """Single-process ``serve`` loads none of the fleet's modules and
+    none of the build-only ones, and every module its requests need
+    (``inflex``, ``exact-knn`` and ``sketch`` queries; a ``/deltas``
+    batch under ``--stream``) is loaded before the ready line, so no
+    import lands on a request."""
     graph, _ = _saved_index(tmp_path)
     argv = [
         "serve", "--data", str(tmp_path), "--index",
@@ -290,7 +302,15 @@ def test_serve_loads_everything_before_ready(tmp_path, stream):
         )
     report = run_fresh(
         SERVE_PROBE.format(
-            argv=argv, requests=requests, not_serve=NOT_SERVE
+            argv=argv,
+            requests=requests,
+            not_serve=NOT_SERVE,
+            build_only=BUILD_ONLY,
         )
     )
-    assert report == {"errors": [], "fleet": [], "after_ready": []}
+    assert report == {
+        "errors": [],
+        "fleet": [],
+        "build_only": [],
+        "after_ready": [],
+    }
