@@ -2,9 +2,11 @@
 
 Section 1.2: "advertisers come to the platform with a description of
 the ad (e.g., a set of keywords) ... such a decision must also be taken
-in an online fashion."  This example wires the full serving path:
+in an online fashion."  Each campaign here names its audience as a mix
+of genres, the topic distribution an INFLEX query takes.  This example
+wires the serving path:
 
-    keywords --> topic distribution --> cached INFLEX query --> seeds
+    genre mix --> cached INFLEX query --> seeds
 
 and simulates a stream of ad requests to show per-request latency and
 cache behavior.
@@ -16,27 +18,33 @@ import time
 
 import numpy as np
 
-from repro.core import (
-    CachedIndex,
-    InflexConfig,
-    InflexIndex,
-    KeywordTopicMapper,
-)
+from repro.core import CachedIndex, InflexConfig, InflexIndex
 from repro.datasets import generate_flixster_like
 
 GENRES = ["action", "romance", "comedy", "horror", "documentary", "scifi"]
 
-#: A plausible ad-request stream: campaigns repeat, keywords vary.
+#: A plausible ad-request stream: campaigns repeat, budgets vary.  Each
+#: request is (genre weights, k).
 REQUESTS = [
-    (("action", "scifi"), 10),
-    (("romance", "comedy"), 10),
-    (("action", "scifi"), 10),          # repeat: cache hit
-    (("documentary",), 15),
-    (("horror", "thriller-free",), 10),  # unknown keyword: rejected
-    (("romance", "comedy"), 10),         # repeat: cache hit
-    (("comedy",), 20),
-    (("action", "scifi"), 10),           # repeat: cache hit
+    ({"action": 0.6, "scifi": 0.4}, 10),
+    ({"romance": 0.5, "comedy": 0.5}, 10),
+    ({"action": 0.6, "scifi": 0.4}, 10),       # repeat: cache hit
+    ({"documentary": 1.0}, 15),
+    ({"horror": 0.6, "documentary": 0.5}, 10),  # sums to 1.1: rejected
+    ({"romance": 0.5, "comedy": 0.5}, 10),      # repeat: cache hit
+    ({"comedy": 1.0}, 20),
+    ({"action": 0.6, "scifi": 0.4}, 10),       # repeat: cache hit
 ]
+
+
+def label_of(mix: dict) -> str:
+    """A genre mix as printed, e.g. ``action 0.6+scifi 0.4``."""
+    return "+".join(f"{genre} {weight:g}" for genre, weight in mix.items())
+
+
+def gamma_of(mix: dict) -> np.ndarray:
+    """The topic distribution of a genre mix, in ``GENRES`` order."""
+    return np.array([mix.get(genre, 0.0) for genre in GENRES])
 
 
 def main() -> None:
@@ -61,10 +69,6 @@ def main() -> None:
         ),
     )
     serving = CachedIndex(index, max_entries=256)
-    mapper = KeywordTopicMapper.from_topic_labels(
-        {genre: z for z, genre in enumerate(GENRES)},
-        num_topics=len(GENRES),
-    )
     footprint_kb = index.memory_footprint() / 1024
     print(
         f"Ready: {index} ({footprint_kb:.1f} KiB of precomputed index "
@@ -72,18 +76,17 @@ def main() -> None:
     )
 
     print("Serving the ad-request stream:")
-    for keywords, k in REQUESTS:
-        label = "+".join(keywords)
-        try:
-            gamma = mapper.gamma_for(keywords)
-        except Exception as error:
-            print(f"  [{label:24s}] REJECTED: {error}")
-            continue
+    for mix, k in REQUESTS:
+        label = label_of(mix)
         start = time.perf_counter()
-        answer = serving.query(gamma, k)
+        try:
+            answer = serving.query(gamma_of(mix), k)
+        except Exception as error:
+            print(f"  [{label:28s}] REJECTED: {error}")
+            continue
         elapsed_ms = (time.perf_counter() - start) * 1000
         print(
-            f"  [{label:24s}] k={k:2d} -> seeds "
+            f"  [{label:28s}] k={k:2d} -> seeds "
             f"{list(answer.seeds)[:4]}... in {elapsed_ms:6.2f} ms"
         )
 
@@ -100,11 +103,10 @@ def main() -> None:
     # A coverage check an operator would run: which requests landed far
     # from every index point?
     print("\nCoverage health check (nearest-index-point divergence):")
-    for keywords, _ in {(kw, k) for kw, k in REQUESTS if "thriller-free" not in kw}:
-        gamma = mapper.gamma_for(keywords)
-        print(
-            f"  {'+'.join(keywords):24s} -> {index.coverage_of(gamma):.3f}"
-        )
+    campaigns = {label_of(mix): gamma_of(mix) for mix, _ in REQUESTS}
+    for label, gamma in campaigns.items():
+        if np.isclose(gamma.sum(), 1.0):
+            print(f"  {label:28s} -> {index.coverage_of(gamma):.3f}")
     print(
         "Large values would justify index.with_added_point(...) to "
         "densify that region."

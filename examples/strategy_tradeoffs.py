@@ -10,7 +10,8 @@ Run:  python examples/strategy_tradeoffs.py
 
 import numpy as np
 
-from repro.core import STRATEGIES, offline_tic_seed_list
+from repro.core import offline_tic_seed_list
+from repro.core.index import RETRIEVAL_STRATEGIES
 from repro.experiments import get_context
 from repro.experiments.reporting import format_table
 from repro.propagation import estimate_spread
@@ -24,7 +25,7 @@ def main() -> None:
     num_queries = 10
 
     rows = []
-    for strategy in STRATEGIES:
+    for strategy in RETRIEVAL_STRATEGIES:
         distances = []
         times_ms = []
         spreads = []

@@ -8,7 +8,7 @@ depends on:
 * :mod:`repro.graph` — topic-weighted social graphs and generators;
 * :mod:`repro.propagation` — IC/TIC cascade models and spread estimation;
 * :mod:`repro.learning` — EM learning of TIC parameters from logs;
-* :mod:`repro.im` — greedy / CELF / CELF++ / RIS influence maximization;
+* :mod:`repro.im` — greedy / CELF++ / RIS / IMM influence maximization;
 * :mod:`repro.simplex` — Dirichlet MLE, KL divergence, simplex sampling;
 * :mod:`repro.divergence` — the Bregman divergence family;
 * :mod:`repro.clustering` — Bregman K-means++ and G-means;
@@ -33,7 +33,7 @@ Quickstart::
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.core.config": ("InflexConfig",),
@@ -53,19 +53,4 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "InflexConfig",
-    "InflexIndex",
-    "TimAnswer",
-    "TimQuery",
-    "TopicGraph",
-    "SeedList",
-    "ReproError",
-    "ConvergenceError",
-    "EmptyIndexError",
-    "InvalidDistributionError",
-    "InvalidGraphError",
-    "QueryError",
-    "__version__",
-]
+__all__.append("__version__")

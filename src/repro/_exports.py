@@ -3,10 +3,11 @@
 Every ``repro`` package re-exports the public names of its modules,
 but a process needs only some of them: a ``build`` never touches the
 serving stack and a server never runs an experiment.  A package
-declares what it exports and where each name lives, and
+declares once what it exports and where each name lives, and
 :func:`lazy_exports` turns that into the module-level ``__getattr__``
-and ``__dir__`` of PEP 562, so ``from repro.core import InflexIndex``
-imports :mod:`repro.core.index` and nothing else of the package.
+and ``__dir__`` of PEP 562 and the package's ``__all__``, so
+``from repro.core import InflexIndex`` imports :mod:`repro.core.index`
+and nothing else of the package.
 
 Importing a submodule binds it in its package under its own name, over
 any lazily exported name it shares, so a package imports such a name
@@ -20,14 +21,15 @@ from importlib import import_module
 
 
 def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
-    """The ``(__getattr__, __dir__)`` pair of a lazily exporting package.
+    """The ``(__getattr__, __dir__, __all__)`` of a lazily exporting package.
 
     ``exports`` maps each defining module to the names the package
     exports from it, and the package itself to the submodules it
     exports as modules.  A resolved name is stored in the
     package namespace, so it is looked up once.  Any other name (but a
     dunder) resolves to the package's submodule of that name, if there
-    is one.
+    is one.  ``__all__`` lists the mapped names in map order; a name
+    the package binds itself is appended to it there.
     """
     namespace = sys.modules[package].__dict__
     where = {
@@ -57,4 +59,5 @@ def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
     def __dir__() -> list[str]:
         return sorted(set(namespace) | set(where))
 
-    return __getattr__, __dir__
+    exported = [name for names in exports.values() for name in names]
+    return __getattr__, __dir__, exported

@@ -2,7 +2,7 @@
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.bbtree.tree": ("BBTree", "BBTreeNode"),
@@ -22,18 +22,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "BBTree",
-    "BBTreeNode",
-    "ProjectionResult",
-    "can_prune",
-    "project_to_ball",
-    "SearchResult",
-    "SearchStats",
-    "exact_nearest_neighbors",
-    "inflex_search",
-    "leaf_limited_search",
-    "range_search",
-    "similar_enough",
-]

@@ -8,7 +8,7 @@ oracle.  See ``docs/CAMPAIGNS.md``.
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.campaign.planner": (
@@ -18,9 +18,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "CampaignAllocation",
-    "CampaignItem",
-    "CampaignPlanner",
-]

@@ -6,7 +6,7 @@ from repro._exports import lazy_exports
 # the module over a lazily exported name: resolve this one up front.
 from repro.clustering.gmeans import gmeans
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.clustering.kmeanspp": (
@@ -21,13 +21,4 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "KMeansResult",
-    "bregman_kmeans",
-    "kmeanspp_seeding",
-    "GMeansResult",
-    "cluster_is_gaussian",
-    "gmeans",
-    "learn_branching_factor",
-]
+__all__.append("gmeans")

@@ -6,7 +6,7 @@ queries in milliseconds with :meth:`InflexIndex.query`.
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.core.config": (
@@ -44,7 +44,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.core.autosize": ("AutoSizeResult", "auto_size_index"),
         "repro.core.cache": ("CachedIndex",),
-        "repro.core.keywords": ("KeywordTopicMapper",),
         "repro.core.builder": ("ResumableBuilder",),
         "repro.core.explain": (
             "AnswerExplanation",
@@ -53,43 +52,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "WhatIfReport",
-    "compare_positionings",
-    "estimate_segment_spread",
-    "sample_segment_rr_sets",
-    "segment_influence_maximization",
-    "AutoSizeResult",
-    "auto_size_index",
-    "CachedIndex",
-    "KeywordTopicMapper",
-    "ResumableBuilder",
-    "AnswerExplanation",
-    "SeedExplanation",
-    "explain_answer",
-    "AGGREGATORS",
-    "CAMPAIGN_ALGORITHMS",
-    "CampaignConfig",
-    "FleetConfig",
-    "IM_ENGINES",
-    "InflexConfig",
-    "PAPER_CONFIG",
-    "ServingConfig",
-    "SketchConfig",
-    "QueryTiming",
-    "TimAnswer",
-    "TimQuery",
-    "STRATEGIES",
-    "InflexIndex",
-    "aggregate_seed_lists",
-    "offline_ic_seed_list",
-    "offline_seed_list",
-    "offline_seed_lists_batch",
-    "offline_tic_seed_list",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "crc_of_bytes",
-    "load_index",
-    "save_index",
-]

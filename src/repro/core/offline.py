@@ -198,11 +198,12 @@ def offline_seed_lists_batch(
     workers:
         Index-point pool width (int or ``"auto"``).
     sim_workers:
-        Within-estimate simulation pool width for ``celf++-mc``.
-        The two levels are composed by
-        :func:`repro.workers.resolve_worker_allocation`, which clamps
-        the inner width so ``workers * sim_workers`` stays within the
-        CPU budget instead of oversubscribing.
+        Inner pool width within one extraction: IMM's RR-set sampling
+        pool for ``imm`` and the Monte-Carlo simulation pool for
+        ``celf++-mc``; the other engines ignore it.  The two levels
+        are composed by :func:`repro.workers.resolve_worker_allocation`,
+        which clamps the inner width so ``workers * sim_workers`` stays
+        within the CPU budget instead of oversubscribing.
     progress:
         Optional callable ``progress(done, total)``.
     """

@@ -2,7 +2,7 @@
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.datasets.flixster": (
@@ -22,15 +22,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "FlixsterLikeDataset",
-    "generate_flixster_like",
-    "QueryWorkload",
-    "generate_delta_workload",
-    "generate_query_workload",
-    "load_catalog_csv",
-    "load_catalog_jsonl",
-    "save_catalog_csv",
-    "save_catalog_jsonl",
-]

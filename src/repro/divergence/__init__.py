@@ -8,7 +8,7 @@ so any divergence here can be swapped in.
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.divergence.base": ("BregmanDivergence",),
@@ -18,11 +18,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.divergence.mahalanobis": ("Mahalanobis",),
     },
 )
-
-__all__ = [
-    "BregmanDivergence",
-    "KLDivergence",
-    "SquaredEuclidean",
-    "ItakuraSaito",
-    "Mahalanobis",
-]

@@ -13,7 +13,7 @@ See DESIGN.md for the experiment-to-module index and
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.experiments": (
@@ -52,36 +52,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "ablations",
-    "drift",
-    "engine_equivalence",
-    "fig1_pipeline",
-    "fig3_index_selection",
-    "fig4_distance_correlation",
-    "fig5_retrieval_recall",
-    "fig6_accuracy",
-    "fig7_runtime",
-    "fig8_spread",
-    "fig9_tradeoff",
-    "latency",
-    "robustness",
-    "scaling",
-    "significance",
-    "table1_aggregation",
-    "table3_spread_by_k",
-    "workload_split",
-    "ExperimentContext",
-    "get_context",
-    "DEMO",
-    "PAPER_SHAPE",
-    "PRESETS",
-    "TEST",
-    "ExperimentScale",
-    "format_series",
-    "format_table",
-    "export_json",
-    "export_series_csv",
-    "result_to_dict",
-]

@@ -2,7 +2,7 @@
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.graph.topic_graph": ("TopicGraph",),
@@ -32,23 +32,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "TopicGraph",
-    "community_topic_graph",
-    "erdos_renyi_topic_graph",
-    "interest_topic_graph",
-    "power_law_topic_graph",
-    "load_arc_list",
-    "load_graph",
-    "save_arc_list",
-    "save_graph",
-    "GraphSummary",
-    "per_topic_strength",
-    "summarize_graph",
-    "SubgraphResult",
-    "induced_subgraph",
-    "largest_component",
-    "strongly_connected_components",
-    "weakly_connected_components",
-]

@@ -3,9 +3,9 @@
 At every step, evaluate the marginal spread gain of every remaining
 node and add the best one.  With a monotone submodular spread function
 this gives the classic ``(1 - 1/e)`` approximation; it is quadratic in
-evaluations and serves here as the reference implementation that CELF
-and CELF++ must agree with (they are exact optimizations of this
-algorithm, not approximations of it).
+evaluations and serves here as the reference implementation that
+CELF++ must agree with (it is an exact optimization of this algorithm,
+not an approximation of it).
 """
 
 from __future__ import annotations

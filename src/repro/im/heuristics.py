@@ -1,15 +1,7 @@
-"""Cheap seed-selection heuristics used as baselines.
-
-The paper's ``random`` baseline (Figure 8 / Table 2) lives here, along
-with the classic degree and PageRank heuristics that the influence-
-maximization literature routinely compares against.
-"""
+"""The paper's ``random`` seed-selection baseline (Figure 8 / Table 2)."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.graph.topic_graph import TopicGraph
 from repro.im.seed_list import SeedList
 from repro.rng import resolve_rng
 
@@ -21,75 +13,3 @@ def random_seeds(num_nodes: int, k: int, *, seed=None) -> SeedList:
     rng = resolve_rng(seed)
     chosen = rng.choice(num_nodes, size=k, replace=False)
     return SeedList(tuple(int(v) for v in chosen), (), algorithm="random")
-
-
-def degree_seeds(graph: TopicGraph, k: int) -> SeedList:
-    """Top-``k`` nodes by out-degree (ties toward lower id)."""
-    if not 0 <= k <= graph.num_nodes:
-        raise ValueError(f"k must be in [0, {graph.num_nodes}], got {k}")
-    degrees = graph.out_degree()
-    order = np.lexsort((np.arange(graph.num_nodes), -degrees))
-    return SeedList(
-        tuple(int(v) for v in order[:k]), (), algorithm="degree"
-    )
-
-
-def weighted_degree_seeds(graph: TopicGraph, gamma, k: int) -> SeedList:
-    """Top-``k`` nodes by the sum of their item-specific out-probabilities.
-
-    A topic-aware refinement of the degree heuristic: ranks users by
-    expected number of *direct* activations for the given item.
-    """
-    if not 0 <= k <= graph.num_nodes:
-        raise ValueError(f"k must be in [0, {graph.num_nodes}], got {k}")
-    probs = graph.item_probabilities(gamma)
-    weights = np.zeros(graph.num_nodes, dtype=np.float64)
-    tails = np.repeat(
-        np.arange(graph.num_nodes, dtype=np.int64), np.diff(graph.indptr)
-    )
-    np.add.at(weights, tails, probs)
-    order = np.lexsort((np.arange(graph.num_nodes), -weights))
-    return SeedList(
-        tuple(int(v) for v in order[:k]), (), algorithm="weighted-degree"
-    )
-
-
-def pagerank_seeds(
-    graph: TopicGraph,
-    k: int,
-    *,
-    damping: float = 0.85,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-) -> SeedList:
-    """Top-``k`` nodes by PageRank on the *reversed* graph.
-
-    Influence flows along arcs, so a node that many (influential) nodes
-    listen to should rank high: running PageRank on the transpose makes
-    score flow from listeners back to speakers.
-    """
-    if not 0 <= k <= graph.num_nodes:
-        raise ValueError(f"k must be in [0, {graph.num_nodes}], got {k}")
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"damping must be in (0, 1), got {damping}")
-    n = graph.num_nodes
-    in_indptr, in_tails, _ = graph.reverse_view
-    # Column-stochastic iteration on the transpose: each node pushes its
-    # score to the nodes that point *at* it in the original graph.
-    in_degree = np.diff(in_indptr).astype(np.float64)
-    rank = np.full(n, 1.0 / n)
-    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(in_indptr))
-    for _ in range(max_iter):
-        contribution = np.where(in_degree > 0, rank / np.maximum(in_degree, 1), 0.0)
-        new_rank = np.zeros(n)
-        np.add.at(new_rank, in_tails, contribution[heads])
-        dangling = rank[in_degree == 0].sum()
-        new_rank = (1.0 - damping) / n + damping * (new_rank + dangling / n)
-        if np.abs(new_rank - rank).sum() < tol:
-            rank = new_rank
-            break
-        rank = new_rank
-    order = np.lexsort((np.arange(n), -rank))
-    return SeedList(
-        tuple(int(v) for v in order[:k]), (), algorithm="pagerank"
-    )

@@ -2,7 +2,7 @@
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.learning.propagation_log": (
@@ -22,16 +22,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "ItemTrace",
-    "PropagationLog",
-    "generate_propagation_log",
-    "TICLearner",
-    "TICLearningResult",
-    "held_out_log_likelihood_curve",
-    "match_topics",
-    "parameter_recovery_correlation",
-    "TopicSelectionResult",
-    "select_num_topics",
-]

@@ -42,7 +42,7 @@ documented in ``docs/OBSERVABILITY.md``.
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.obs._state": ("STATE", "disable", "enable", "enabled"),
@@ -89,42 +89,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "STATE",
-    "enable",
-    "disable",
-    "enabled",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricFamily",
-    "MetricsRegistry",
-    "get_registry",
-    "Span",
-    "SpanRecord",
-    "Tracer",
-    "get_tracer",
-    "span_payload",
-    "RequestContext",
-    "bind",
-    "bind_child_of",
-    "current_context",
-    "new_request_context",
-    "new_request_id",
-    "new_trace_id",
-    "wrap",
-    "instruments",
-    "FlightRecord",
-    "FlightRecorder",
-    "gamma_fingerprint",
-    "get_flight_recorder",
-    "SLOConfig",
-    "SLOMonitor",
-    "EventLogger",
-    "JsonFormatter",
-    "RateLimitFilter",
-    "configure_json_logging",
-    "get_logger",
-    "reset_logging",
-]

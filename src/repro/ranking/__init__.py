@@ -2,7 +2,7 @@
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.ranking.kendall": (
@@ -33,27 +33,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "DEFAULT_PENALTY",
-    "kendall_tau_full",
-    "kendall_tau_top",
-    "mean_kendall_tau_top",
-    "borda_aggregation",
-    "borda_scores",
-    "copeland_aggregation",
-    "copeland_order",
-    "copeland_scores",
-    "pairwise_preference_matrix",
-    "ranking_rows",
-    "brute_force_kemeny",
-    "kemenize",
-    "local_kemenization",
-    "mc4_aggregation",
-    "mc4_order",
-    "overlap_at_k",
-    "rank_biased_overlap",
-    "DEFAULT_SELECTION_THRESHOLD",
-    "importance_weights",
-    "select_neighbors",
-]

@@ -31,7 +31,7 @@ and the full retry/degradation matrix are documented in
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.resilience.breaker": ("CircuitBreaker",),
@@ -51,20 +51,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.resilience.retry": ("RetryPolicy",),
     },
 )
-
-__all__ = [
-    "CircuitBreaker",
-    "Deadline",
-    "HedgePolicy",
-    "resolve_deadline",
-    "FAULTS_ENV",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFaultError",
-    "fault_plan",
-    "get_fault_plan",
-    "maybe_inject",
-    "parse_fault_plan",
-    "set_fault_plan",
-    "RetryPolicy",
-]

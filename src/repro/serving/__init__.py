@@ -43,7 +43,7 @@ loadgen``.  See ``docs/SERVING.md``.
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.serving.admission": (
@@ -78,32 +78,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionSnapshot",
-    "BatchItem",
-    "BatcherStats",
-    "Fleet",
-    "FleetWorkerServer",
-    "HttpRequest",
-    "LoadReport",
-    "MetricsSample",
-    "MicroBatcher",
-    "ProtocolError",
-    "QueryServer",
-    "QueueFullError",
-    "SingleFlight",
-    "WorkerHandle",
-    "attach_index",
-    "build_far_mix",
-    "build_query_mix",
-    "parse_prometheus",
-    "publish_index",
-    "quantile_from_buckets",
-    "render_top",
-    "run_loadgen",
-    "run_top",
-    "serve",
-    "worker_main",
-]

@@ -15,7 +15,7 @@ This package provides everything needed to manipulate them:
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.simplex.vectors": (
@@ -36,20 +36,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.simplex.ilr": ("ilr_transform", "ilr_inverse"),
     },
 )
-
-__all__ = [
-    "as_distribution",
-    "as_distribution_matrix",
-    "is_distribution",
-    "smooth",
-    "uniform_distribution",
-    "kl_divergence",
-    "kl_divergence_matrix",
-    "kl_max_bound",
-    "symmetrized_kl",
-    "sample_uniform_simplex",
-    "Dirichlet",
-    "fit_dirichlet_mle",
-    "ilr_transform",
-    "ilr_inverse",
-]

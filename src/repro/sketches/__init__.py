@@ -8,7 +8,7 @@ and ``docs/SKETCHES.md``).
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.sketches.bank": ("SketchBank",),
@@ -16,11 +16,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.sketches.shared": ("attach_sketches", "publish_sketches"),
     },
 )
-
-__all__ = [
-    "SketchBank",
-    "attach_sketches",
-    "load_sketches",
-    "publish_sketches",
-    "save_sketches",
-]

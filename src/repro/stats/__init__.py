@@ -2,7 +2,7 @@
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.stats.anderson_darling": (
@@ -28,22 +28,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "AndersonDarlingResult",
-    "anderson_darling_p_value",
-    "anderson_darling_statistic",
-    "anderson_darling_test",
-    "corrected_statistic",
-    "project_to_principal_axis",
-    "CRITICAL_VALUES",
-    "PairedTTestResult",
-    "paired_t_test",
-    "BootstrapInterval",
-    "bootstrap_mean",
-    "bootstrap_mean_ratio",
-    "nrmse",
-    "pearson_correlation",
-    "rmse",
-    "spearman_correlation",
-]

@@ -23,7 +23,7 @@ See ``docs/STREAMING.md`` for the design and the invalidation lemma.
 
 from repro._exports import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.streaming.deltas": (
@@ -46,18 +46,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.streaming.engine": ("StreamingEngine",),
     },
 )
-
-__all__ = [
-    "DELTA_OPS",
-    "DeltaBatch",
-    "DeltaLog",
-    "EdgeDelta",
-    "EdgeState",
-    "advance_graph",
-    "ApplyReport",
-    "IncrementalSketchMaintainer",
-    "SeedSetUpdate",
-    "Subscription",
-    "SubscriptionRegistry",
-    "StreamingEngine",
-]

@@ -6,13 +6,11 @@ time over a reusable visited buffer (root first, then each wave's new
 members in ascending order), :func:`ris_seed_selection` is the
 dictionary-based lazy greedy that scales gains to spread units,
 :func:`sample_block_lexsort` is the two-array ``(set, node)`` block
-walker ordered by ``np.lexsort``, :func:`sample_lt_rr_sets` is the
-backward random walk of the LT model returning unsorted member arrays,
-:func:`heap_greedy_select` is the lazy heap greedy that
-:meth:`RRIndex.greedy_select` ran before its argmax rewrite, and
-:func:`flat_key_block` (with :func:`per_set_coins`) is the flat-key
-walker as it stood before it took many streams per pass: one
-generator for the block, or one per set, and
+walker ordered by ``np.lexsort``, :func:`heap_greedy_select` is the
+lazy heap greedy that :meth:`RRIndex.greedy_select` ran before its
+argmax rewrite, :func:`flat_key_block` (with :func:`per_set_coins`)
+is the flat-key walker as it stood before it took many streams per
+pass: one generator for the block, or one per set, and
 :func:`imm_greedy_every_round` is IMM as it ran before its doubling
 rounds were certified by a coverage bound: a pooled index and a greedy
 after every round.
@@ -317,34 +315,6 @@ def per_set_coins(streams, sets, ends) -> np.ndarray:
             coins.append(streams[int(sets[i])].random(count))
             drawn += count
     return np.concatenate(coins)
-
-
-def sample_lt_rr_sets(graph, gamma, num_sets: int, rng) -> list[np.ndarray]:
-    """LT reverse random walks, members in visiting-set order."""
-    weights = graph.item_probabilities(gamma)
-    in_indptr, in_tails, in_arc_ids = graph.reverse_view
-    n = graph.num_nodes
-    sets: list[np.ndarray] = []
-    for _ in range(num_sets):
-        node = int(rng.integers(n))
-        visited = {node}
-        while True:
-            lo, hi = in_indptr[node], in_indptr[node + 1]
-            if hi == lo:
-                break
-            arc_weights = weights[in_arc_ids[lo:hi]]
-            draw = rng.random()
-            cumulative = np.cumsum(arc_weights)
-            position = int(np.searchsorted(cumulative, draw))
-            if position >= arc_weights.size:
-                break
-            parent = int(in_tails[lo + position])
-            if parent in visited:
-                break
-            visited.add(parent)
-            node = parent
-        sets.append(np.fromiter(visited, dtype=np.int64, count=len(visited)))
-    return sets
 
 
 def replay_pools(

@@ -1,88 +1,12 @@
-"""Tests for analytic spread bounds, Fig.-5 t-tests, and EM warm starts."""
+"""Tests for Fig.-5 t-tests and EM warm starts."""
 
 import numpy as np
 import pytest
 
 from repro.experiments import fig5_retrieval_recall, get_context
-from repro.graph import TopicGraph, interest_topic_graph
+from repro.graph import interest_topic_graph
 from repro.learning import TICLearner, generate_propagation_log
 from repro.learning.propagation_log import PropagationLog
-from repro.propagation import (
-    estimate_spread,
-    exact_spread,
-    one_hop_lower_bound,
-    union_upper_bound,
-)
-
-
-def _chain(p: float, length: int = 4) -> TopicGraph:
-    arcs = [(i, i + 1) for i in range(length - 1)]
-    probs = np.full((length - 1, 1), p)
-    return TopicGraph.from_arcs(length, np.asarray(arcs), probs)
-
-
-class TestSpreadBounds:
-    def test_brackets_exact_on_chain(self):
-        g = _chain(0.5)
-        exact = exact_spread(g, [1.0], [0])
-        lower = one_hop_lower_bound(g, [1.0], [0])
-        upper = union_upper_bound(g, [1.0], [0])
-        assert lower <= exact + 1e-9
-        assert upper >= exact - 1e-9
-
-    def test_brackets_exact_on_random_tiny_graphs(self):
-        rng = np.random.default_rng(1)
-        for _ in range(15):
-            n = int(rng.integers(3, 7))
-            m = int(rng.integers(1, min(10, n * (n - 1)) + 1))
-            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-            chosen = rng.choice(len(pairs), size=m, replace=False)
-            arcs = np.asarray([pairs[i] for i in chosen])
-            probs = rng.uniform(0.05, 0.9, size=(m, 2))
-            g = TopicGraph.from_arcs(n, arcs, probs)
-            gamma = rng.dirichlet(np.ones(2))
-            seeds = [int(rng.integers(n))]
-            exact = exact_spread(g, gamma, seeds)
-            assert one_hop_lower_bound(g, gamma, seeds) <= exact + 1e-9
-            assert union_upper_bound(g, gamma, seeds) >= exact - 1e-9
-
-    def test_lower_bound_exact_for_single_hop_graph(self):
-        # Star graph: all spread is one-hop, lower bound is tight.
-        arcs = [(0, i) for i in range(1, 5)]
-        probs = np.full((4, 1), 0.3)
-        g = TopicGraph.from_arcs(5, np.asarray(arcs), probs)
-        lower = one_hop_lower_bound(g, [1.0], [0])
-        exact = exact_spread(g, [1.0], [0])
-        assert lower == pytest.approx(exact, abs=1e-9)
-
-    def test_deterministic_chain_bounds_tight(self):
-        g = _chain(1.0)
-        assert union_upper_bound(g, [1.0], [0]) == pytest.approx(4.0)
-        assert one_hop_lower_bound(g, [1.0], [0]) == pytest.approx(2.0)
-
-    def test_brackets_monte_carlo_on_generated_graph(self, small_graph):
-        gamma = np.full(small_graph.num_topics, 1.0 / small_graph.num_topics)
-        seeds = [0, 5, 9]
-        mc = estimate_spread(
-            small_graph, gamma, seeds, num_simulations=1500, seed=2
-        )
-        lower = one_hop_lower_bound(small_graph, gamma, seeds)
-        upper = union_upper_bound(small_graph, gamma, seeds)
-        slack = 4 * mc.standard_error
-        assert lower <= mc.mean + slack
-        assert upper >= mc.mean - slack
-
-    def test_empty_seeds(self, small_graph):
-        gamma = np.full(small_graph.num_topics, 1.0 / small_graph.num_topics)
-        assert one_hop_lower_bound(small_graph, gamma, []) == 0.0
-        assert union_upper_bound(small_graph, gamma, []) == 0.0
-
-    def test_validation(self, small_graph):
-        gamma = np.full(small_graph.num_topics, 1.0 / small_graph.num_topics)
-        with pytest.raises(ValueError):
-            one_hop_lower_bound(small_graph, gamma, [10**6])
-        with pytest.raises(ValueError):
-            union_upper_bound(small_graph, gamma, [0], max_rounds=0)
 
 
 class TestFig5Comparisons:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import IM_ENGINES, InflexConfig, InflexIndex, PAPER_CONFIG
-from repro.im import celf_seed_selection
+from repro.im import greedy_seed_selection
 from repro.propagation import SnapshotSpread
 
 
@@ -74,8 +74,9 @@ class TestWeightingVariants:
         assert len(answer.seeds) == 5
 
     def test_celf_engine_build(self, artifacts):
-        """CELF is a library oracle, not an engine: an index over CELF
-        seed lists, computed on live-edge snapshots, still answers."""
+        """An index assembled from outside seed lists answers: here plain
+        greedy on live-edge snapshots, the lists the ``celf++`` engine
+        must reproduce."""
         graph, catalog = artifacts
         config = InflexConfig(
             num_index_points=4,
@@ -88,7 +89,7 @@ class TestWeightingVariants:
         )
         built = InflexIndex.build(graph, catalog, config)
         seed_lists = [
-            celf_seed_selection(
+            greedy_seed_selection(
                 SnapshotSpread(graph, point, num_snapshots=25, seed=92),
                 graph.num_nodes,
                 3,
@@ -97,7 +98,7 @@ class TestWeightingVariants:
         ]
         index = InflexIndex(graph, built.index_points, seed_lists, config)
         assert all(
-            seed_list.algorithm == "celf"
+            seed_list.algorithm == "greedy"
             for seed_list in index.seed_lists
         )
         answer = index.query(catalog[4], 3)

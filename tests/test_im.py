@@ -6,14 +6,10 @@ import pytest
 from repro.core.offline import offline_seed_list
 from repro.im import (
     SeedList,
-    celf_seed_selection,
     celfpp_seed_selection,
-    degree_seeds,
     greedy_seed_selection,
-    pagerank_seeds,
     random_seeds,
     walk_rr_index,
-    weighted_degree_seeds,
 )
 from repro.propagation import SnapshotSpread, estimate_spread
 
@@ -54,9 +50,9 @@ class TestSeedList:
 
 
 class TestGreedyFamilyEquivalence:
-    """Greedy, CELF and CELF++ must return the same seeds when run on
-    the same deterministic (snapshot) spread oracle — CELF/CELF++ are
-    exact optimizations, not approximations."""
+    """Greedy and CELF++ must return the same seeds when run on the
+    same deterministic (snapshot) spread oracle — CELF++ is an exact
+    optimization, not an approximation."""
 
     @pytest.fixture(scope="class")
     def oracle(self, small_graph):
@@ -70,19 +66,16 @@ class TestGreedyFamilyEquivalence:
     def test_all_agree(self, oracle, small_graph):
         n = small_graph.num_nodes
         greedy = greedy_seed_selection(oracle, n, 4)
-        celf = celf_seed_selection(oracle, n, 4)
         celfpp = celfpp_seed_selection(oracle, n, 4)
-        assert greedy.nodes == celf.nodes == celfpp.nodes
-        assert np.allclose(greedy.marginal_gains, celf.marginal_gains)
+        assert greedy.nodes == celfpp.nodes
         assert np.allclose(greedy.marginal_gains, celfpp.marginal_gains)
 
     def test_gains_nonincreasing(self, oracle, small_graph):
-        result = celf_seed_selection(oracle, small_graph.num_nodes, 5)
+        result = celfpp_seed_selection(oracle, small_graph.num_nodes, 5)
         gains = result.marginal_gains
         assert all(a >= b - 1e-9 for a, b in zip(gains, gains[1:]))
 
     def test_k_zero(self, oracle, small_graph):
-        assert len(celf_seed_selection(oracle, small_graph.num_nodes, 0)) == 0
         assert (
             len(celfpp_seed_selection(oracle, small_graph.num_nodes, 0)) == 0
         )
@@ -91,13 +84,11 @@ class TestGreedyFamilyEquivalence:
         with pytest.raises(ValueError):
             greedy_seed_selection(oracle, 5, 6)
         with pytest.raises(ValueError):
-            celf_seed_selection(oracle, 5, 6)
-        with pytest.raises(ValueError):
             celfpp_seed_selection(oracle, 5, 6)
 
     def test_candidate_restriction(self, oracle, small_graph):
         pool = [0, 1, 2, 3, 4]
-        result = celf_seed_selection(
+        result = celfpp_seed_selection(
             oracle, small_graph.num_nodes, 3, candidates=pool
         )
         assert set(result.nodes) <= set(pool)
@@ -195,32 +186,3 @@ class TestHeuristics:
     def test_random_seeds_bounds(self):
         with pytest.raises(ValueError):
             random_seeds(5, 6)
-
-    def test_degree_seeds_order(self, small_graph):
-        result = degree_seeds(small_graph, 5)
-        degrees = small_graph.out_degree()
-        returned = [degrees[v] for v in result.nodes]
-        assert all(a >= b for a, b in zip(returned, returned[1:]))
-        assert returned[0] == degrees.max()
-
-    def test_weighted_degree_topic_sensitivity(self, small_graph):
-        gamma_a = np.zeros(small_graph.num_topics)
-        gamma_a[0] = 1.0
-        gamma_b = np.zeros(small_graph.num_topics)
-        gamma_b[1] = 1.0
-        top_a = weighted_degree_seeds(small_graph, gamma_a, 10).nodes
-        top_b = weighted_degree_seeds(small_graph, gamma_b, 10).nodes
-        # Topic-aware ranking should differ across topics on an
-        # interest-structured graph.
-        assert top_a != top_b
-
-    def test_pagerank_seeds(self, small_graph):
-        result = pagerank_seeds(small_graph, 5)
-        assert len(result) == 5
-        assert len(set(result.nodes)) == 5
-
-    def test_pagerank_validation(self, small_graph):
-        with pytest.raises(ValueError):
-            pagerank_seeds(small_graph, 5, damping=1.5)
-        with pytest.raises(ValueError):
-            pagerank_seeds(small_graph, small_graph.num_nodes + 1)

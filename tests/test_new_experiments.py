@@ -1,12 +1,9 @@
-"""Tests for the significance and workload-split experiments and the
-DegreeDiscount heuristic."""
+"""Tests for the significance and workload-split experiments."""
 
 import numpy as np
 import pytest
 
 from repro.experiments import get_context, significance, workload_split
-from repro.im import degree_discount_seeds, random_seeds
-from repro.propagation import estimate_spread
 
 
 @pytest.fixture(scope="module")
@@ -51,46 +48,3 @@ class TestWorkloadSplit:
         assert max(dd, uniform) <= 2.5 * max(min(dd, uniform), 1e-6)
         for value in result.mean_nn_divergence.values():
             assert np.isfinite(value)
-
-
-class TestDegreeDiscount:
-    def test_returns_k_distinct(self, small_graph):
-        gamma = np.full(small_graph.num_topics, 1.0 / small_graph.num_topics)
-        result = degree_discount_seeds(small_graph, gamma, 8)
-        assert len(result) == 8
-        assert len(set(result.nodes)) == 8
-
-    def test_beats_random(self, small_graph):
-        gamma = np.zeros(small_graph.num_topics)
-        gamma[0] = 1.0
-        dd = degree_discount_seeds(small_graph, gamma, 5)
-        rnd = random_seeds(small_graph.num_nodes, 5, seed=3)
-        s_dd = estimate_spread(
-            small_graph, gamma, dd.nodes, num_simulations=400, seed=4
-        ).mean
-        s_rnd = estimate_spread(
-            small_graph, gamma, rnd.nodes, num_simulations=400, seed=4
-        ).mean
-        assert s_dd > s_rnd
-
-    def test_topic_sensitivity(self, small_graph):
-        gamma_a = np.zeros(small_graph.num_topics)
-        gamma_a[0] = 1.0
-        gamma_b = np.zeros(small_graph.num_topics)
-        gamma_b[1] = 1.0
-        a = degree_discount_seeds(small_graph, gamma_a, 10)
-        b = degree_discount_seeds(small_graph, gamma_b, 10)
-        assert a.nodes != b.nodes
-
-    def test_k_validation(self, small_graph):
-        gamma = np.full(small_graph.num_topics, 1.0 / small_graph.num_topics)
-        with pytest.raises(ValueError):
-            degree_discount_seeds(small_graph, gamma, -1)
-        with pytest.raises(ValueError):
-            degree_discount_seeds(
-                small_graph, gamma, small_graph.num_nodes + 1
-            )
-
-    def test_k_zero(self, small_graph):
-        gamma = np.full(small_graph.num_topics, 1.0 / small_graph.num_topics)
-        assert len(degree_discount_seeds(small_graph, gamma, 0)) == 0

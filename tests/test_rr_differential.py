@@ -8,7 +8,7 @@ bit:
   members, root and the generator state it leaves behind — for
   per-set streams and for one generator shared across sets;
 * the flat-key block walker matches the ``lexsort`` block walker;
-* ``ris``-engine and LT seed lists match the reference greedy over the
+* ``ris``-engine seed lists match the reference greedy over the
   reference sets, nodes and gains;
 * :meth:`RRIndex.seed_list` matches the dictionary greedy on arbitrary
   set families, including padding and a segment population;
@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 from repro.core.offline import offline_seed_list
 from repro.graph import TopicGraph
 from repro.im.imm import RRIndex, sample_rr_block
-from repro.propagation import lt_influence_maximization, normalize_lt_weights
 from repro.simplex.sampling import sample_uniform_simplex
 from repro.streaming import (
     DeltaBatch,
@@ -44,7 +43,6 @@ from tests.rr_reference import (
     heap_greedy_select,
     ris_seed_selection,
     sample_block_lexsort,
-    sample_lt_rr_sets,
     sample_rr_set,
     sample_rr_sets,
 )
@@ -152,28 +150,6 @@ def test_ris_engine_matches_reference(shape, seed, num_sets, k):
     want = ris_seed_selection(sets, graph.num_nodes, k)
     _assert_seed_lists_equal(got, want)
     assert got.algorithm == "ris"
-
-
-@given(
-    shape=GRAPHS,
-    seed=st.integers(0, 2**32 - 1),
-    num_sets=st.integers(1, 120),
-    k=st.integers(0, 12),
-)
-@SETTINGS
-def test_lt_seed_lists_match_reference(shape, seed, num_sets, k):
-    graph = normalize_lt_weights(_graph(*shape))
-    gamma = _gamma(shape[2], seed)
-    k = min(k, graph.num_nodes)
-    got = lt_influence_maximization(
-        graph, gamma, k, num_sets=num_sets, seed=seed
-    )
-    sets = sample_lt_rr_sets(
-        graph, gamma, num_sets, np.random.default_rng(seed)
-    )
-    want = ris_seed_selection(sets, graph.num_nodes, k)
-    _assert_seed_lists_equal(got, want)
-    assert got.algorithm == "lt-ris"
 
 
 @given(
